@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comb import evaluate_comb, objective_operator, optimize_fixed_order
+from .comb import evaluate_comb, objective_operator, optimize_fixed_order, probability_from_comb
 from .experiment import (
     NoiseParams,
     run_pauli_suite,
@@ -43,10 +43,12 @@ def parse_gate(spec: str) -> np.ndarray:
         if len(parts) != 3:
             raise UsageError(f"waveplate spec needs three angles: {spec!r}")
         try:
-            q1, h, q2 = (float(p) for p in parts)
+            angles = [float(p) for p in parts]
         except ValueError as exc:
             raise UsageError(f"bad waveplate angle in {spec!r}") from exc
-        return triple_to_unitary((q1, h, q2))
+        if not np.all(np.isfinite(angles)):
+            raise UsageError(f"non-finite waveplate angle in {spec!r}")
+        return triple_to_unitary(tuple(angles))
     parts = spec.split(",")
     if len(parts) == 8:
         try:
@@ -83,6 +85,8 @@ def parse_state(spec: str) -> np.ndarray:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise UsageError(f"bad state entry in {spec!r}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise UsageError(f"non-finite state entry in {spec!r}")
         psi = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
         norm = np.linalg.norm(psi)
         if norm < 1e-12:
@@ -94,13 +98,20 @@ def parse_state(spec: str) -> np.ndarray:
 def _load_noise(path: str | None) -> NoiseParams:
     if path is None:
         return NoiseParams()
-    with open(path) as fh:
-        data = json.load(fh)
-    allowed = set(NoiseParams.__dataclass_fields__)
-    unknown = set(data) - allowed
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read noise file {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"noise file {path!r} must hold a JSON object")
+    unknown = set(data) - set(NoiseParams.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown noise keys: {sorted(unknown)}")
-    return NoiseParams(**data)
+    try:
+        return NoiseParams(**data)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -158,9 +169,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    rng = RandomSource(args.seed)
-    omega = objective_operator(int(args.samples), rng)
-    result = optimize_fixed_order(omega)
+    result = optimize_fixed_order(objective_operator())
     pairs = table_gate_pairs()
     table_success = evaluate_comb(result.comb, pairs)
     ideal = [
@@ -176,7 +185,6 @@ def cmd_bound(args) -> int:
         "residuals": {k: float(v) for k, v in result.residuals.items()},
         "table_pairs_success": round(table_success, 6),
         "switch_success_same_pairs": round(float(np.mean(ideal)), 6),
-        "samples": int(args.samples),
     }
     if args.out:
         out = Path(args.out)
@@ -184,8 +192,6 @@ def cmd_bound(args) -> int:
         rows = [["pair", "label", "correct_probability"]]
         for pair in pairs:
             i = 0 if pair.label is Verdict.COMMUTE else 1
-            from .comb import probability_from_comb
-
             rows.append(
                 [
                     pair.seed_record.get("table_row", ""),
@@ -246,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("bound", help="compute the fixed-order success bound")
-    p.add_argument("--samples", type=float, default=2e5, help="Haar samples per class")
     p.add_argument("--out", help="directory for the per-pair evaluation CSV")
     p.set_defaults(func=cmd_bound)
 

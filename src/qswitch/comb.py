@@ -15,6 +15,8 @@ turns an explicit prepare/route/measure circuit into a W, and the identity
 above is required to reproduce direct statevector simulation exactly (it does,
 with the conjugated-amplitude construction used below).
 
+The objective Omega averages the score operators over the two promise
+classes.  It is computed exactly from a finite unitary design, not sampled.
 The optimization max tr(W Omega) over combs is solved by ADMM splitting:
 exact projection onto the affine comb subspace alternating with projection
 onto the PSD cone.
@@ -22,20 +24,24 @@ onto the PSD cone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GatePair, RandomSource, anticommuting_pair, haar_random_unitaries
-from .linalg import choi, choi_vector, partial_trace, require_unitary
+from .gates import GatePair
+# unused here since the objective stopped sampling; perfbench still traces
+# Haar sampling under the name qswitch.comb.haar_random_unitaries
+from .gates import haar_random_unitaries  # noqa: F401
+from .linalg import SY, SZ, choi, partial_trace, require_unitary
 from .switch import Verdict
 
 __all__ = [
-    "ScoreOperator",
     "CombResult",
     "DIMS",
     "score_operator",
-    "averaged_score",
+    "class_averaged_objective",
+    "icosahedral_design",
     "objective_operator",
     "build_comb_from_circuit",
     "probability_from_comb",
@@ -47,15 +53,6 @@ __all__ = [
 
 DIMS = [2, 2, 2, 2, 2]
 DIM = 32
-
-
-@dataclass(frozen=True)
-class ScoreOperator:
-    """A 32x32 Hermitian PSD score operator, possibly a Monte Carlo average."""
-
-    matrix: np.ndarray
-    n_samples: int = 1
-    entry_stderr: float = 0.0
 
 
 @dataclass
@@ -74,12 +71,11 @@ def _basis_projector(i: int) -> np.ndarray:
     return e
 
 
-def score_operator(u1: np.ndarray, u2: np.ndarray, i: int) -> ScoreOperator:
+def score_operator(u1: np.ndarray, u2: np.ndarray, i: int) -> np.ndarray:
     """choi(U1) (x) choi(U2) (x) |i><i| on wire order P1P2 P3P4 P5."""
     if i not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    m = np.kron(np.kron(choi(u1), choi(u2)), _basis_projector(i))
-    return ScoreOperator(matrix=m)
+    return np.kron(np.kron(choi(u1), choi(u2)), _basis_projector(i))
 
 
 def _choi_batch(us: np.ndarray) -> np.ndarray:
@@ -89,79 +85,66 @@ def _choi_batch(us: np.ndarray) -> np.ndarray:
 
 
 def _commuting_choi_avg_batch(rs: np.ndarray) -> np.ndarray:
-    """E_theta choi(R diag(1, e^{i theta}) R^dag) for each Haar sample R.
+    """E_theta choi(R diag(1, e^{i theta}) R^dag) for each eigenbasis R.
 
     The uniform phase kills the cross terms between the two spectral
     projectors, leaving the sum of their individual Choi operators.
     """
-    out = np.zeros((rs.shape[0], 4, 4), dtype=complex)
-    for k in (0, 1):
-        cols = rs[:, :, k]  # eigenvector |k> of each sample
-        projs = np.einsum("na,nb->nab", cols, cols.conj())
-        v = np.swapaxes(projs, -2, -1).reshape(-1, 4)
-        out += np.einsum("ni,nj->nij", v, v.conj())
-    return out
+    projs = np.einsum("nak,nbk->knab", rs, rs.conj())  # eigenprojector k of each R
+    return _choi_batch(projs[0]) + _choi_batch(projs[1])
 
 
-def averaged_score(
-    pair_class: Verdict,
-    outcome: int,
-    n_samples: int = 200_000,
-    rng: RandomSource | None = None,
-    batch: int = 8192,
-) -> ScoreOperator:
-    """Monte Carlo average of the score operator over one promise class.
+def class_averaged_objective(rs: np.ndarray) -> np.ndarray:
+    """(S_0 averaged over commuting pairs + S_1 over anti-commuting pairs) / 2.
 
-    For the commuting class the eigenphase average is done analytically per
-    Haar sample, so only the shared eigenbasis is sampled.
+    Both promise classes are parametrized by a shared eigenbasis R (see
+    ``gates``); the class averages are taken over the stack ``rs`` of bases,
+    shape (n, 2, 2).  The commuting eigenphases are averaged analytically.
     """
-    if rng is None:
-        rng = RandomSource(0)
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    if pair_class not in (Verdict.COMMUTE, Verdict.ANTICOMMUTE):
-        raise ValueError("pair class must be COMMUTE or ANTICOMMUTE")
-    total = np.zeros((16, 16), dtype=complex)
-    total_sq = np.zeros((16, 16))
-    done = 0
-    while done < n_samples:
-        m = min(batch, n_samples - done)
-        rs = haar_random_unitaries(rng, m)
-        if pair_class is Verdict.COMMUTE:
-            c = _commuting_choi_avg_batch(rs)
-            k = np.einsum("nab,ncd->nacbd", c, c).reshape(m, 16, 16)
-        else:
-            sz = np.array([[1, 0], [0, -1]], dtype=complex)
-            sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-            a1 = rs @ sz @ np.conjugate(np.swapaxes(rs, -2, -1))
-            a2 = rs @ sy @ np.conjugate(np.swapaxes(rs, -2, -1))
-            k = np.einsum(
-                "nab,ncd->nacbd", _choi_batch(a1), _choi_batch(a2)
-            ).reshape(m, 16, 16)
-        total += k.sum(axis=0)
-        total_sq += (np.abs(k) ** 2).sum(axis=0)
-        done += m
-    mean = total / n_samples
-    var = total_sq / n_samples - np.abs(mean) ** 2
-    stderr = float(np.sqrt(np.clip(var, 0.0, None).mean() / n_samples))
-    m = np.kron(mean, _basis_projector(outcome))
-    m = (m + m.conj().T) / 2.0
-    return ScoreOperator(matrix=m, n_samples=n_samples, entry_stderr=stderr)
+    rs = np.asarray(rs, dtype=complex)
+    n = rs.shape[0]
+    c = _commuting_choi_avg_batch(rs)
+    commuting = np.einsum("nab,ncd->acbd", c, c).reshape(16, 16) / n
+    rs_dag = np.conjugate(np.swapaxes(rs, -2, -1))
+    a1 = _choi_batch(rs @ SZ @ rs_dag)
+    a2 = _choi_batch(rs @ SY @ rs_dag)
+    anticommuting = np.einsum("nab,ncd->acbd", a1, a2).reshape(16, 16) / n
+    m = np.kron(commuting, _basis_projector(0)) + np.kron(anticommuting, _basis_projector(1))
+    return m / 2.0
 
 
-def objective_operator(
-    n_samples: int = 200_000, rng: RandomSource | None = None
-) -> ScoreOperator:
-    """(S_0 averaged over commuting pairs + S_1 over anti-commuting pairs) / 2."""
-    if rng is None:
-        rng = RandomSource(0)
-    s0 = averaged_score(Verdict.COMMUTE, 0, n_samples, rng)
-    s1 = averaged_score(Verdict.ANTICOMMUTE, 1, n_samples, rng)
-    return ScoreOperator(
-        matrix=(s0.matrix + s1.matrix) / 2.0,
-        n_samples=n_samples,
-        entry_stderr=float(np.hypot(s0.entry_stderr, s1.entry_stderr) / 2.0),
-    )
+def icosahedral_design() -> np.ndarray:
+    """The 120 elements of the binary icosahedral group as SU(2) matrices.
+
+    They are the unit quaternions at the vertices of the 600-cell: the 8
+    permutations of (+-1, 0, 0, 0), the 16 points (+-1, +-1, +-1, +-1)/2 and
+    the 96 even permutations of (+-phi, +-1, +-1/phi, 0)/2.  The vertices
+    form a spherical 11-design on S^3, so the group is a unitary 5-design:
+    its uniform average equals the Haar average of every polynomial of degree
+    at most 5 in U and 5 in U^dag (Gross, Audenaert & Eisert,
+    arXiv:quant-ph/0611002).
+    """
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    quats = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
+    quats += [np.array(s) / 2.0 for s in itertools.product((1.0, -1.0), repeat=4)]
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    for s1, s2, s3 in itertools.product((1.0, -1.0), repeat=3):
+        base = np.array([s1 * phi, s2, s3 / phi, 0.0]) / 2.0
+        quats += [base[list(p)] for p in even]
+    a, b, c, d = np.array(quats).T
+    return np.stack([np.stack([a + 1j * b, c + 1j * d], -1),
+                     np.stack([-c + 1j * d, a - 1j * b], -1)], -2)
+
+
+def objective_operator() -> np.ndarray:
+    """The exact class-averaged objective Omega of the fixed-order SDP.
+
+    Omega is of degree (4, 4) in each eigenbasis R and invariant under its
+    global phase, so averaging over the icosahedral 5-design gives the Haar
+    average exactly.
+    """
+    return class_averaged_objective(icosahedral_design())
 
 
 # --------------------------------------------------------------------------
@@ -214,8 +197,7 @@ def build_comb_from_circuit(
 
 def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray, i: int) -> float:
     """tr(S_i W), clamped to [0, 1] within a 1e-8 guard band."""
-    s = score_operator(u1, u2, i).matrix
-    p = float(np.trace(s @ w).real)
+    p = float(np.trace(score_operator(u1, u2, i) @ w).real)
     if p < -1e-8 or p > 1.0 + 1e-8:
         raise ValueError(f"comb produced out-of-range probability {p}")
     return min(max(p, 0.0), 1.0)
@@ -293,7 +275,7 @@ def _project_psd(x: np.ndarray) -> np.ndarray:
 
 
 def optimize_fixed_order(
-    omega: ScoreOperator | np.ndarray,
+    omega: np.ndarray,
     rho: float = 1.0,
     max_iter: int = 100_000,
     primal_tol: float = 1e-8,
@@ -307,7 +289,7 @@ def optimize_fixed_order(
     when the primal residual is below ``primal_tol`` and the objective has
     moved less than ``objective_tol`` over the last 100 iterations.
     """
-    omega_m = omega.matrix if isinstance(omega, ScoreOperator) else np.asarray(omega)
+    omega_m = np.asarray(omega)
     omega_m = (omega_m + omega_m.conj().T) / 2.0
     z = np.eye(DIM, dtype=complex) * (4.0 / DIM)
     u = np.zeros((DIM, DIM), dtype=complex)

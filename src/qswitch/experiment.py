@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
 from .gates import GatePair, RandomSource, classify_pair
+from .linalg import ID2
 from .switch import PLUS, Verdict
 from .waveplates import (
     AngleTable,
@@ -62,6 +65,11 @@ class NoiseParams:
     pairs_per_setting: float = 40000.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
         if not 0.0 < self.eta <= 1.0:
@@ -178,17 +186,13 @@ def simulate_phase_sweep(
     noise: NoiseParams, rng: RandomSource, n_points: int = 24
 ) -> list[CountRecord]:
     """Counts with identity gates while scanning the interferometer phase."""
-    from .linalg import ID2
-
     records = []
     for k, phase in enumerate(np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)):
-        point = NoiseParams(
-            visibility=noise.visibility,
+        point = replace(
+            noise,
             phase_setpoint=float(phase),
             phase_drift_per_degree=0.0,
             phase_drift_per_minute=0.0,
-            eta=noise.eta,
-            pairs_per_setting=noise.pairs_per_setting,
         )
         records.append(
             simulate_counts(ID2, ID2, PLUS, point, rng, setting=f"phase{k}")

@@ -22,7 +22,6 @@ __all__ = [
     "partial_trace",
     "frobenius_distance_up_to_phase",
     "choi",
-    "eig_hermitian",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -60,7 +59,7 @@ def require_state(psi: np.ndarray, dim: int | None = None, tol: float = UNITARY_
     if dim is not None and psi.size != dim:
         raise ValueError(f"state has dimension {psi.size}, expected {dim}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
         raise ValueError(f"state is not normalized (norm {norm:.12f})")
     return psi
 
@@ -129,17 +128,3 @@ def choi(u: np.ndarray) -> np.ndarray:
     u = require_unitary(u)
     v = choi_vector(u)
     return np.outer(v, v.conj())
-
-
-def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns (w, v) with m == v @ diag(w) @ v^dag.  Rejects matrices whose
-    anti-Hermitian part exceeds ``tol``.
-    """
-    m = np.asarray(m, dtype=complex)
-    herm_resid = np.linalg.norm(m - m.conj().T)
-    if herm_resid > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {herm_resid:.3e})")
-    w, v = np.linalg.eigh(m)
-    return w, v

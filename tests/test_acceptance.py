@@ -4,8 +4,9 @@ Each test prints a single PASS/FAIL line for its criterion, so running
 
     pytest tests/test_acceptance.py -v -s
 
-gives a one-page scoreboard.  Expensive artifacts (the Monte Carlo objective,
-the optimized comb, and the noisy suite reports) are computed once per module.
+gives a one-page scoreboard.  Shared artifacts (the exact class-averaged
+objective, the optimized comb, and the noisy suite reports) are computed once
+per module.
 """
 
 import numpy as np
@@ -50,7 +51,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def objective():
-    return objective_operator(n_samples=200_000, rng=RandomSource(0))
+    return objective_operator()
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qswitch.cli import main, parse_gate, parse_state
+from qswitch.cli import UsageError, main, parse_gate, parse_state
 from qswitch.linalg import HAD, SX, frobenius_distance_up_to_phase
 
 
@@ -36,6 +36,16 @@ class TestParsers:
     def test_state_zero_norm(self):
         with pytest.raises(ValueError):
             parse_state("0,0,0,0")
+
+    @pytest.mark.parametrize("spec", ["nan,0,0,0", "inf,0,0,0", "1,0,0,-inf"])
+    def test_state_non_finite(self, spec):
+        with pytest.raises(UsageError):
+            parse_state(spec)
+
+    @pytest.mark.parametrize("spec", ["wp:nan,0,0", "wp:0,inf,0"])
+    def test_waveplate_non_finite(self, spec):
+        with pytest.raises(UsageError):
+            parse_gate(spec)
 
 
 class TestDiscriminate:
@@ -73,6 +83,15 @@ class TestDiscriminate:
 
     def test_bad_gate_spec_exit_code(self, capsys):
         assert main(["discriminate", "--u1", "nope", "--u2", "X"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--u1", "X", "--u2", "Z", "--state", "nan,0,0,0"],
+        ["--u1", "X", "--u2", "Z", "--state", "inf,0,0,0"],
+        ["--u1", "wp:nan,0,0", "--u2", "Z"],
+    ])
+    def test_non_finite_input_exit_code(self, capsys, argv):
+        assert main(["discriminate", *argv]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestCompile:
@@ -130,6 +149,27 @@ class TestSuite:
         noise_file.write_text(json.dumps({"visibilty": 0.9}))
         assert main(["suite", "pauli", "--noise", str(noise_file)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"pairs_per_setting": NaN}',
+        '{"phase_setpoint": Infinity}',
+        '{"visibility": "high"}',
+        '{"visibility": 2.0}',
+        '{"visibility": ',
+        '[0.9]',
+    ])
+    def test_bad_noise_file(self, tmp_path, capsys, text):
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(text)
+        out = tmp_path / "out"
+        assert main(["suite", "pauli", "--noise", str(noise_file), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_noise_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["suite", "pauli", "--noise", str(missing), "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSamplePairs:
     def test_writes_csv(self, tmp_path, capsys):
@@ -150,7 +190,7 @@ class TestSamplePairs:
 class TestBound:
     def test_small_sample_run(self, tmp_path, capsys):
         code = main([
-            "bound", "--samples", "20000", "--out", str(tmp_path), "--json",
+            "bound", "--out", str(tmp_path), "--json",
         ])
         assert code == 0
         data = json.loads(capsys.readouterr().out)

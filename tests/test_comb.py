@@ -4,10 +4,11 @@ import pytest
 from qswitch.comb import (
     DIM,
     DIMS,
-    averaged_score,
     build_comb_from_circuit,
+    class_averaged_objective,
     comb_residuals,
     evaluate_comb,
+    icosahedral_design,
     objective_operator,
     optimize_fixed_order,
     probability_from_comb,
@@ -29,15 +30,15 @@ class TestScoreOperator:
         rng = RandomSource(0)
         us = haar_random_unitaries(rng, 20)
         for k in range(10):
-            s = score_operator(us[2 * k], us[2 * k + 1], 0).matrix
+            s = score_operator(us[2 * k], us[2 * k + 1], 0)
             assert np.trace(s).real == pytest.approx(4.0, abs=1e-10)
             evals = np.linalg.eigvalsh(s)
             assert evals[0] >= -1e-10
             assert evals[-2] <= 1e-9  # rank one
 
     def test_outcome_projectors_sum(self):
-        s0 = score_operator(SX, HAD, 0).matrix
-        s1 = score_operator(SX, HAD, 1).matrix
+        s0 = score_operator(SX, HAD, 0)
+        s1 = score_operator(SX, HAD, 1)
         assert np.trace(s0 + s1).real == pytest.approx(8.0, abs=1e-10)
 
     def test_bad_outcome(self):
@@ -106,26 +107,21 @@ class TestCircuitCombs:
             build_comb_from_circuit(np.array([1.0, 1.0]), ID2, ID2)
 
 
-class TestAveragedScore:
+class TestExactObjective:
+    def test_design_is_exact(self):
+        # a 5-design stays one under left and right translation by any unitary
+        omega = objective_operator()
+        design = icosahedral_design()
+        for r in haar_random_unitaries(RandomSource(6), 3):
+            assert np.linalg.norm(class_averaged_objective(r @ design) - omega) <= 1e-12
+            assert np.linalg.norm(class_averaged_objective(design @ r) - omega) <= 1e-12
+
     def test_trace_preserved(self):
-        s = averaged_score(Verdict.COMMUTE, 0, n_samples=2000, rng=RandomSource(6))
-        assert np.trace(s.matrix).real == pytest.approx(4.0, abs=1e-10)
-        s = averaged_score(Verdict.ANTICOMMUTE, 1, n_samples=2000, rng=RandomSource(6))
-        assert np.trace(s.matrix).real == pytest.approx(4.0, abs=1e-10)
+        assert np.trace(objective_operator()).real == pytest.approx(4.0, abs=1e-10)
 
-    def test_seed_to_seed_agreement(self):
-        a = averaged_score(Verdict.ANTICOMMUTE, 1, n_samples=20_000, rng=RandomSource(7))
-        b = averaged_score(Verdict.ANTICOMMUTE, 1, n_samples=20_000, rng=RandomSource(8))
-        assert np.linalg.norm(a.matrix - b.matrix) <= 0.05
-
-    def test_stderr_shrinks(self):
-        small = averaged_score(Verdict.COMMUTE, 0, n_samples=1000, rng=RandomSource(9))
-        big = averaged_score(Verdict.COMMUTE, 0, n_samples=16_000, rng=RandomSource(9))
-        assert big.entry_stderr < small.entry_stderr
-
-    def test_bad_class(self):
-        with pytest.raises(ValueError):
-            averaged_score(Verdict.NEITHER, 0, n_samples=10)
+    def test_matches_haar_average(self):
+        rs = haar_random_unitaries(RandomSource(7), 20_000)
+        assert np.linalg.norm(class_averaged_objective(rs) - objective_operator()) <= 0.05
 
 
 class TestAffineProjection:
@@ -154,7 +150,7 @@ class TestAffineProjection:
 
 @pytest.fixture(scope="module")
 def small_objective():
-    return objective_operator(n_samples=20_000, rng=RandomSource(13))
+    return objective_operator()
 
 
 @pytest.fixture(scope="module")
@@ -189,12 +185,12 @@ class TestOptimization:
                 random_hermitian(gen, 4) * 1j + random_hermitian(gen, 4)
             )[0]
             w = build_comb_from_circuit(prep, v2, v3)
-            value = float(np.trace(small_objective.matrix @ w).real)
+            value = float(np.trace(small_objective @ w).real)
             assert value <= optimum.p_succ + 1e-6
 
     def test_matches_independent_solver(self, small_objective, optimum):
         cp = pytest.importorskip("cvxpy")
-        omega = small_objective.matrix
+        omega = small_objective
         w = cp.Variable((DIM, DIM), hermitian=True)
 
         def ptrace(expr, dims, k):

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qswitch.experiment import (
     NoiseParams,
@@ -29,6 +33,14 @@ class TestNoiseParams:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             NoiseParams(eta=0.0)
+
+    @given(
+        name=st.sampled_from([f.name for f in dataclasses.fields(NoiseParams)]),
+        value=st.sampled_from([np.nan, np.inf, -np.inf, "0.9", None, True, 1j]),
+    )
+    def test_rejects_non_finite_or_non_real(self, name, value):
+        with pytest.raises(ValueError):
+            NoiseParams(**{name: value})
 
 
 class TestNoisyPortProbabilities:

@@ -9,7 +9,6 @@ from qswitch.linalg import (
     SY,
     SZ,
     choi,
-    eig_hermitian,
     frobenius_distance_up_to_phase,
     partial_trace,
     tensor,
@@ -120,28 +119,3 @@ class TestChoi:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             choi(np.array([[1, 0], [0, 2]], dtype=complex))
-
-
-class TestEigHermitian:
-    def test_pauli_spectra(self):
-        w, _ = eig_hermitian(SZ)
-        assert np.allclose(w, [-1, 1])
-        w, v = eig_hermitian(SX)
-        assert np.allclose(w, [-1, 1])
-        assert abs(abs(v[0, 0]) - 1 / np.sqrt(2)) < 1e-12
-
-    def test_choi_identity_spectrum(self):
-        w, _ = eig_hermitian(choi(ID2))
-        assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        m = m + m.conj().T
-        w, v = eig_hermitian(m)
-        assert np.linalg.norm(m - (v * w) @ v.conj().T) <= 1e-9 * np.linalg.norm(m)
-        assert np.all(np.diff(w) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -55,6 +55,11 @@ class TestTwoSwitchOutput:
         with pytest.raises(ValueError):
             two_switch_output(2 * ID2, ID2, PLUS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        with pytest.raises(ValueError):
+            exit_probabilities(SX, SZ, np.array([bad, 0.0]))
+
 
 class TestExitProbabilities:
     def test_pauli_examples(self):
