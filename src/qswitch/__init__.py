@@ -17,7 +17,6 @@ from .gates import (
     anticommuting_pair,
     classify_pair,
     commuting_pair,
-    haar_random_unitary,
 )
 from .switch import SwitchOutcome, Verdict, exit_probabilities, two_switch_output
 from .waveplates import WaveplateTriple, decompose, hwp, qwp, triple_to_unitary
@@ -35,7 +34,6 @@ __all__ = [
     "commuting_pair",
     "decompose",
     "exit_probabilities",
-    "haar_random_unitary",
     "hwp",
     "qwp",
     "triple_to_unitary",

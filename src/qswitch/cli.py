@@ -22,9 +22,9 @@ from .experiment import (
     run_random_suite,
     run_state_sweep,
 )
-from .gates import RandomSource, classify_pair, pairs_to_csv, sample_pairs
+from .gates import RandomSource, classify_pair, pairs_to_csv, sample_pairs, stack_pairs
 from .linalg import PAULI_GATES, HAD, frobenius_distance_up_to_phase, require_unitary
-from .switch import Verdict, exit_probabilities
+from .switch import PLUS, Verdict, exit_probabilities, two_switch_output
 from .waveplates import decompose, table_gate_pairs, triple_to_unitary
 
 NAMED_GATES = dict(PAULI_GATES, H=HAD)
@@ -172,12 +172,9 @@ def cmd_bound(args) -> int:
     result = optimize_fixed_order(objective_operator())
     pairs = table_gate_pairs()
     table_success = evaluate_comb(result.comb, pairs)
-    ideal = [
-        exit_probabilities(p.u1, p.u2).p0
-        if p.label is Verdict.COMMUTE
-        else exit_probabilities(p.u1, p.u2).p1
-        for p in pairs
-    ]
+    u1, u2, port = stack_pairs(pairs)
+    amplitudes = two_switch_output(u1, u2, PLUS).reshape(-1, 2, 2)  # (pair, port, target)
+    ideal = np.linalg.norm(amplitudes[np.arange(len(pairs)), port], axis=-1) ** 2
     payload = {
         "p_succ": round(result.p_succ, 6),
         "iterations": result.iterations,
@@ -189,16 +186,11 @@ def cmd_bound(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = [["pair", "label", "correct_probability"]]
-        for pair in pairs:
-            i = 0 if pair.label is Verdict.COMMUTE else 1
-            rows.append(
-                [
-                    pair.seed_record.get("table_row", ""),
-                    pair.label.value,
-                    f"{probability_from_comb(result.comb, pair.u1, pair.u2, i):.6f}",
-                ]
-            )
+        correct = probability_from_comb(result.comb, u1, u2, port)
+        rows = [["pair", "label", "correct_probability"]] + [
+            [pair.seed_record.get("table_row", ""), pair.label.value, f"{p:.6f}"]
+            for pair, p in zip(pairs, correct)
+        ]
         with open(out / "bound_evaluation.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         payload["evaluation_csv"] = str(out / "bound_evaluation.csv")
@@ -223,6 +215,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sample_pairs(args) -> int:
+    if args.commuting < 0 or args.anticommuting < 0:
+        raise UsageError("pair counts must be nonnegative")
     rng = RandomSource(args.seed)
     pairs = sample_pairs(rng, args.commuting, args.anticommuting)
     out = Path(args.out)
@@ -247,12 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="simulate an experiment suite")
     p.add_argument("which", choices=["pauli", "random100", "statesweep"])
+    p.add_argument("--seed", type=int, default=0, help="seed of the count stream")
     p.add_argument("--noise", help="JSON file of noise parameter overrides")
     p.add_argument("--out", default="suite_out", help="output directory")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("bound", help="compute the fixed-order success bound")
     p.add_argument("--out", help="directory for the per-pair evaluation CSV")
+    p.add_argument("--seed", type=int, default=0, help="ignored: the bound is deterministic")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("compile", help="compile a gate to waveplate angles")
@@ -263,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commuting", type=int, default=50)
     p.add_argument("--anticommuting", type=int, default=50)
     p.add_argument("--out", default="pairs.csv")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampling stream")
     p.set_defaults(func=cmd_sample_pairs)
 
     for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true", help="machine-parseable output")
     return parser
 

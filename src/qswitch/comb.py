@@ -29,17 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GatePair
+from .gates import GatePair, stack_pairs
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import SY, SZ, choi, partial_trace, require_unitary
-from .switch import Verdict
+from .linalg import SY, SZ, choi, choi_vector, partial_trace, require_unitary
 
 __all__ = [
     "CombResult",
     "DIMS",
-    "score_operator",
     "class_averaged_objective",
     "icosahedral_design",
     "objective_operator",
@@ -71,43 +69,23 @@ def _basis_projector(i: int) -> np.ndarray:
     return e
 
 
-def score_operator(u1: np.ndarray, u2: np.ndarray, i: int) -> np.ndarray:
-    """choi(U1) (x) choi(U2) (x) |i><i| on wire order P1P2 P3P4 P5."""
-    if i not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    return np.kron(np.kron(choi(u1), choi(u2)), _basis_projector(i))
-
-
-def _choi_batch(us: np.ndarray) -> np.ndarray:
-    """Stack of Choi operators for a stack of 2x2 unitaries, shape (n, 4, 4)."""
-    v = np.swapaxes(us, -2, -1).reshape(-1, 4)
-    return np.einsum("ni,nj->nij", v, v.conj())
-
-
-def _commuting_choi_avg_batch(rs: np.ndarray) -> np.ndarray:
-    """E_theta choi(R diag(1, e^{i theta}) R^dag) for each eigenbasis R.
-
-    The uniform phase kills the cross terms between the two spectral
-    projectors, leaving the sum of their individual Choi operators.
-    """
-    projs = np.einsum("nak,nbk->knab", rs, rs.conj())  # eigenprojector k of each R
-    return _choi_batch(projs[0]) + _choi_batch(projs[1])
-
-
 def class_averaged_objective(rs: np.ndarray) -> np.ndarray:
     """(S_0 averaged over commuting pairs + S_1 over anti-commuting pairs) / 2.
 
     Both promise classes are parametrized by a shared eigenbasis R (see
     ``gates``); the class averages are taken over the stack ``rs`` of bases,
-    shape (n, 2, 2).  The commuting eigenphases are averaged analytically.
+    shape (n, 2, 2).  The commuting eigenphases are averaged analytically:
+    the uniform phase kills the cross terms between the two spectral
+    projectors of R, leaving the sum of their individual Choi operators.
     """
     rs = np.asarray(rs, dtype=complex)
     n = rs.shape[0]
-    c = _commuting_choi_avg_batch(rs)
+    v = choi_vector(np.einsum("nak,nbk->knab", rs, rs.conj()))  # eigenprojector k of each R
+    c = np.einsum("kni,knj->nij", v, v.conj())
     commuting = np.einsum("nab,ncd->acbd", c, c).reshape(16, 16) / n
     rs_dag = np.conjugate(np.swapaxes(rs, -2, -1))
-    a1 = _choi_batch(rs @ SZ @ rs_dag)
-    a2 = _choi_batch(rs @ SY @ rs_dag)
+    a1 = choi(rs @ SZ @ rs_dag)
+    a2 = choi(rs @ SY @ rs_dag)
     anticommuting = np.einsum("nab,ncd->acbd", a1, a2).reshape(16, 16) / n
     m = np.kron(commuting, _basis_projector(0)) + np.kron(anticommuting, _basis_projector(1))
     return m / 2.0
@@ -195,12 +173,27 @@ def build_comb_from_circuit(
     return w
 
 
-def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray, i: int) -> float:
-    """tr(S_i W), clamped to [0, 1] within a 1e-8 guard band."""
-    p = float(np.trace(score_operator(u1, u2, i) @ w).real)
-    if p < -1e-8 or p > 1.0 + 1e-8:
-        raise ValueError(f"comb produced out-of-range probability {p}")
-    return min(max(p, 0.0), 1.0)
+def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                          i: int | np.ndarray) -> np.ndarray:
+    """tr(S_i W) for gates or stacks (..., 2, 2) of gates and outcomes ``i``.
+
+    The score operator S_i = choi(U1) (x) choi(U2) (x) |i><i| is the outer
+    square of x = v1 (x) v2 (x) |i>, with v the Choi vectors, so tr(S_i W)
+    is the rank-one contraction <x|W|x>.  Results are clamped to [0, 1]
+    within a 1e-8 guard band.
+    """
+    i = np.asarray(i)
+    if not np.isin(i, (0, 1)).all():
+        raise ValueError("outcome must be 0 or 1")
+    v1 = choi_vector(require_unitary(u1))
+    v2 = choi_vector(require_unitary(u2))
+    y = (v1[..., :, None] * v2[..., None, :]).reshape(v1.shape[:-1] + (16,))
+    blocks = np.asarray(w).reshape(16, 2, 16, 2).transpose(1, 3, 0, 2)[[0, 1], [0, 1]]
+    p = np.einsum("...a,...ab,...b->...", y.conj(), blocks[i], y).real
+    bad = (p < -1e-8) | (p > 1.0 + 1e-8)
+    if np.any(bad):
+        raise ValueError(f"comb produced out-of-range probability {p[bad][0]}")
+    return np.clip(p, 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -331,12 +324,5 @@ def optimize_fixed_order(
 
 def evaluate_comb(w: np.ndarray, pairs: list[GatePair]) -> float:
     """Mean probability of the correct verdict over labeled gate pairs."""
-    total = 0.0
-    for pair in pairs:
-        if pair.label is Verdict.COMMUTE:
-            total += probability_from_comb(w, pair.u1, pair.u2, 0)
-        elif pair.label is Verdict.ANTICOMMUTE:
-            total += probability_from_comb(w, pair.u1, pair.u2, 1)
-        else:
-            raise ValueError("pairs must be labeled COMMUTE or ANTICOMMUTE")
-    return total / len(pairs)
+    u1, u2, port = stack_pairs(pairs)
+    return float(np.mean(probability_from_comb(w, u1, u2, port)))

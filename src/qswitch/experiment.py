@@ -5,6 +5,12 @@ phase offset that grows with waveplate rotation (wedged plates) plus a slow
 wall-clock drift, Poisson pair counting, and a reduced relative detection
 efficiency eta on port 1 corrected by P0 = C0 / (C0 + C1/eta).
 
+Counting: a setting sends Poisson(lam) pairs into the interferometer, each
+leaves by port 1 with probability p1 and is then detected with probability
+eta.  By Poisson thinning that gives two independent counts,
+C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta), which is how they
+are drawn: a whole suite's counts come from one generator call.
+
 The rotation-induced offset is modeled as a function of the current plate
 positions: each plate contributes its signed angular offset from the zeroed
 (identity) configuration, wrapped to the plate's principal range (quarter-wave
@@ -26,8 +32,6 @@ from .gates import GatePair, RandomSource, classify_pair
 from .linalg import ID2
 from .switch import PLUS, Verdict
 from .waveplates import (
-    AngleTable,
-    WaveplateTriple,
     decompose,
     hwp,
     load_pauli_table,
@@ -51,6 +55,8 @@ __all__ = [
 ]
 
 SECONDS_PER_SETTING = 6.0  # 1 s of counting plus plate moves; 20 settings in ~2 min
+# far above any photon-pair source, and far below numpy's Poisson limit (~9.2e18)
+MAX_PAIRS_PER_SETTING = 1e12
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,8 @@ class NoiseParams:
             raise ValueError("visibility must be in [0, 1]")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.pairs_per_setting <= 0:
-            raise ValueError("pairs_per_setting must be positive")
+        if not 0 < self.pairs_per_setting <= MAX_PAIRS_PER_SETTING:
+            raise ValueError(f"pairs_per_setting must be in (0, {MAX_PAIRS_PER_SETTING:g}]")
         if self.phase_drift_per_degree < 0 or self.phase_drift_per_minute < 0:
             raise ValueError("drift rates must be nonnegative")
 
@@ -93,9 +99,6 @@ class NoiseParams:
 class CountRecord:
     c0: int
     c1: int
-    setting: str = ""
-    true_label: Verdict | None = None
-    wall_time: float = 0.0
 
 
 def ideal_port_probabilities_with_noise(
@@ -103,26 +106,37 @@ def ideal_port_probabilities_with_noise(
     u2: np.ndarray,
     psi: np.ndarray,
     noise: NoiseParams,
-    accumulated_rotation: float = 0.0,
-    elapsed_minutes: float = 0.0,
-) -> tuple[float, float]:
+    accumulated_rotation: float | np.ndarray = 0.0,
+    elapsed_minutes: float | np.ndarray = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
     """Two-path interference of the order branches with visibility and drift.
 
     The branches are U1 U2 psi / sqrt2 and U2 U1 psi / sqrt2; at unit
-    visibility and phase pi this reduces exactly to the ideal switch.
+    visibility and phase pi this reduces exactly to the ideal switch.  Gates
+    (..., 2, 2), states (..., 2), rotations and times broadcast as stacks.
     """
-    branch_a = u1 @ u2 @ psi / np.sqrt(2.0)
-    branch_b = u2 @ u1 @ psi / np.sqrt(2.0)
+    psi = np.asarray(psi)[..., None]
+    branch_a = (u1 @ u2 @ psi)[..., 0] / np.sqrt(2.0)
+    branch_b = (u2 @ u1 @ psi)[..., 0] / np.sqrt(2.0)
     phi = (
         noise.phase_setpoint
-        + noise.phase_drift_per_degree * accumulated_rotation
-        + noise.phase_drift_per_minute * elapsed_minutes
+        + noise.phase_drift_per_degree * np.asarray(accumulated_rotation)
+        + noise.phase_drift_per_minute * np.asarray(elapsed_minutes)
     )
-    overlap = np.vdot(branch_a, branch_b)
-    p1 = (np.linalg.norm(branch_a) ** 2 + np.linalg.norm(branch_b) ** 2) / 2.0
-    p1 += noise.visibility * (np.exp(1j * phi) * overlap).real
-    p1 = float(min(max(p1, 0.0), 1.0))
+    overlap = np.sum(branch_a.conj() * branch_b, axis=-1)
+    p1 = (np.sum(np.abs(branch_a) ** 2, axis=-1) + np.sum(np.abs(branch_b) ** 2, axis=-1)) / 2.0
+    p1 = np.clip(p1 + noise.visibility * (np.exp(1j * phi) * overlap).real, 0.0, 1.0)
     return 1.0 - p1, p1
+
+
+def _draw_counts(p1: np.ndarray, noise: NoiseParams, gen: np.random.Generator,
+                 size: tuple[int, ...] = ()) -> np.ndarray:
+    """Counts (..., 2) of C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta).
+
+    ``size`` prepends axes of independent repeats; all draws are one call.
+    """
+    lam = noise.pairs_per_setting * np.stack([1.0 - p1, noise.eta * p1], axis=-1)
+    return gen.poisson(lam, size=size + lam.shape)
 
 
 def simulate_counts(
@@ -133,34 +147,24 @@ def simulate_counts(
     rng: RandomSource,
     accumulated_rotation: float = 0.0,
     elapsed_minutes: float = 0.0,
-    setting: str = "",
-    true_label: Verdict | None = None,
 ) -> CountRecord:
     """One second of Poisson pair counting at a single gate setting."""
     _, p1 = ideal_port_probabilities_with_noise(
         u1, u2, psi, noise, accumulated_rotation, elapsed_minutes
     )
-    gen = rng.generator
-    n = int(gen.poisson(noise.pairs_per_setting))
-    n1 = int(gen.binomial(n, p1)) if n > 0 else 0
-    c1 = int(gen.binomial(n1, noise.eta)) if n1 > 0 else 0
-    rng.draws += 3
-    return CountRecord(
-        c0=n - n1,
-        c1=c1,
-        setting=setting,
-        true_label=true_label,
-        wall_time=elapsed_minutes * 60.0,
-    )
+    c0, c1 = _draw_counts(p1, noise, rng.generator)
+    return CountRecord(c0=int(c0), c1=int(c1))
 
 
-def corrected_probability(c0: int, c1: int, eta: float) -> float:
-    """Efficiency-corrected port-0 probability C0 / (C0 + C1/eta)."""
+def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndarray:
+    """Efficiency-corrected port-0 probability C0 / (C0 + C1/eta), elementwise on arrays."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if c0 < 0 or c1 < 0:
+    c0 = np.asarray(c0, dtype=float)
+    c1 = np.asarray(c1, dtype=float)
+    if np.any(c0 < 0) or np.any(c1 < 0):
         raise ValueError("counts must be nonnegative")
-    if c0 + c1 == 0:
+    if np.any(c0 + c1 == 0):
         raise ValueError("zero total counts")
     return c0 / (c0 + c1 / eta)
 
@@ -187,16 +191,14 @@ def simulate_phase_sweep(
 ) -> list[CountRecord]:
     """Counts with identity gates while scanning the interferometer phase."""
     records = []
-    for k, phase in enumerate(np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)):
+    for phase in np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False):
         point = replace(
             noise,
             phase_setpoint=float(phase),
             phase_drift_per_degree=0.0,
             phase_drift_per_minute=0.0,
         )
-        records.append(
-            simulate_counts(ID2, ID2, PLUS, point, rng, setting=f"phase{k}")
-        )
+        records.append(simulate_counts(ID2, ID2, PLUS, point, rng))
     return records
 
 
@@ -209,31 +211,52 @@ def _wrap(angle: float, period: float) -> float:
     return (angle + period / 2.0) % period - period / 2.0
 
 
-def rotation_offset(angles: tuple[float, ...]) -> float:
+def rotation_offset(angles: tuple[float, ...] | np.ndarray) -> np.ndarray:
     """Signed plate offset (degrees) of a six-plate setting from all-zero.
 
     Plates alternate quarter, half, quarter for each of the two gates;
     quarter-wave plates are wrapped mod 180 deg and half-wave plates mod 90.
+    ``angles`` may be a stack (..., 6) of settings.
     """
-    periods = (180.0, 90.0, 180.0, 180.0, 90.0, 180.0)
-    return float(sum(_wrap(a, p) for a, p in zip(angles, periods, strict=True)))
+    periods = np.array([180.0, 90.0, 180.0, 180.0, 90.0, 180.0])
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1:] != periods.shape:
+        raise ValueError(f"expected six plate angles, got shape {angles.shape}")
+    return _wrap(angles, periods).sum(axis=-1)
 
 
 @dataclass(frozen=True)
-class _Setting:
-    setting_id: str
+class _Settings:
+    """A suite's gate settings in acquisition order, stacked over settings.
+
+    ``slot`` is each setting's position in its group; the interferometer
+    phase is re-zeroed at the start of every group.
+    """
+
+    ids: tuple[str, ...]
+    labels: tuple[Verdict, ...]
     u1: np.ndarray
     u2: np.ndarray
-    label: Verdict
-    angles: tuple[float, ...]
+    angles: np.ndarray
     psi: np.ndarray
+    slot: np.ndarray
+
+    @property
+    def commute(self) -> np.ndarray:
+        return np.array([label is Verdict.COMMUTE for label in self.labels])
+
+
+def _stack(rows: list[tuple], group_size: int) -> _Settings:
+    """Stack rows (id, label, u1, u2, angles, psi) into groups of ``group_size``."""
+    ids, labels, *arrays = zip(*rows)
+    return _Settings(ids, labels, *map(np.array, arrays), slot=np.arange(len(ids)) % group_size)
 
 
 @dataclass
 class SettingResult:
     setting_id: str
     label: str
-    counts: list[tuple[int, int]]
+    counts: np.ndarray  # (repeat, port)
     p0_corrected: float
     p0_std: float
     correct_prob: float
@@ -262,8 +285,7 @@ class SuiteReport:
     def csv_rows(self) -> list[list]:
         rows = [["setting", "label", "c0", "c1", "p0_corrected", "correct_port_probability"]]
         for s in self.settings:
-            c0 = sum(c[0] for c in s.counts)
-            c1 = sum(c[1] for c in s.counts)
+            c0, c1 = s.counts.sum(axis=0)
             rows.append(
                 [s.setting_id, s.label, c0, c1, f"{s.p0_corrected:.6f}", f"{s.correct_prob:.6f}"]
             )
@@ -288,50 +310,31 @@ class SuiteReport:
 
 def _run_groups(
     suite: str,
-    groups: list[list[_Setting]],
+    settings: _Settings,
     noise: NoiseParams,
     rng: RandomSource,
     repeats: int,
-    extras: dict | None = None,
 ) -> SuiteReport:
-    """Simulate repeated runs over groups of settings, re-zeroing per group."""
-    all_settings = [s for group in groups for s in group]
-    per_repeat_p0: dict[str, list[float]] = {s.setting_id: [] for s in all_settings}
-    counts: dict[str, list[tuple[int, int]]] = {s.setting_id: [] for s in all_settings}
-    for _ in range(repeats):
-        for group in groups:
-            for k, s in enumerate(group):
-                rec = simulate_counts(
-                    s.u1,
-                    s.u2,
-                    s.psi,
-                    noise,
-                    rng,
-                    accumulated_rotation=rotation_offset(s.angles),
-                    elapsed_minutes=(k + 1) * SECONDS_PER_SETTING / 60.0,
-                    setting=s.setting_id,
-                    true_label=s.label,
-                )
-                counts[s.setting_id].append((rec.c0, rec.c1))
-                per_repeat_p0[s.setting_id].append(
-                    corrected_probability(rec.c0, rec.c1, noise.eta)
-                )
-    results = []
-    for s in all_settings:
-        p0s = np.array(per_repeat_p0[s.setting_id])
-        p0 = float(np.mean(p0s))
-        correct = p0 if s.label is Verdict.COMMUTE else 1.0 - p0
-        results.append(
-            SettingResult(
-                setting_id=s.setting_id,
-                label=s.label.value,
-                counts=counts[s.setting_id],
-                p0_corrected=p0,
-                p0_std=float(np.std(p0s)),
-                correct_prob=correct,
-            )
+    """Simulate repeated runs over the settings, re-zeroing the phase per group."""
+    _, p1 = ideal_port_probabilities_with_noise(
+        settings.u1,
+        settings.u2,
+        settings.psi,
+        noise,
+        accumulated_rotation=rotation_offset(settings.angles),
+        elapsed_minutes=(settings.slot + 1) * SECONDS_PER_SETTING / 60.0,
+    )
+    counts = _draw_counts(p1, noise, rng.generator, size=(repeats,))  # (repeat, setting, port)
+    p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
+    p0, p0_std = p0s.mean(axis=0), p0s.std(axis=0)
+    success = np.where(settings.commute, p0, 1.0 - p0)
+    results = [
+        SettingResult(setting_id, label.value, c, p, sd, ok)
+        for setting_id, label, c, p, sd, ok in zip(
+            settings.ids, settings.labels, np.swapaxes(counts, 0, 1),
+            p0.tolist(), p0_std.tolist(), success.tolist(),
         )
-    success = np.array([r.correct_prob for r in results])
+    ]
     return SuiteReport(
         suite=suite,
         seed=rng.seed,
@@ -339,32 +342,20 @@ def _run_groups(
         noise=noise,
         settings=results,
         mean_success=float(np.mean(success)),
-        success_std=float(max(r.p0_std for r in results)),
+        success_std=float(np.max(p0_std)),
         setting_spread=float(np.std(success)),
-        extras=extras or {},
     )
 
 
-def _pauli_settings(psi: np.ndarray, prefix: str = "") -> list[_Setting]:
-    table = load_pauli_table()
-    triples = {row.index: row.triples for row in table.rows}
-    settings = []
+def _pauli_rows(psi: np.ndarray, prefix: str = "") -> list[tuple]:
+    triples = {row.index: row.triples for row in load_pauli_table().rows}
+    rows = []
     for g1, g2 in itertools.product("IXYZ", repeat=2):
         t1, t2 = triples[g1][0], triples[g2][1]
-        u1 = triple_to_unitary(t1)
-        u2 = triple_to_unitary(t2)
+        u1, u2 = triple_to_unitary(t1), triple_to_unitary(t2)
         label = classify_pair(u1, u2, tol=1e-6)
-        settings.append(
-            _Setting(
-                setting_id=f"{prefix}{g1}{g2}",
-                u1=u1,
-                u2=u2,
-                label=label,
-                angles=t1.as_tuple() + t2.as_tuple(),
-                psi=psi,
-            )
-        )
-    return settings
+        rows.append((f"{prefix}{g1}{g2}", label, u1, u2, t1.as_tuple() + t2.as_tuple(), psi))
+    return rows
 
 
 def run_pauli_suite(
@@ -373,56 +364,25 @@ def run_pauli_suite(
     """All 16 Pauli-gate combinations, one group, phase re-zeroed at the start."""
     if psi is None:
         psi = PLUS
-    return _run_groups("pauli", [_pauli_settings(psi)], noise, rng, repeats)
+    return _run_groups("pauli", _stack(_pauli_rows(psi), 16), noise, rng, repeats)
 
 
-def _random_settings(
-    pairs: list[GatePair] | None, table: AngleTable | None
-) -> list[_Setting]:
-    settings = []
-    if pairs is None:
-        table = table or load_random_pairs_table()
-        for row in table.rows:
-            c1, c2, a1, a2 = row.triples
-            settings.append(
-                _Setting(
-                    setting_id=f"C{row.index}",
-                    u1=triple_to_unitary(c1),
-                    u2=triple_to_unitary(c2),
-                    label=Verdict.COMMUTE,
-                    angles=c1.as_tuple() + c2.as_tuple(),
-                    psi=PLUS,
-                )
-            )
-            settings.append(
-                _Setting(
-                    setting_id=f"A{row.index}",
-                    u1=triple_to_unitary(a1),
-                    u2=triple_to_unitary(a2),
-                    label=Verdict.ANTICOMMUTE,
-                    angles=a1.as_tuple() + a2.as_tuple(),
-                    psi=PLUS,
-                )
-            )
-        # group commuting and anti-commuting cases separately, as acquired
-        settings = [s for s in settings if s.label is Verdict.COMMUTE] + [
-            s for s in settings if s.label is Verdict.ANTICOMMUTE
+def _random_rows(pairs: list[GatePair] | None) -> list[tuple]:
+    if pairs is not None:
+        return [
+            (f"P{k}", pair.label, pair.u1, pair.u2,
+             decompose(pair.u1).as_tuple() + decompose(pair.u2).as_tuple(), PLUS)
+            for k, pair in enumerate(pairs)
         ]
-    else:
-        for k, pair in enumerate(pairs):
-            t1 = decompose(pair.u1)
-            t2 = decompose(pair.u2)
-            settings.append(
-                _Setting(
-                    setting_id=f"P{k}",
-                    u1=pair.u1,
-                    u2=pair.u2,
-                    label=pair.label,
-                    angles=t1.as_tuple() + t2.as_tuple(),
-                    psi=PLUS,
-                )
-            )
-    return settings
+    table = load_random_pairs_table()
+    rows = []
+    # commuting cases first, then the anti-commuting ones, as acquired
+    for prefix, label, k in (("C", Verdict.COMMUTE, 0), ("A", Verdict.ANTICOMMUTE, 2)):
+        for row in table.rows:
+            t1, t2 = row.triples[k : k + 2]
+            rows.append((f"{prefix}{row.index}", label, triple_to_unitary(t1),
+                         triple_to_unitary(t2), t1.as_tuple() + t2.as_tuple(), PLUS))
+    return rows
 
 
 def run_random_suite(
@@ -437,9 +397,7 @@ def run_random_suite(
     With ``pairs`` omitted the bundled angle table supplies both the gates and
     the plate angles; explicit pairs are compiled to angles on the fly.
     """
-    settings = _random_settings(pairs, None)
-    groups = [settings[k : k + group_size] for k in range(0, len(settings), group_size)]
-    return _run_groups("random100", groups, noise, rng, repeats)
+    return _run_groups("random100", _stack(_random_rows(pairs), group_size), noise, rng, repeats)
 
 
 def run_state_sweep(
@@ -449,16 +407,13 @@ def run_state_sweep(
     repeats: int = 5,
 ) -> SuiteReport:
     """Pauli suite repeated for input states prepared by a rotated half-wave plate."""
-    groups = []
+    rows = []
     for angle in prep_angles:
         psi = hwp(angle) @ np.array([1.0, 0.0], dtype=complex)
-        groups.append(_pauli_settings(psi, prefix=f"hwp{angle:g}:"))
-    report = _run_groups("statesweep", groups, noise, rng, repeats)
-    per_state = {}
-    for angle in prep_angles:
-        vals = [
-            s.correct_prob for s in report.settings if s.setting_id.startswith(f"hwp{angle:g}:")
-        ]
-        per_state[f"hwp{angle:g}"] = round(float(np.mean(vals)), 10)
-    report.extras["per_state_success"] = per_state
+        rows += _pauli_rows(psi, prefix=f"hwp{angle:g}:")
+    report = _run_groups("statesweep", _stack(rows, 16), noise, rng, repeats)
+    success = np.array([s.correct_prob for s in report.settings]).reshape(len(prep_angles), -1)
+    report.extras["per_state_success"] = {
+        f"hwp{angle:g}": round(float(mean), 10) for angle, mean in zip(prep_angles, success.mean(1))
+    }
     return report

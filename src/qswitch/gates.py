@@ -19,12 +19,12 @@ from .switch import Verdict
 __all__ = [
     "RandomSource",
     "GatePair",
-    "haar_random_unitary",
     "haar_random_unitaries",
     "commuting_pair",
     "anticommuting_pair",
     "classify_pair",
     "sample_pairs",
+    "stack_pairs",
     "pairs_to_csv",
     "pairs_to_json",
 ]
@@ -34,16 +34,12 @@ DEFAULT_CLASSIFY_TOL = 1e-8
 
 @dataclass
 class RandomSource:
-    """Seeded PCG64 stream with a draw counter for reproducibility records."""
+    """Seeded PCG64 stream whose exact state can be recorded and replayed."""
 
     seed: int
-    algorithm: str = "pcg64"
-    draws: int = 0
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     @property
@@ -51,7 +47,12 @@ class RandomSource:
         return self._gen
 
     def record(self) -> dict:
-        return {"algorithm": self.algorithm, "seed": self.seed, "draw": self.draws}
+        """The seed and the exact bit-generator state.
+
+        Assigning ``state`` to the ``state`` of a fresh ``np.random.PCG64``
+        replays the stream from this point.
+        """
+        return {"seed": self.seed, "state": self._gen.bit_generator.state}
 
 
 @dataclass(frozen=True)
@@ -71,21 +72,10 @@ def _ginibre_to_unitary(g: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def haar_random_unitary(rng: RandomSource) -> np.ndarray:
-    """One 2x2 unitary from the Haar measure (Ginibre + phase-fixed QR)."""
-    gen = rng.generator
-    while True:
-        g = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-        rng.draws += 1
-        if abs(np.linalg.det(g)) > 1e-12:
-            return _ginibre_to_unitary(g)
-
-
 def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
-    """Stack of n Haar-random 2x2 unitaries, shape (n, 2, 2)."""
+    """Stack of n Haar-random 2x2 unitaries (Ginibre + phase-fixed QR), shape (n, 2, 2)."""
     gen = rng.generator
     g = gen.standard_normal((n, 2, 2)) + 1j * gen.standard_normal((n, 2, 2))
-    rng.draws += n
     # singular draws have probability zero; patch any numerically bad ones
     bad = np.abs(np.linalg.det(g)) <= 1e-12
     while np.any(bad):
@@ -96,6 +86,42 @@ def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
     return _ginibre_to_unitary(g)
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -2, -1))
+
+
+def _eigenphase_gates(rs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """R diag(1, e^{i theta}) R^dag for each basis R of a stack and its phase theta."""
+    eigenvalues = np.stack([np.ones_like(theta), np.exp(1j * theta)], axis=-1)
+    return (rs * eigenvalues[:, None, :]) @ _dagger(rs)
+
+
+def _labelled_pairs(u1: np.ndarray, u2: np.ndarray, label: Verdict, record: dict) -> list[GatePair]:
+    return [GatePair(u1=a, u2=b, label=label, seed_record=record) for a, b in zip(u1, u2)]
+
+
+def _commuting_pairs(rng: RandomSource, n: int, thetas: tuple[float, float] | None = None,
+                     basis: np.ndarray | None = None) -> list[GatePair]:
+    """n pairs R diag(1, e^{i theta_k}) R^dag, k = 1, 2, with Haar R and uniform thetas.
+
+    A forced ``basis`` or ``thetas`` (one pair's worth) replaces the draw.
+    """
+    record = rng.record()
+    rs = haar_random_unitaries(rng, n) if basis is None else require_unitary(basis)[None]
+    if thetas is None:
+        thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n, 2))
+    thetas = np.reshape(thetas, (-1, 2))
+    c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
+    return _labelled_pairs(c1, c2, Verdict.COMMUTE, record)
+
+
+def _anticommuting_pairs(rng: RandomSource, n: int, basis: np.ndarray | None = None) -> list[GatePair]:
+    """n pairs R sigma_z R^dag, R sigma_y R^dag with Haar R (or a forced ``basis``)."""
+    record = rng.record()
+    rs = haar_random_unitaries(rng, n) if basis is None else require_unitary(basis)[None]
+    return _labelled_pairs(rs @ SZ @ _dagger(rs), rs @ SY @ _dagger(rs), Verdict.ANTICOMMUTE, record)
+
+
 def commuting_pair(rng: RandomSource, thetas: tuple[float, float] | None = None,
                    basis: np.ndarray | None = None) -> GatePair:
     """C_k = R diag(1, e^{i theta_k}) R^dag with Haar R and uniform thetas.
@@ -103,23 +129,12 @@ def commuting_pair(rng: RandomSource, thetas: tuple[float, float] | None = None,
     ``thetas`` and ``basis`` can be forced for testing; by default both are
     drawn from the stream.
     """
-    record = rng.record()
-    r = require_unitary(basis) if basis is not None else haar_random_unitary(rng)
-    if thetas is None:
-        thetas = tuple(rng.generator.uniform(0.0, 2.0 * np.pi, size=2))
-        rng.draws += 2
-    c1 = r @ np.diag([1.0, np.exp(1j * thetas[0])]) @ r.conj().T
-    c2 = r @ np.diag([1.0, np.exp(1j * thetas[1])]) @ r.conj().T
-    return GatePair(u1=c1, u2=c2, label=Verdict.COMMUTE, seed_record=record)
+    return _commuting_pairs(rng, 1, thetas, basis)[0]
 
 
 def anticommuting_pair(rng: RandomSource, basis: np.ndarray | None = None) -> GatePair:
     """A_1 = R sigma_z R^dag, A_2 = R sigma_y R^dag for one Haar R."""
-    record = rng.record()
-    r = require_unitary(basis) if basis is not None else haar_random_unitary(rng)
-    a1 = r @ SZ @ r.conj().T
-    a2 = r @ SY @ r.conj().T
-    return GatePair(u1=a1, u2=a2, label=Verdict.ANTICOMMUTE, seed_record=record)
+    return _anticommuting_pairs(rng, 1, basis)[0]
 
 
 def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> Verdict:
@@ -140,9 +155,22 @@ def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_
 
 
 def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> list[GatePair]:
-    pairs = [commuting_pair(rng) for _ in range(n_commuting)]
-    pairs += [anticommuting_pair(rng) for _ in range(n_anticommuting)]
-    return pairs
+    """``n_commuting`` commuting pairs followed by ``n_anticommuting`` anti-commuting ones.
+
+    Each class is drawn as one stack; every pair records the stream state its
+    class was drawn from.
+    """
+    return _commuting_pairs(rng, n_commuting) + _anticommuting_pairs(rng, n_anticommuting)
+
+
+def stack_pairs(pairs: list[GatePair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gates of labeled pairs as two (n, 2, 2) stacks, and the exit port each
+    label calls for (0 for COMMUTE, 1 for ANTICOMMUTE)."""
+    ports = {Verdict.COMMUTE: 0, Verdict.ANTICOMMUTE: 1}
+    if any(pair.label not in ports for pair in pairs):
+        raise ValueError("pairs must be labeled COMMUTE or ANTICOMMUTE")
+    port = np.array([ports[pair.label] for pair in pairs])
+    return np.array([pair.u1 for pair in pairs]), np.array([pair.u2 for pair in pairs]), port
 
 
 def _pair_row(index: int, pair: GatePair) -> list:

@@ -35,20 +35,28 @@ PAULI_GATES = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 UNITARY_TOL = 1e-10
 
 
+def _unitarity_residual(u: np.ndarray) -> np.ndarray:
+    """Frobenius norm of U U^dag - I for each matrix of a stack (..., n, n)."""
+    return np.linalg.norm(u @ np.conj(np.swapaxes(u, -2, -1)) - np.eye(u.shape[-1]), axis=(-2, -1))
+
+
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) <= tol
+    return bool(_unitarity_residual(u) <= tol)
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Return ``u`` as a complex array, raising ValueError if it is not unitary."""
+    """Return ``u`` as a complex array, raising ValueError unless it is a unitary
+    or a stack (..., n, n) of unitaries."""
     u = np.asarray(u, dtype=complex)
-    if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {u.shape}")
+    if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite entries")
-    if not is_unitary(u, tol):
-        resid = np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]))
+    resid = _unitarity_residual(u).max()
+    if not resid <= tol:
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
     return u
 
@@ -115,16 +123,18 @@ def frobenius_distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def choi_vector(u: np.ndarray) -> np.ndarray:
-    """The vector sum_i |i> (x) U|i>, whose outer square is the Choi operator."""
+    """The vector sum_i |i> (x) U|i>, whose outer square is the Choi operator.
+
+    Works on a matrix or a stack (..., n, n) of them, unitary or not.
+    """
     u = np.asarray(u, dtype=complex)
-    return u.T.reshape(-1)
+    return np.swapaxes(u, -2, -1).reshape(u.shape[:-2] + (-1,))
 
 
 def choi(u: np.ndarray) -> np.ndarray:
-    """Choi operator sum_ij |i><j| (x) U |i><j| U^dag of a 2x2 unitary.
+    """Choi operator sum_ij |i><j| (x) U |i><j| U^dag of a 2x2 unitary or a stack of them.
 
     Unnormalized convention: rank 1, trace 2, positive semidefinite.
     """
-    u = require_unitary(u)
-    v = choi_vector(u)
-    return np.outer(v, v.conj())
+    v = choi_vector(require_unitary(u))
+    return np.einsum("...i,...j->...ij", v, v.conj())

@@ -48,16 +48,17 @@ class SwitchOutcome:
 
 
 def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Joint output state (1/2)|0>{U1,U2}psi + (1/2)|1>[U1,U2]psi."""
+    """Joint output state (1/2)|0>{U1,U2}psi + (1/2)|1>[U1,U2]psi.
+
+    ``u1`` and ``u2`` may be stacks (..., 2, 2) of gates; the result then has
+    shape (..., 4).
+    """
     u1 = require_unitary(u1)
     u2 = require_unitary(u2)
     psi = require_state(psi, 2)
     anti = (u1 @ u2 + u2 @ u1) @ psi / 2.0
     comm = (u1 @ u2 - u2 @ u1) @ psi / 2.0
-    out = np.empty(4, dtype=complex)
-    out[0:2] = anti
-    out[2:4] = comm
-    return out
+    return np.concatenate([anti, comm], axis=-1)
 
 
 def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -60,7 +60,6 @@ class WaveplateTriple:
 class AngleTableRow:
     index: str
     triples: tuple[WaveplateTriple, ...]
-    expected: Verdict
 
 
 @dataclass
@@ -137,9 +136,6 @@ def decompose(u: np.ndarray) -> WaveplateTriple:
     )
 
 
-_PRINCIPAL_RANGES = {"q": 180.0, "h": 90.0}
-
-
 def _parse_triples(values: list[str], row_label: str, diagnostics: list[str]) -> tuple[WaveplateTriple, ...]:
     angles = []
     for v in values:
@@ -174,13 +170,11 @@ def load_angle_table(source: str) -> AngleTable:
         try:
             if len(record) == 7:
                 triples = _parse_triples(record[1:7], record[0], diagnostics)
-                rows.append(AngleTableRow(index=record[0], triples=triples, expected=Verdict.COMMUTE))
+                rows.append(AngleTableRow(index=record[0], triples=triples))
             elif len(record) == 13:
                 c_triples = _parse_triples(record[1:7], record[0], diagnostics)
                 a_triples = _parse_triples(record[7:13], record[0], diagnostics)
-                rows.append(
-                    AngleTableRow(index=record[0], triples=c_triples + a_triples, expected=Verdict.NEITHER)
-                )
+                rows.append(AngleTableRow(index=record[0], triples=c_triples + a_triples))
             else:
                 raise ValueError(f"expected 7 or 13 columns, got {len(record)}")
         except ValueError as exc:

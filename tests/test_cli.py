@@ -109,6 +109,10 @@ class TestCompile:
     def test_rejects_non_unitary(self, capsys):
         assert main(["compile", "1,0,0,0,0,0,2,0"]) == 1
 
+    def test_rejects_seed(self, capsys):
+        # compilation draws nothing at random, so it takes no seed
+        assert main(["compile", "X", "--seed", "1"]) == 1
+
 
 class TestSuite:
     def test_noiseless_pauli(self, tmp_path, capsys):
@@ -151,6 +155,7 @@ class TestSuite:
 
     @pytest.mark.parametrize("text", [
         '{"pairs_per_setting": NaN}',
+        '{"pairs_per_setting": 1e300}',
         '{"phase_setpoint": Infinity}',
         '{"visibility": "high"}',
         '{"visibility": 2.0}',
@@ -185,6 +190,11 @@ class TestSamplePairs:
         assert len(lines) == 6
         assert lines[1].split(",")[1] == "COMMUTE"
         assert lines[-1].split(",")[1] == "ANTICOMMUTE"
+
+    def test_negative_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "pairs.csv"
+        assert main(["sample-pairs", "--commuting", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestBound:

@@ -13,10 +13,9 @@ from qswitch.comb import (
     optimize_fixed_order,
     probability_from_comb,
     project_comb_affine,
-    score_operator,
 )
 from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
-from qswitch.linalg import HAD, ID2, SX, SY, SZ, tensor
+from qswitch.linalg import HAD, ID2, SX, SY, SZ, choi, tensor
 from qswitch.switch import Verdict, exit_probabilities
 
 
@@ -25,25 +24,39 @@ def random_hermitian(gen, dim):
     return m + m.conj().T
 
 
-class TestScoreOperator:
-    def test_trace_and_rank(self):
-        rng = RandomSource(0)
-        us = haar_random_unitaries(rng, 20)
-        for k in range(10):
-            s = score_operator(us[2 * k], us[2 * k + 1], 0)
-            assert np.trace(s).real == pytest.approx(4.0, abs=1e-10)
-            evals = np.linalg.eigvalsh(s)
-            assert evals[0] >= -1e-10
-            assert evals[-2] <= 1e-9  # rank one
+class TestProbabilityFromComb:
+    def test_matches_kronecker_trace(self):
+        # reference: tr(S_i W) with the 32x32 score operator built pair by pair
+        gen = np.random.default_rng(20)
+        prep = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+        v2 = np.linalg.qr(random_hermitian(gen, 4) * 1j + random_hermitian(gen, 4))[0]
+        v3 = np.linalg.qr(random_hermitian(gen, 4) * 1j + random_hermitian(gen, 4))[0]
+        w = build_comb_from_circuit(prep / np.linalg.norm(prep), v2, v3)
+        us = haar_random_unitaries(RandomSource(0), 40)
+        u1, u2, outcomes = us[:20], us[20:], np.arange(20) % 2
+        got = probability_from_comb(w, u1, u2, outcomes)
+        assert got.shape == (20,)
+        for k in range(20):
+            s = np.kron(np.kron(choi(u1[k]), choi(u2[k])), np.diag(np.eye(2)[outcomes[k]]))
+            assert got[k] == pytest.approx(np.trace(s @ w).real, abs=1e-12)
+            assert probability_from_comb(w, u1[k], u2[k], outcomes[k]) == pytest.approx(got[k], abs=1e-15)
 
-    def test_outcome_projectors_sum(self):
-        s0 = score_operator(SX, HAD, 0)
-        s1 = score_operator(SX, HAD, 1)
-        assert np.trace(s0 + s1).real == pytest.approx(8.0, abs=1e-10)
+    def test_uniform_comb_scores_one_half(self):
+        # tr S_i = 4 for every pair and outcome, so the comb I/8 scores 1/2 on each
+        us = haar_random_unitaries(RandomSource(1), 20)
+        for i in (0, 1):
+            p = probability_from_comb(np.eye(DIM) * 4.0 / DIM, us[:10], us[10:], i)
+            assert np.allclose(p, 0.5, atol=1e-12)
 
     def test_bad_outcome(self):
         with pytest.raises(ValueError):
-            score_operator(SX, SX, 2)
+            probability_from_comb(np.eye(DIM) / 8.0, SX, SX, 2)
+        with pytest.raises(ValueError):
+            probability_from_comb(np.eye(DIM) / 8.0, np.stack([SX, SY]), np.stack([SX, SY]), [0, 2])
+
+    def test_out_of_range_probability(self):
+        with pytest.raises(ValueError, match="out-of-range"):
+            probability_from_comb(np.eye(DIM), SX, HAD, 0)
 
 
 class TestCircuitCombs:

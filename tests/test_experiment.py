@@ -87,15 +87,20 @@ class TestSimulateCounts:
         assert rec.c1 == 0 and rec.c0 > 0
 
     def test_thinning_expectation(self):
-        noise = NoiseParams(
-            visibility=1.0, phase_drift_per_degree=0.0, phase_drift_per_minute=0.0, eta=0.7
-        )
+        # E[C0] = lam (1 - p1) and E[C1] = lam p1 eta, on the fringe floor and mid-fringe
         rng = RandomSource(5)
         pair = anticommuting_pair(rng)
-        total = sum(
-            simulate_counts(pair.u1, pair.u2, PLUS, noise, rng).c1 for _ in range(50)
-        )
-        assert total / 50 == pytest.approx(0.7 * 40000, rel=0.01)
+        for phase, u1, u2 in ((np.pi, pair.u1, pair.u2), (np.pi / 2, ID2, ID2)):
+            noise = NoiseParams(
+                visibility=1.0, phase_setpoint=phase, phase_drift_per_degree=0.0,
+                phase_drift_per_minute=0.0, eta=0.7,
+            )
+            _, p1 = ideal_port_probabilities_with_noise(u1, u2, PLUS, noise)
+            records = [simulate_counts(u1, u2, PLUS, noise, rng) for _ in range(50)]
+            mean_c0 = sum(rec.c0 for rec in records) / 50
+            mean_c1 = sum(rec.c1 for rec in records) / 50
+            assert mean_c0 == pytest.approx(40000 * (1 - p1), rel=0.01, abs=1.0)
+            assert mean_c1 == pytest.approx(0.7 * 40000 * p1, rel=0.01)
 
     def test_deterministic_under_seed(self):
         noise = NoiseParams()
@@ -203,6 +208,18 @@ class TestSuites:
         per_state = report.extras["per_state_success"]
         assert set(per_state) == {"hwp0", "hwp10", "hwp20", "hwp30", "hwp40"}
         assert 0.94 <= report.mean_success <= 0.995
+
+    @pytest.mark.parametrize("runner, reference", [
+        (run_pauli_suite, 0.983944),
+        (run_random_suite, 0.986545),
+        (run_state_sweep, 0.983957),
+    ])
+    def test_twenty_seed_mean_matches_reference(self, runner, reference):
+        # reference: the 20-seed means of the Poisson -> binomial -> binomial
+        # count stream, which the two-Poisson stream must match in distribution
+        means = np.array([runner(NoiseParams(), RandomSource(s)).mean_success for s in range(20)])
+        combined_stderr = np.sqrt(2.0) * means.std(ddof=1) / np.sqrt(20)
+        assert abs(means.mean() - reference) <= 5 * combined_stderr
 
     def test_noiseless_state_sweep_perfect(self):
         report = run_state_sweep(NoiseParams.noiseless(), RandomSource(18))

@@ -10,7 +10,6 @@ from qswitch.gates import (
     classify_pair,
     commuting_pair,
     haar_random_unitaries,
-    haar_random_unitary,
     pairs_to_csv,
     pairs_to_json,
     sample_pairs,
@@ -35,15 +34,24 @@ class TestHaarSampling:
         assert resid <= 1e-10
 
     def test_determinism(self):
-        a = haar_random_unitary(RandomSource(42))
-        b = haar_random_unitary(RandomSource(42))
+        a = haar_random_unitaries(RandomSource(42), 1)
+        b = haar_random_unitaries(RandomSource(42), 1)
         assert np.array_equal(a, b)
 
     def test_single_matches_batch_distribution(self):
         rng = RandomSource(7)
-        u = haar_random_unitary(rng)
-        assert u.shape == (2, 2)
-        assert rng.draws == 1
+        u = haar_random_unitaries(rng, 1)
+        assert u.shape == (1, 2, 2)
+
+    def test_recorded_state_replays_the_stream(self):
+        rng = RandomSource(8)
+        haar_random_unitaries(rng, 3)
+        record = rng.record()
+        expected = rng.generator.standard_normal(4)
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = record["state"]
+        assert record["seed"] == 8
+        assert np.array_equal(replay.standard_normal(4), expected)
 
     def test_trace_moment(self):
         # degree-1 Haar moment: the mean of |tr U|^2 over U(2) is 1
@@ -115,7 +123,7 @@ class TestClassifyPair:
         rng = RandomSource(11)
         cases = [(SX, ID2), (SX, SY), (SX, HAD)]
         for _ in range(20):
-            r = haar_random_unitary(rng)
+            r = haar_random_unitaries(rng, 1)[0]
             for u1, u2 in cases:
                 base = classify_pair(u1, u2)
                 conj = classify_pair(r @ u1 @ r.conj().T, r @ u2 @ r.conj().T, tol=1e-8)
