@@ -33,7 +33,7 @@ from .gates import GatePair, stack_pairs
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import SY, SZ, choi, choi_vector, partial_trace, require_unitary
+from .linalg import SY, SZ, choi, choi_vector, require_state, require_unitary
 
 __all__ = [
     "CombResult",
@@ -52,6 +52,13 @@ __all__ = [
 DIMS = [2, 2, 2, 2, 2]
 DIM = 32
 
+# ADMM settings: penalty, over-relaxation and the two stopping tolerances
+RHO = 1.0
+OVER_RELAXATION = 1.6
+PRIMAL_TOL = 1e-8
+OBJECTIVE_TOL = 1e-9
+MAX_ITER = 100_000
+
 
 @dataclass
 class CombResult:
@@ -59,7 +66,6 @@ class CombResult:
     comb: np.ndarray
     iterations: int
     primal_residual: float
-    converged: bool
     residuals: dict = field(default_factory=dict)
 
 
@@ -141,12 +147,10 @@ def build_comb_from_circuit(
     inferred); ``v2`` and ``v3`` act on system (x) ancilla.  ``measured_wire``
     0 measures the system qubit, 1 measures the (two-dimensional) ancilla.
     """
-    prep = np.asarray(prep, dtype=complex).reshape(-1)
+    prep = require_state(prep)
     if prep.size % 2 != 0:
         raise ValueError("prep must live on system (x) ancilla with qubit system")
     da = prep.size // 2
-    if abs(np.linalg.norm(prep) - 1.0) > 1e-10:
-        raise ValueError("prep state must be normalized")
     v2 = require_unitary(v2)
     v3 = require_unitary(v3)
     if v2.shape != (2 * da, 2 * da) or v3.shape != (2 * da, 2 * da):
@@ -200,35 +204,28 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
 # comb constraints: residuals and affine projection
 
 
-def _trace_and_replace(x: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
-    """Replace the given wires of a 5-qubit operator by the maximally mixed state."""
-    t = x.reshape(DIMS + DIMS)
-    n = 5
-    for k in sorted(wires, reverse=True):
-        t = np.trace(t, axis1=k, axis2=k + n)
-        n -= 1
-    reduced = t.reshape(2 ** n, 2 ** n) / (2 ** len(wires))
-    # re-insert identity wires at the traced positions
-    keep = [k for k in range(5) if k not in wires]
-    full = np.kron(reduced, np.eye(2 ** len(wires), dtype=complex))
-    order = keep + sorted(wires)
-    perm = np.argsort(order)
-    t = full.reshape([2] * 10)
-    t = np.transpose(t, list(perm) + [5 + p for p in perm])
-    return t.reshape(DIM, DIM)
+def _tail_traces(x: np.ndarray) -> list[np.ndarray]:
+    """[x, tr_P5 x, tr_P4P5 x, tr_P3P4P5 x, tr_P2..P5 x] of a 32x32 operator.
+
+    Every comb constraint traces a tail of the wire order, so each entry is
+    the previous one with its last qubit traced out.
+    """
+    traces = [x]
+    for m in (16, 8, 4, 2):
+        traces.append(traces[-1].reshape(m, 2, m, 2).trace(axis1=1, axis2=3))
+    return traces
 
 
 def comb_residuals(w: np.ndarray) -> dict:
     """Frobenius residuals of the comb constraints plus the minimum eigenvalue."""
     w = np.asarray(w, dtype=complex)
     herm = float(np.linalg.norm(w - w.conj().T))
-    tr5 = partial_trace(w, DIMS, {4})
-    w2 = partial_trace(tr5, [2, 2, 2, 2], {3}) / 2.0  # on P1P2P3
+    _, tr5, tr45, tr345, tr2345 = _tail_traces(w)
+    w2 = tr45 / 2.0  # on P1P2P3
     slot2 = float(np.linalg.norm(tr5 - np.kron(w2, np.eye(2))))
-    tr3 = partial_trace(w2, [2, 2, 2], {2})
-    w1 = partial_trace(tr3, [2, 2], {1}) / 2.0  # on P1
-    # tr3 should equal W1 (x) I_P2 on wire order P1 P2
-    slot1 = float(np.linalg.norm(tr3 - np.kron(w1, np.eye(2))))
+    w1 = tr2345 / 4.0  # on P1
+    # tr_P3 W2 should equal W1 (x) I_P2 on wire order P1 P2
+    slot1 = float(np.linalg.norm(tr345 / 2.0 - np.kron(w1, np.eye(2))))
     trace = float(abs(np.trace(w).real - 4.0))
     min_eig = float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[0])
     return {
@@ -245,16 +242,21 @@ def project_comb_affine(x: np.ndarray) -> np.ndarray:
 
     The two recursive constraints are kernels of the commuting orthogonal
     projections L5(1-L4) and L345(1-L2), where L_S replaces wires S by the
-    maximally mixed state; composing the complements collapses to the five
-    terms below.  The trace is then fixed along the identity direction.
+    maximally mixed state; composing the complements collapses to
+
+        x - t1/2 (x) I2 + t2/4 (x) I4 - t3/8 (x) I8 + t4/16 (x) I16
+
+    with t_k the trace of the last k wires (``_tail_traces``).  The trace is
+    then fixed along the identity direction.
     """
     x = np.asarray(x, dtype=complex)
+    _, t1, t2, t3, t4 = _tail_traces(x)
     y = (
         x
-        - _trace_and_replace(x, (4,))
-        + _trace_and_replace(x, (3, 4))
-        - _trace_and_replace(x, (2, 3, 4))
-        + _trace_and_replace(x, (1, 2, 3, 4))
+        - np.kron(t1 / 2, np.eye(2))
+        + np.kron(t2 / 4, np.eye(4))
+        - np.kron(t3 / 8, np.eye(8))
+        + np.kron(t4 / 16, np.eye(16))
     )
     y += (4.0 - np.trace(y).real) / DIM * np.eye(DIM)
     return y
@@ -267,20 +269,15 @@ def _project_psd(x: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def optimize_fixed_order(
-    omega: np.ndarray,
-    rho: float = 1.0,
-    max_iter: int = 100_000,
-    primal_tol: float = 1e-8,
-    objective_tol: float = 1e-9,
-    over_relaxation: float = 1.6,
-) -> CombResult:
+def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     """Maximize tr(W Omega) over valid combs by ADMM splitting.
 
-    Alternates the exact affine-subspace projection (with the linear objective
-    folded into the proximal step) against the PSD-cone projection.  Stops
-    when the primal residual is below ``primal_tol`` and the objective has
-    moved less than ``objective_tol`` over the last 100 iterations.
+    Alternates the exact affine-subspace projection ``project_comb_affine``
+    (with the linear objective folded into the proximal step at penalty
+    ``RHO``, relaxed by ``OVER_RELAXATION``) against the PSD-cone projection.
+    Stops when the primal residual is below ``PRIMAL_TOL`` and the objective
+    has moved less than ``OBJECTIVE_TOL`` over the last 100 iterations;
+    raises RuntimeError if that has not happened after ``MAX_ITER``.
     """
     omega_m = np.asarray(omega)
     omega_m = (omega_m + omega_m.conj().T) / 2.0
@@ -289,9 +286,9 @@ def optimize_fixed_order(
     objective_history: list[float] = []
     w = z
     resid = np.inf
-    for it in range(1, max_iter + 1):
-        w = project_comb_affine(z - u + omega_m / rho)
-        w_relaxed = over_relaxation * w + (1.0 - over_relaxation) * z
+    for it in range(1, MAX_ITER + 1):
+        w = project_comb_affine(z - u + omega_m / RHO)
+        w_relaxed = OVER_RELAXATION * w + (1.0 - OVER_RELAXATION) * z
         z = _project_psd(w_relaxed + u)
         u = u + w_relaxed - z
         resid = float(np.linalg.norm(w - z))
@@ -299,17 +296,16 @@ def optimize_fixed_order(
         objective_history.append(obj)
         if (
             it >= 100
-            and resid <= primal_tol
-            and abs(objective_history[-1] - objective_history[-100]) <= objective_tol
+            and resid <= PRIMAL_TOL
+            and abs(objective_history[-1] - objective_history[-100]) <= OBJECTIVE_TOL
         ):
             break
     # z is PSD by construction and affine-feasible up to the primal residual
     residuals = comb_residuals(z)
     p_succ = float(np.trace(omega_m @ z).real)
-    converged = resid <= primal_tol
-    if not converged:
+    if not resid <= PRIMAL_TOL:
         raise RuntimeError(
-            f"ADMM did not converge in {max_iter} iterations "
+            f"ADMM did not converge in {MAX_ITER} iterations "
             f"(primal residual {resid:.3e}, residuals {residuals})"
         )
     return CombResult(
@@ -317,7 +313,6 @@ def optimize_fixed_order(
         comb=z,
         iterations=it,
         primal_residual=resid,
-        converged=converged,
         residuals=residuals,
     )
 

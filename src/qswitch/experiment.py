@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 SECONDS_PER_SETTING = 6.0  # 1 s of counting plus plate moves; 20 settings in ~2 min
+REPEATS = 5  # runs of each suite over its settings
+RANDOM_GROUP_SIZE = 10  # random-pairs settings between phase re-zeroings
+PREP_ANGLES = (0.0, 10.0, 20.0, 30.0, 40.0)  # state-sweep half-wave plate angles (deg)
+SWEEP_POINTS = 24  # phases of the calibration sweep
 # far above any photon-pair source, and far below numpy's Poisson limit (~9.2e18)
 MAX_PAIRS_PER_SETTING = 1e12
 
@@ -186,12 +190,10 @@ def calibrate_eta(sweep: list[CountRecord]) -> float:
     return float(eta)
 
 
-def simulate_phase_sweep(
-    noise: NoiseParams, rng: RandomSource, n_points: int = 24
-) -> list[CountRecord]:
-    """Counts with identity gates while scanning the interferometer phase."""
+def simulate_phase_sweep(noise: NoiseParams, rng: RandomSource) -> list[CountRecord]:
+    """Counts with identity gates at ``SWEEP_POINTS`` interferometer phases."""
     records = []
-    for phase in np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False):
+    for phase in np.linspace(0.0, 2.0 * np.pi, SWEEP_POINTS, endpoint=False):
         point = replace(
             noise,
             phase_setpoint=float(phase),
@@ -313,9 +315,8 @@ def _run_groups(
     settings: _Settings,
     noise: NoiseParams,
     rng: RandomSource,
-    repeats: int,
 ) -> SuiteReport:
-    """Simulate repeated runs over the settings, re-zeroing the phase per group."""
+    """Simulate ``REPEATS`` runs over the settings, re-zeroing the phase per group."""
     _, p1 = ideal_port_probabilities_with_noise(
         settings.u1,
         settings.u2,
@@ -324,7 +325,7 @@ def _run_groups(
         accumulated_rotation=rotation_offset(settings.angles),
         elapsed_minutes=(settings.slot + 1) * SECONDS_PER_SETTING / 60.0,
     )
-    counts = _draw_counts(p1, noise, rng.generator, size=(repeats,))  # (repeat, setting, port)
+    counts = _draw_counts(p1, noise, rng.generator, size=(REPEATS,))  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
     p0, p0_std = p0s.mean(axis=0), p0s.std(axis=0)
     success = np.where(settings.commute, p0, 1.0 - p0)
@@ -338,7 +339,7 @@ def _run_groups(
     return SuiteReport(
         suite=suite,
         seed=rng.seed,
-        repeats=repeats,
+        repeats=REPEATS,
         noise=noise,
         settings=results,
         mean_success=float(np.mean(success)),
@@ -358,13 +359,9 @@ def _pauli_rows(psi: np.ndarray, prefix: str = "") -> list[tuple]:
     return rows
 
 
-def run_pauli_suite(
-    noise: NoiseParams, rng: RandomSource, psi: np.ndarray | None = None, repeats: int = 5
-) -> SuiteReport:
-    """All 16 Pauli-gate combinations, one group, phase re-zeroed at the start."""
-    if psi is None:
-        psi = PLUS
-    return _run_groups("pauli", _stack(_pauli_rows(psi), 16), noise, rng, repeats)
+def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
+    """All 16 Pauli-gate combinations on |+>, one group, phase re-zeroed at the start."""
+    return _run_groups("pauli", _stack(_pauli_rows(PLUS), 16), noise, rng)
 
 
 def _random_rows(pairs: list[GatePair] | None) -> list[tuple]:
@@ -386,34 +383,25 @@ def _random_rows(pairs: list[GatePair] | None) -> list[tuple]:
 
 
 def run_random_suite(
-    noise: NoiseParams,
-    rng: RandomSource,
-    pairs: list[GatePair] | None = None,
-    repeats: int = 5,
-    group_size: int = 10,
+    noise: NoiseParams, rng: RandomSource, pairs: list[GatePair] | None = None
 ) -> SuiteReport:
     """The 100 random commuting / anti-commuting pairs, in re-zeroed groups of ten.
 
     With ``pairs`` omitted the bundled angle table supplies both the gates and
     the plate angles; explicit pairs are compiled to angles on the fly.
     """
-    return _run_groups("random100", _stack(_random_rows(pairs), group_size), noise, rng, repeats)
+    return _run_groups("random100", _stack(_random_rows(pairs), RANDOM_GROUP_SIZE), noise, rng)
 
 
-def run_state_sweep(
-    noise: NoiseParams,
-    rng: RandomSource,
-    prep_angles: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0, 40.0),
-    repeats: int = 5,
-) -> SuiteReport:
-    """Pauli suite repeated for input states prepared by a rotated half-wave plate."""
+def run_state_sweep(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
+    """Pauli suite repeated for input states prepared by a half-wave plate at ``PREP_ANGLES``."""
     rows = []
-    for angle in prep_angles:
+    for angle in PREP_ANGLES:
         psi = hwp(angle) @ np.array([1.0, 0.0], dtype=complex)
         rows += _pauli_rows(psi, prefix=f"hwp{angle:g}:")
-    report = _run_groups("statesweep", _stack(rows, 16), noise, rng, repeats)
-    success = np.array([s.correct_prob for s in report.settings]).reshape(len(prep_angles), -1)
+    report = _run_groups("statesweep", _stack(rows, 16), noise, rng)
+    success = np.array([s.correct_prob for s in report.settings]).reshape(len(PREP_ANGLES), -1)
     report.extras["per_state_success"] = {
-        f"hwp{angle:g}": round(float(mean), 10) for angle, mean in zip(prep_angles, success.mean(1))
+        f"hwp{angle:g}": round(float(mean), 10) for angle, mean in zip(PREP_ANGLES, success.mean(1))
     }
     return report

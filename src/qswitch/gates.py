@@ -178,7 +178,7 @@ def _pair_row(index: int, pair: GatePair) -> list:
     for gate in (pair.u1, pair.u2):
         for entry in gate.reshape(-1):
             row += [float(entry.real), float(entry.imag)]
-    row.append(pair.seed_record["seed"] if pair.seed_record else "")
+    row.append((pair.seed_record or {}).get("seed", ""))  # table pairs record a row, not a seed
     return row
 
 

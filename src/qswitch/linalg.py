@@ -15,11 +15,9 @@ __all__ = [
     "SZ",
     "HAD",
     "PAULI_GATES",
-    "is_unitary",
     "require_unitary",
     "require_state",
     "tensor",
-    "partial_trace",
     "frobenius_distance_up_to_phase",
     "choi",
 ]
@@ -40,14 +38,7 @@ def _unitarity_residual(u: np.ndarray) -> np.ndarray:
     return np.linalg.norm(u @ np.conj(np.swapaxes(u, -2, -1)) - np.eye(u.shape[-1]), axis=(-2, -1))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(_unitarity_residual(u) <= tol)
-
-
-def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
     """Return ``u`` as a complex array, raising ValueError unless it is a unitary
     or a stack (..., n, n) of unitaries."""
     u = np.asarray(u, dtype=complex)
@@ -56,18 +47,18 @@ def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite entries")
     resid = _unitarity_residual(u).max()
-    if not resid <= tol:
+    if not resid <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
     return u
 
 
-def require_state(psi: np.ndarray, dim: int | None = None, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Return ``psi`` as a normalized complex vector, raising ValueError otherwise."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if dim is not None and psi.size != dim:
         raise ValueError(f"state has dimension {psi.size}, expected {dim}")
     norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
+    if not abs(norm - 1.0) <= UNITARY_TOL:  # also rejects a NaN norm
         raise ValueError(f"state is not normalized (norm {norm:.12f})")
     return psi
 
@@ -78,32 +69,6 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
-
-
-def partial_trace(m: np.ndarray, dims: list[int], traced: set[int] | list[int]) -> np.ndarray:
-    """Trace out the subsystems in ``traced`` from a square operator.
-
-    ``dims`` lists the subsystem dimensions in tensor order; their product must
-    equal the side length of ``m``.  The result acts on the remaining
-    subsystems in their original order, and tr(result) == tr(m).
-    """
-    m = np.asarray(m, dtype=complex)
-    dims = list(dims)
-    total = int(np.prod(dims))
-    if m.ndim != 2 or m.shape != (total, total):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    traced = set(traced)
-    if not traced <= set(range(len(dims))):
-        raise ValueError(f"traced indices {traced} out of range for {len(dims)} subsystems")
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    # contract traced row/column axes pairwise, highest index first so the
-    # remaining axis numbers stay valid
-    for k in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=k, axis2=k + n)
-        n -= 1
-    keep = int(np.prod([d for i, d in enumerate(dims) if i not in traced]))
-    return t.reshape(keep, keep)
 
 
 def frobenius_distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

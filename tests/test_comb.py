@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qswitch.comb import (
     DIM,
     DIMS,
+    _tail_traces,
     build_comb_from_circuit,
     class_averaged_objective,
     comb_residuals,
@@ -119,6 +122,12 @@ class TestCircuitCombs:
         with pytest.raises(ValueError):
             build_comb_from_circuit(np.array([1.0, 1.0]), ID2, ID2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_prep(self, bad):
+        eye4 = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError):
+            build_comb_from_circuit(np.array([bad, 0.0, 0.0, 0.0]), eye4, eye4)
+
 
 class TestExactObjective:
     def test_design_is_exact(self):
@@ -137,19 +146,38 @@ class TestExactObjective:
         assert np.linalg.norm(class_averaged_objective(rs) - objective_operator()) <= 0.05
 
 
-class TestAffineProjection:
-    def test_idempotent(self):
-        gen = np.random.default_rng(10)
-        x = random_hermitian(gen, DIM)
-        p = project_comb_affine(x)
-        assert np.linalg.norm(project_comb_affine(p) - p) <= 1e-10
+class TestTailTraces:
+    def test_product_operators(self):
+        # tracing the last k wires of A (x) B, with B on those k wires, gives tr(B) A
+        gen = np.random.default_rng(9)
+        for k in range(1, 5):
+            a = random_hermitian(gen, DIM // 2**k) * 1j + random_hermitian(gen, DIM // 2**k)
+            b = random_hermitian(gen, 2**k) * 1j + random_hermitian(gen, 2**k)
+            x = np.kron(a, b)
+            traces = _tail_traces(x)
+            assert traces[0] is x
+            assert np.linalg.norm(traces[k] - np.trace(b) * a) <= 1e-12
 
-    def test_output_satisfies_affine_constraints(self):
-        gen = np.random.default_rng(11)
-        res = comb_residuals(project_comb_affine(random_hermitian(gen, DIM)))
-        assert res["slot2"] <= 1e-10
-        assert res["slot1"] <= 1e-10
-        assert res["trace"] <= 1e-10
+
+# random Hermitian 32x32 operators from 1e-6 to 1e6 in scale
+hermitian_inputs = given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
+
+
+class TestAffineProjection:
+    @hermitian_inputs
+    def test_idempotent(self, seed, exponent):
+        x = random_hermitian(np.random.default_rng(seed), DIM) * 10.0**exponent
+        p = project_comb_affine(x)
+        assert np.linalg.norm(project_comb_affine(p) - p) <= 1e-12 * (1 + np.linalg.norm(x))
+
+    @hermitian_inputs
+    def test_output_satisfies_affine_constraints(self, seed, exponent):
+        x = random_hermitian(np.random.default_rng(seed), DIM) * 10.0**exponent
+        res = comb_residuals(project_comb_affine(x))
+        tol = 1e-12 * (1 + np.linalg.norm(x))
+        assert res["slot2"] <= tol
+        assert res["slot1"] <= tol
+        assert res["trace"] <= tol
 
     def test_fixes_valid_comb(self):
         gen = np.random.default_rng(12)

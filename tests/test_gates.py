@@ -16,6 +16,7 @@ from qswitch.gates import (
 )
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase
 from qswitch.switch import Verdict
+from qswitch.waveplates import table_gate_pairs
 
 
 def comm_norm(a, b):
@@ -147,6 +148,16 @@ class TestExport:
         u1 = np.array([float(x) for x in first[2:10]]).view()
         rebuilt = (u1[0::2] + 1j * u1[1::2]).reshape(2, 2)
         assert np.allclose(rebuilt, pairs[0].u1)
+
+    def test_csv_of_table_pairs(self, tmp_path):
+        # table pairs record their table row, not a seed: the seed cell is empty
+        path = tmp_path / "table.csv"
+        pairs_to_csv(table_gate_pairs(), path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "seed"
+        assert len(rows) == 101
+        assert all(row[-1] == "" for row in rows[1:])
 
     def test_json_fields(self):
         pairs = sample_pairs(RandomSource(13), 1, 1)

@@ -10,7 +10,6 @@ from qswitch.linalg import (
     SZ,
     choi,
     frobenius_distance_up_to_phase,
-    partial_trace,
     tensor,
 )
 
@@ -38,37 +37,6 @@ class TestTensor:
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
         assert np.abs(left - right).max() <= 1e-13
-
-
-class TestPartialTrace:
-    def test_product_factorization(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        reduced = partial_trace(tensor(a, b), [2, 2], {1})
-        assert np.linalg.norm(reduced - a * np.trace(b)) < 1e-12
-        reduced = partial_trace(tensor(a, b), [2, 2], {0})
-        assert np.linalg.norm(reduced - b * np.trace(a)) < 1e-12
-
-    def test_identity(self):
-        assert np.allclose(partial_trace(np.eye(4), [2, 2], {0}), 2 * np.eye(2))
-
-    def test_full_trace(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        out = partial_trace(m, [2, 2, 2], {0, 1, 2})
-        assert out.shape == (1, 1)
-        assert abs(out[0, 0] - np.trace(m)) < 1e-12
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        out = partial_trace(m, [2, 3, 2], {1})
-        assert abs(np.trace(out) - np.trace(m)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), [2, 3], {0})
 
 
 class TestPhaseDistance:
