@@ -23,8 +23,8 @@ from .experiment import (
     run_state_sweep,
 )
 from .gates import RandomSource, classify_pair, pairs_to_csv, sample_pairs, stack_pairs
-from .linalg import PAULI_GATES, HAD, frobenius_distance_up_to_phase, require_unitary
-from .switch import PLUS, Verdict, exit_probabilities, two_switch_output
+from .linalg import PAULI_GATES, HAD, UNITARY_TOL, frobenius_distance_up_to_phase, require_unitary
+from .switch import Verdict, exit_probabilities
 from .waveplates import decompose, table_gate_pairs, triple_to_unitary
 
 NAMED_GATES = dict(PAULI_GATES, H=HAD)
@@ -55,12 +55,11 @@ def parse_gate(spec: str) -> np.ndarray:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise UsageError(f"bad matrix entry in {spec!r}") from exc
-        m = np.array(
-            [
-                [vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],
-                [vals[4] + 1j * vals[5], vals[6] + 1j * vals[7]],
-            ]
-        )
+        # a unitary's entries lie in [-1, 1]; this also rejects NaN and keeps
+        # the unitarity check from overflowing
+        if not all(abs(v) <= 1.0 + UNITARY_TOL for v in vals):
+            raise UsageError(f"matrix entry outside [-1, 1] in {spec!r}")
+        m = (np.array(vals[0::2]) + 1j * np.array(vals[1::2])).reshape(2, 2)
         try:
             return require_unitary(m)
         except ValueError as exc:
@@ -87,11 +86,12 @@ def parse_state(spec: str) -> np.ndarray:
             raise UsageError(f"bad state entry in {spec!r}") from exc
         if not np.all(np.isfinite(vals)):
             raise UsageError(f"non-finite state entry in {spec!r}")
-        psi = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
-        norm = np.linalg.norm(psi)
-        if norm < 1e-12:
+        scale = max(abs(v) for v in vals)
+        if scale == 0.0:
             raise UsageError("state has zero norm")
-        return psi / norm
+        vals = [v / scale for v in vals]  # entries in [-1, 1], so the norm cannot overflow
+        psi = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
+        return psi / np.linalg.norm(psi)
     raise UsageError(f"cannot parse state spec {spec!r}")
 
 
@@ -129,8 +129,8 @@ def cmd_discriminate(args) -> int:
     outcome = exit_probabilities(u1, u2, psi)
     promise = classify_pair(u1, u2, tol=1e-6)
     payload = {
-        "p0": round(outcome.p0, 12),
-        "p1": round(outcome.p1, 12),
+        "p0": round(float(outcome.p0), 12),
+        "p1": round(float(outcome.p1), 12),
         "verdict": outcome.verdict.value,
     }
     if promise is Verdict.NEITHER:
@@ -169,12 +169,15 @@ def cmd_suite(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)  # fail on a bad path before the solve
     result = optimize_fixed_order(objective_operator())
     pairs = table_gate_pairs()
     table_success = evaluate_comb(result.comb, pairs)
     u1, u2, port = stack_pairs(pairs)
-    amplitudes = two_switch_output(u1, u2, PLUS).reshape(-1, 2, 2)  # (pair, port, target)
-    ideal = np.linalg.norm(amplitudes[np.arange(len(pairs)), port], axis=-1) ** 2
+    switch = exit_probabilities(u1, u2)
+    ideal = np.where(port == 0, switch.p0, switch.p1)
     payload = {
         "p_succ": round(result.p_succ, 6),
         "iterations": result.iterations,
@@ -184,8 +187,6 @@ def cmd_bound(args) -> int:
         "switch_success_same_pairs": round(float(np.mean(ideal)), 6),
     }
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         correct = probability_from_comb(result.comb, u1, u2, port)
         rows = [["pair", "label", "correct_probability"]] + [
             [pair.seed_record.get("table_row", ""), pair.label.value, f"{p:.6f}"]
@@ -275,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError) as exc:

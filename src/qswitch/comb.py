@@ -147,7 +147,7 @@ def build_comb_from_circuit(
     inferred); ``v2`` and ``v3`` act on system (x) ancilla.  ``measured_wire``
     0 measures the system qubit, 1 measures the (two-dimensional) ancilla.
     """
-    prep = require_state(prep)
+    prep = require_state(np.ravel(prep))
     if prep.size % 2 != 0:
         raise ValueError("prep must live on system (x) ancilla with qubit system")
     da = prep.size // 2

@@ -8,8 +8,9 @@ efficiency eta on port 1 corrected by P0 = C0 / (C0 + C1/eta).
 Counting: a setting sends Poisson(lam) pairs into the interferometer, each
 leaves by port 1 with probability p1 and is then detected with probability
 eta.  By Poisson thinning that gives two independent counts,
-C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta), which is how they
-are drawn: a whole suite's counts come from one generator call.
+C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta), which is how
+``simulate_counts`` draws them: a whole suite's counts, or a whole calibration
+sweep's, come from one generator call.
 
 The rotation-induced offset is modeled as a function of the current plate
 positions: each plate contributes its signed angular offset from the zeroed
@@ -41,7 +42,6 @@ from .waveplates import (
 
 __all__ = [
     "NoiseParams",
-    "CountRecord",
     "SettingResult",
     "SuiteReport",
     "ideal_port_probabilities_with_noise",
@@ -99,12 +99,6 @@ class NoiseParams:
         )
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    c0: int
-    c1: int
-
-
 def ideal_port_probabilities_with_noise(
     u1: np.ndarray,
     u2: np.ndarray,
@@ -133,31 +127,26 @@ def ideal_port_probabilities_with_noise(
     return 1.0 - p1, p1
 
 
-def _draw_counts(p1: np.ndarray, noise: NoiseParams, gen: np.random.Generator,
-                 size: tuple[int, ...] = ()) -> np.ndarray:
-    """Counts (..., 2) of C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta).
-
-    ``size`` prepends axes of independent repeats; all draws are one call.
-    """
-    lam = noise.pairs_per_setting * np.stack([1.0 - p1, noise.eta * p1], axis=-1)
-    return gen.poisson(lam, size=size + lam.shape)
-
-
 def simulate_counts(
     u1: np.ndarray,
     u2: np.ndarray,
     psi: np.ndarray,
     noise: NoiseParams,
     rng: RandomSource,
-    accumulated_rotation: float = 0.0,
-    elapsed_minutes: float = 0.0,
-) -> CountRecord:
-    """One second of Poisson pair counting at a single gate setting."""
+    accumulated_rotation: float | np.ndarray = 0.0,
+    elapsed_minutes: float | np.ndarray = 0.0,
+    size: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Counts (..., 2) of C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta).
+
+    Arguments broadcast as in ``ideal_port_probabilities_with_noise``; ``size``
+    prepends axes of independent repeats.  All counts come from one draw.
+    """
     _, p1 = ideal_port_probabilities_with_noise(
         u1, u2, psi, noise, accumulated_rotation, elapsed_minutes
     )
-    c0, c1 = _draw_counts(p1, noise, rng.generator)
-    return CountRecord(c0=int(c0), c1=int(c1))
+    lam = noise.pairs_per_setting * np.stack([1.0 - p1, noise.eta * p1], axis=-1)
+    return rng.generator.poisson(lam, size=size + lam.shape)
 
 
 def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndarray:
@@ -173,12 +162,12 @@ def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndar
     return c0 / (c0 + c1 / eta)
 
 
-def calibrate_eta(sweep: list[CountRecord]) -> float:
-    """Least-squares eta making C0 + C1/eta constant over a phase sweep."""
-    if len(sweep) < 3:
-        raise ValueError("need at least 3 sweep points")
-    c0 = np.array([rec.c0 for rec in sweep], dtype=float)
-    c1 = np.array([rec.c1 for rec in sweep], dtype=float)
+def calibrate_eta(counts: np.ndarray) -> float:
+    """Least-squares eta making C0 + C1/eta constant over a phase sweep of (n, 2) counts."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[1] != 2 or len(counts) < 3:
+        raise ValueError(f"need (n, 2) counts of at least 3 sweep points, got shape {counts.shape}")
+    c0, c1 = counts.T
     var1 = np.var(c1)
     cov = np.cov(c0, c1, bias=True)[0, 1]
     total = max(np.mean(c0 + c1), 1.0)
@@ -190,18 +179,15 @@ def calibrate_eta(sweep: list[CountRecord]) -> float:
     return float(eta)
 
 
-def simulate_phase_sweep(noise: NoiseParams, rng: RandomSource) -> list[CountRecord]:
-    """Counts with identity gates at ``SWEEP_POINTS`` interferometer phases."""
-    records = []
-    for phase in np.linspace(0.0, 2.0 * np.pi, SWEEP_POINTS, endpoint=False):
-        point = replace(
-            noise,
-            phase_setpoint=float(phase),
-            phase_drift_per_degree=0.0,
-            phase_drift_per_minute=0.0,
-        )
-        records.append(simulate_counts(ID2, ID2, PLUS, point, rng))
-    return records
+def simulate_phase_sweep(noise: NoiseParams, rng: RandomSource) -> np.ndarray:
+    """Counts (``SWEEP_POINTS``, 2) with identity gates over a full turn of the
+    interferometer phase, drawn in one call: the phases enter as plate rotation
+    at 1 rad per degree, with the setpoint at 0 and no wall-clock drift."""
+    point = replace(
+        noise, phase_setpoint=0.0, phase_drift_per_degree=1.0, phase_drift_per_minute=0.0
+    )
+    phases = np.linspace(0.0, 2.0 * np.pi, SWEEP_POINTS, endpoint=False)
+    return simulate_counts(ID2, ID2, PLUS, point, rng, accumulated_rotation=phases)
 
 
 # --------------------------------------------------------------------------
@@ -317,15 +303,12 @@ def _run_groups(
     rng: RandomSource,
 ) -> SuiteReport:
     """Simulate ``REPEATS`` runs over the settings, re-zeroing the phase per group."""
-    _, p1 = ideal_port_probabilities_with_noise(
-        settings.u1,
-        settings.u2,
-        settings.psi,
-        noise,
+    counts = simulate_counts(
+        settings.u1, settings.u2, settings.psi, noise, rng,
         accumulated_rotation=rotation_offset(settings.angles),
         elapsed_minutes=(settings.slot + 1) * SECONDS_PER_SETTING / 60.0,
-    )
-    counts = _draw_counts(p1, noise, rng.generator, size=(REPEATS,))  # (repeat, setting, port)
+        size=(REPEATS,),
+    )  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
     p0, p0_std = p0s.mean(axis=0), p0s.std(axis=0)
     success = np.where(settings.commute, p0, 1.0 - p0)

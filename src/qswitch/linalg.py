@@ -53,13 +53,16 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Return ``psi`` as a normalized complex vector, raising ValueError otherwise."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if dim is not None and psi.size != dim:
-        raise ValueError(f"state has dimension {psi.size}, expected {dim}")
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= UNITARY_TOL:  # also rejects a NaN norm
-        raise ValueError(f"state is not normalized (norm {norm:.12f})")
+    """Return ``psi`` as a complex array, raising ValueError unless it is a
+    normalized vector or a stack (..., dim) of them."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim < 1 or (dim is not None and psi.shape[-1] != dim):
+        raise ValueError(f"state has shape {psi.shape}, expected (..., {dim or 'n'})")
+    if not np.isfinite(psi).all():
+        raise ValueError("state has non-finite entries")
+    dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max()
+    if not dev <= UNITARY_TOL:
+        raise ValueError(f"state is not normalized (norm off by {dev:.3e})")
     return psi
 
 

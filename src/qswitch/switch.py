@@ -33,32 +33,38 @@ class Verdict(str, enum.Enum):
     NEITHER = "NEITHER"
 
 
+_BY_PORT = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)
+
+
 @dataclass(frozen=True)
 class SwitchOutcome:
     """Exit-port probabilities of the switch and the inferred promise class.
 
-    ``degenerate`` flags p0 == p1, which cannot happen for gates satisfying
-    the commute/anti-commute promise.
+    For a stack of pairs every field is an array over the stack (``verdict``
+    an object array of ``Verdict``); for one pair they are numpy scalars and
+    the ``Verdict`` member itself.  ``degenerate`` flags p0 == p1, which cannot
+    happen for gates satisfying the commute/anti-commute promise.
     """
 
-    p0: float
-    p1: float
-    verdict: Verdict
-    degenerate: bool = False
+    p0: np.ndarray
+    p1: np.ndarray
+    verdict: np.ndarray | Verdict
+    degenerate: np.ndarray
 
 
 def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Joint output state (1/2)|0>{U1,U2}psi + (1/2)|1>[U1,U2]psi.
 
-    ``u1`` and ``u2`` may be stacks (..., 2, 2) of gates; the result then has
-    shape (..., 4).
+    Gates may be stacks (..., 2, 2) and states stacks (..., 2); the result
+    has the broadcast shape (..., 4).
     """
     u1 = require_unitary(u1)
     u2 = require_unitary(u2)
     psi = require_state(psi, 2)
-    anti = (u1 @ u2 + u2 @ u1) @ psi / 2.0
-    comm = (u1 @ u2 - u2 @ u1) @ psi / 2.0
-    return np.concatenate([anti, comm], axis=-1)
+    ab, ba = u1 @ u2, u2 @ u1
+    # (..., 4, 2): the anti-commutator stacked over the commutator
+    halves = np.concatenate([ab + ba, ab - ba], axis=-2)
+    return (halves @ psi[..., None])[..., 0] / 2.0
 
 
 def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -70,33 +76,32 @@ def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -
     u1 = require_unitary(u1)
     u2 = require_unitary(u2)
     psi = require_state(psi, 2)
-    joint = tensor(PLUS, psi)
+    joint = tensor(PLUS, psi)[..., None]
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
     controlled = tensor(p0, u1 @ u2) + tensor(p1, u2 @ u1)
-    return tensor(HAD, ID2) @ controlled @ joint
+    return (tensor(HAD, ID2) @ controlled @ joint)[..., 0]
 
 
 def exit_probabilities(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray | None = None) -> SwitchOutcome:
-    """Port probabilities and verdict for one run of the switch protocol."""
-    if psi is None:
-        psi = PLUS
-    out = two_switch_output(u1, u2, psi)
-    p0 = float(np.linalg.norm(out[0:2]) ** 2)
-    p1 = float(np.linalg.norm(out[2:4]) ** 2)
-    degenerate = abs(p0 - p1) <= 1e-12
-    verdict = Verdict.COMMUTE if p0 >= p1 else Verdict.ANTICOMMUTE
-    return SwitchOutcome(p0=p0, p1=p1, verdict=verdict, degenerate=degenerate)
+    """Port probabilities and verdict of the switch protocol, for one pair of
+    gates or for stacks (..., 2, 2) of them and of states (..., 2)."""
+    out = two_switch_output(u1, u2, PLUS if psi is None else psi)
+    square = (out.conj() * out).real
+    p0 = square[..., 0] + square[..., 1]
+    p1 = square[..., 2] + square[..., 3]
+    verdict = _BY_PORT[(p0 < p1).astype(np.intp)]
+    return SwitchOutcome(p0=p0, p1=p1, verdict=verdict, degenerate=abs(p0 - p1) <= 1e-12)
 
 
 def fixed_order_apply(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray, order: int | str) -> np.ndarray:
     """Apply the gates in a definite order: '12' means U1 acts first."""
     u1 = require_unitary(u1)
     u2 = require_unitary(u2)
-    psi = require_state(psi, 2)
+    psi = require_state(psi, 2)[..., None]
     order = str(order)
     if order == "12":
-        return u2 @ (u1 @ psi)
+        return (u2 @ (u1 @ psi))[..., 0]
     if order == "21":
-        return u1 @ (u2 @ psi)
+        return (u1 @ (u2 @ psi))[..., 0]
     raise ValueError(f"order must be '12' or '21', got {order!r}")

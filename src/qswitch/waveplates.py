@@ -137,9 +137,9 @@ def decompose(u: np.ndarray) -> WaveplateTriple:
 
 
 def _parse_triples(values: list[str], row_label: str, diagnostics: list[str]) -> tuple[WaveplateTriple, ...]:
-    angles = []
-    for v in values:
-        angles.append(float(v))
+    angles = [float(v) for v in values]
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"non-finite angle in {values}")
     triples = []
     for k in range(0, len(angles), 3):
         q1, h, q2 = angles[k : k + 3]
@@ -161,11 +161,14 @@ def load_angle_table(source: str) -> AngleTable:
     """
     diagnostics: list[str] = []
     rows: list[AngleTableRow] = []
-    reader = csv.reader(io.StringIO(source))
-    for line_no, record in enumerate(reader):
+    try:
+        records = list(csv.reader(io.StringIO(source)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from exc
+    for line_no, record in enumerate(records):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
-        if line_no == 0 and not _is_numeric(record[1]):
+        if line_no == 0 and len(record) > 1 and not _is_numeric(record[1]):
             continue  # header
         try:
             if len(record) == 7:

@@ -21,10 +21,9 @@ from qswitch.comb import (
     project_comb_affine,
 )
 from qswitch.experiment import NoiseParams, run_pauli_suite, run_random_suite, run_state_sweep
-from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
+from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs, stack_pairs
 from qswitch.linalg import frobenius_distance_up_to_phase
 from qswitch.switch import (
-    Verdict,
     exit_probabilities,
     two_switch_output,
     two_switch_output_circuit,
@@ -97,14 +96,11 @@ def test_criterion_01_output_equivalence():
 
 def test_criterion_02_perfect_discrimination_on_promise():
     pairs = sample_pairs(RandomSource(101), 10_000, 10_000)
-    worst = 0.0
-    wrong = 0
-    for pair in pairs:
-        out = exit_probabilities(pair.u1, pair.u2)
-        correct = out.p0 if pair.label is Verdict.COMMUTE else out.p1
-        worst = max(worst, abs(correct - 1.0))
-        if out.verdict is not pair.label:
-            wrong += 1
+    u1, u2, port = stack_pairs(pairs)
+    out = exit_probabilities(u1, u2)
+    correct = np.where(port == 0, out.p0, out.p1)
+    worst = float(np.abs(correct - 1.0).max())
+    wrong = sum(verdict is not pair.label for verdict, pair in zip(out.verdict, pairs))
     report(
         "criterion 2 (perfect discrimination on the promise)",
         wrong == 0 and worst <= 1e-9,
@@ -131,11 +127,9 @@ def test_criterion_04_hundred_pair_table(table_pairs):
         c1, c2, a1, a2 = (triple_to_unitary(t) for t in row.triples)
         worst_alg = max(worst_alg, float(np.linalg.norm(c1 @ c2 - c2 @ c1)))
         worst_alg = max(worst_alg, float(np.linalg.norm(a1 @ a2 + a2 @ a1)))
-    worst_succ = 0.0
-    for pair in table_pairs:
-        out = exit_probabilities(pair.u1, pair.u2)
-        correct = out.p0 if pair.label is Verdict.COMMUTE else out.p1
-        worst_succ = max(worst_succ, 1.0 - correct)
+    u1, u2, port = stack_pairs(table_pairs)
+    out = exit_probabilities(u1, u2)
+    worst_succ = float((1.0 - np.where(port == 0, out.p0, out.p1)).max())
     report(
         "criterion 4 (100-pair angle table classifies and discriminates)",
         worst_alg <= 0.05 and worst_succ <= 1e-3,
@@ -232,16 +226,14 @@ def test_criterion_10_property_suite():
     rng = RandomSource(104)
     us = haar_random_unitaries(rng, 400)
     psis = random_states(rng, 200)
-    worst_sum = worst_par = worst_phase = 0.0
-    for k in range(200):
-        u1, u2, psi = us[2 * k], us[2 * k + 1], psis[k]
-        out = exit_probabilities(u1, u2, psi)
-        worst_sum = max(worst_sum, abs(out.p0 + out.p1 - 1.0))
-        anti = np.linalg.norm((u1 @ u2 + u2 @ u1) @ psi) ** 2
-        comm = np.linalg.norm((u1 @ u2 - u2 @ u1) @ psi) ** 2
-        worst_par = max(worst_par, abs(anti + comm - 4.0))
-        shifted = exit_probabilities(np.exp(0.3j) * u1, np.exp(-1.1j) * u2, psi)
-        worst_phase = max(worst_phase, abs(shifted.p0 - out.p0))
+    u1, u2, psi = us[0::2], us[1::2], psis[..., None]
+    out = exit_probabilities(u1, u2, psis)
+    worst_sum = float(np.abs(out.p0 + out.p1 - 1.0).max())
+    anti = np.linalg.norm((u1 @ u2 + u2 @ u1) @ psi, axis=(-2, -1)) ** 2
+    comm = np.linalg.norm((u1 @ u2 - u2 @ u1) @ psi, axis=(-2, -1)) ** 2
+    worst_par = float(np.abs(anti + comm - 4.0).max())
+    shifted = exit_probabilities(np.exp(0.3j) * u1, np.exp(-1.1j) * u2, psis)
+    worst_phase = float(np.abs(shifted.p0 - out.p0).max())
     moment = float(
         np.mean(
             np.abs(np.trace(haar_random_unitaries(RandomSource(105), 100_000), axis1=-2, axis2=-1))

@@ -2,9 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qswitch.cli
 from qswitch.cli import UsageError, main, parse_gate, parse_state
-from qswitch.linalg import HAD, SX, frobenius_distance_up_to_phase
+from qswitch.linalg import HAD, SX, frobenius_distance_up_to_phase, require_state, require_unitary
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["", " ", "1e308", "-1e308", "1e-320", "nan", "inf", "0x1", "1_0"]),
+)
 
 
 class TestParsers:
@@ -47,6 +56,40 @@ class TestParsers:
         with pytest.raises(UsageError):
             parse_gate(spec)
 
+    @pytest.mark.parametrize("spec, expected", [
+        ("1e308,0,1e308,0", np.array([1, 1]) / np.sqrt(2)),
+        ("-1e308,1e308,1e308,-1e308", np.array([-1 + 1j, 1 - 1j]) / 2),
+        ("1e-320,0,0,0", np.array([1, 0])),
+    ])
+    def test_state_extreme_magnitudes(self, spec, expected):
+        assert np.allclose(parse_state(spec), expected, rtol=0, atol=1e-15)
+
+    def test_huge_matrix_literal(self):
+        with pytest.raises(UsageError):
+            parse_gate("1e308,0,0,0,0,0,1e308,0")
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(NUMBER_TEXT, min_size=3, max_size=3).map(lambda xs: "wp:" + ",".join(xs)),
+        st.lists(NUMBER_TEXT, min_size=8, max_size=8).map(",".join),
+    ))
+    def test_any_gate_text_is_unitary_or_usage_error(self, spec):
+        try:
+            u = parse_gate(spec)
+        except UsageError:
+            return
+        assert u.shape == (2, 2)
+        require_unitary(u)
+
+    @given(st.one_of(st.text(), st.lists(NUMBER_TEXT, min_size=4, max_size=4).map(",".join)))
+    def test_any_state_text_is_normalized_or_usage_error(self, spec):
+        try:
+            psi = parse_state(spec)
+        except UsageError:
+            return
+        assert psi.shape == (2,)
+        require_state(psi, 2)
+
 
 class TestDiscriminate:
     def run(self, capsys, *argv):
@@ -80,6 +123,13 @@ class TestDiscriminate:
         data = json.loads(out)
         assert data["p0"] == 0.5
         assert "warning" in data
+
+    def test_overflowing_state_direction(self, capsys):
+        code, out = self.run(
+            capsys, "discriminate", "--u1", "X", "--u2", "Y", "--state", "1e308,0,1e308,0", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["p1"] == 1.0
 
     def test_bad_gate_spec_exit_code(self, capsys):
         assert main(["discriminate", "--u1", "nope", "--u2", "X"]) == 1
@@ -170,6 +220,13 @@ class TestSuite:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(["suite", "pauli", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     def test_missing_noise_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert main(["suite", "pauli", "--noise", str(missing), "--out", str(tmp_path)]) == 1
@@ -191,6 +248,13 @@ class TestSamplePairs:
         assert lines[1].split(",")[1] == "COMMUTE"
         assert lines[-1].split(",")[1] == "ANTICOMMUTE"
 
+    @pytest.mark.parametrize("where", ["under_a_file", "a_directory"])
+    def test_unwritable_out(self, tmp_path, capsys, where):
+        (tmp_path / "taken").write_text("keep\n")
+        out = tmp_path / "taken" / "pairs.csv" if where == "under_a_file" else tmp_path
+        assert main(["sample-pairs", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_negative_count_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "pairs.csv"
         assert main(["sample-pairs", "--commuting", "-1", "--out", str(out)]) == 1
@@ -209,3 +273,14 @@ class TestBound:
         assert data["switch_success_same_pairs"] >= 0.999
         rows = (tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()
         assert len(rows) == 101
+
+    def test_out_is_a_file_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solver ran before the output directory was made")
+
+        monkeypatch.setattr(qswitch.cli, "optimize_fixed_order", solve)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(["bound", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"

@@ -48,12 +48,11 @@ class TestNoisyPortProbabilities:
         noise = NoiseParams.noiseless()
         rng = RandomSource(0)
         us = haar_random_unitaries(rng, 200)
-        for k in range(100):
-            u1, u2 = us[2 * k], us[2 * k + 1]
-            p0, p1 = ideal_port_probabilities_with_noise(u1, u2, PLUS, noise)
-            ideal = exit_probabilities(u1, u2)
-            assert p0 == pytest.approx(ideal.p0, abs=1e-12)
-            assert p1 == pytest.approx(ideal.p1, abs=1e-12)
+        u1, u2 = us[0::2], us[1::2]
+        p0, p1 = ideal_port_probabilities_with_noise(u1, u2, PLUS, noise)
+        ideal = exit_probabilities(u1, u2)
+        assert np.abs(p0 - ideal.p0).max() <= 1e-12
+        assert np.abs(p1 - ideal.p1).max() <= 1e-12
 
     def test_zero_visibility_is_incoherent(self):
         noise = NoiseParams(visibility=0.0, phase_drift_per_degree=0.0, phase_drift_per_minute=0.0)
@@ -76,15 +75,15 @@ class TestSimulateCounts:
         noise = NoiseParams.noiseless()
         rng = RandomSource(3)
         pair = anticommuting_pair(rng)
-        rec = simulate_counts(pair.u1, pair.u2, PLUS, noise, rng)
-        assert rec.c0 == 0 and rec.c1 > 0
+        c0, c1 = simulate_counts(pair.u1, pair.u2, PLUS, noise, rng)
+        assert c0 == 0 and c1 > 0
 
     def test_noiseless_commuting_all_port0(self):
         noise = NoiseParams.noiseless()
         rng = RandomSource(4)
         pair = commuting_pair(rng)
-        rec = simulate_counts(pair.u1, pair.u2, PLUS, noise, rng)
-        assert rec.c1 == 0 and rec.c0 > 0
+        c0, c1 = simulate_counts(pair.u1, pair.u2, PLUS, noise, rng)
+        assert c1 == 0 and c0 > 0
 
     def test_thinning_expectation(self):
         # E[C0] = lam (1 - p1) and E[C1] = lam p1 eta, on the fringe floor and mid-fringe
@@ -96,17 +95,24 @@ class TestSimulateCounts:
                 phase_drift_per_minute=0.0, eta=0.7,
             )
             _, p1 = ideal_port_probabilities_with_noise(u1, u2, PLUS, noise)
-            records = [simulate_counts(u1, u2, PLUS, noise, rng) for _ in range(50)]
-            mean_c0 = sum(rec.c0 for rec in records) / 50
-            mean_c1 = sum(rec.c1 for rec in records) / 50
+            counts = simulate_counts(u1, u2, PLUS, noise, rng, size=(50,))
+            assert counts.shape == (50, 2)
+            mean_c0, mean_c1 = counts.mean(axis=0)
             assert mean_c0 == pytest.approx(40000 * (1 - p1), rel=0.01, abs=1.0)
             assert mean_c1 == pytest.approx(0.7 * 40000 * p1, rel=0.01)
 
+    def test_stack_and_repeat_shape(self):
+        rng = RandomSource(5)
+        us = haar_random_unitaries(rng, 6)
+        counts = simulate_counts(us[0::2], us[1::2], PLUS, NoiseParams(), rng, size=(4,))
+        assert counts.shape == (4, 3, 2)
+        assert counts.dtype.kind == "i"
+
     def test_deterministic_under_seed(self):
         noise = NoiseParams()
-        rec_a = simulate_counts(ID2, ID2, PLUS, noise, RandomSource(6))
-        rec_b = simulate_counts(ID2, ID2, PLUS, noise, RandomSource(6))
-        assert (rec_a.c0, rec_a.c1) == (rec_b.c0, rec_b.c1)
+        counts_a = simulate_counts(ID2, ID2, PLUS, noise, RandomSource(6))
+        counts_b = simulate_counts(ID2, ID2, PLUS, noise, RandomSource(6))
+        assert np.array_equal(counts_a, counts_b)
 
 
 class TestCorrectedProbability:
@@ -149,13 +155,29 @@ class TestCalibrateEta:
     def test_degenerate_sweep(self):
         rng = RandomSource(9)
         noise = NoiseParams()
-        records = [simulate_counts(ID2, ID2, PLUS, noise, rng) for _ in range(5)]
+        counts = simulate_counts(ID2, ID2, PLUS, noise, rng, size=(5,))
         with pytest.raises(ValueError):
-            calibrate_eta(records)
+            calibrate_eta(counts)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
+            calibrate_eta(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
             calibrate_eta([])
+
+    def test_sweep_matches_per_point_draws(self):
+        # the one-call sweep is the stream of 24 draws, one per phase, in order
+        noise = NoiseParams(eta=0.7)
+        sweep = simulate_phase_sweep(noise, RandomSource(8))
+        assert sweep.shape == (24, 2)
+        gen = RandomSource(8).generator
+        for phase, counts in zip(np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False), sweep):
+            point = dataclasses.replace(
+                noise, phase_setpoint=phase, phase_drift_per_degree=0.0, phase_drift_per_minute=0.0
+            )
+            _, p1 = ideal_port_probabilities_with_noise(ID2, ID2, PLUS, point)
+            lam = noise.pairs_per_setting * np.array([1.0 - p1, noise.eta * p1])
+            assert np.array_equal(gen.poisson(lam), counts)
 
 
 class TestRotationOffset:

@@ -10,6 +10,7 @@ from qswitch.linalg import (
     SZ,
     choi,
     frobenius_distance_up_to_phase,
+    require_state,
     tensor,
 )
 
@@ -87,3 +88,20 @@ class TestChoi:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             choi(np.array([[1, 0], [0, 2]], dtype=complex))
+
+
+class TestRequireState:
+    def test_accepts_stack(self):
+        psis = np.array([[1, 0], [0, 1j], [0.6, 0.8]], dtype=complex)
+        assert np.array_equal(require_state(psis, 2), psis)
+
+    @pytest.mark.parametrize("bad", [[2.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]])
+    def test_rejects_stack_with_one_bad_row(self, bad):
+        psis = np.tile(np.array([1.0, 1.0]) / np.sqrt(2), (5, 1)).astype(complex)
+        psis[3] = bad
+        with pytest.raises(ValueError):
+            require_state(psis, 2)
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError):
+            require_state(np.ones((4, 3)) / np.sqrt(3), 2)

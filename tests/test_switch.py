@@ -51,6 +51,22 @@ class TestTwoSwitchOutput:
             circuit = two_switch_output_circuit(u1, u2, psis[k])
             assert np.linalg.norm(closed - circuit) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_stacked_states_match_per_state(self, n):
+        # n = 2 and n = 4 are the stack sizes a matrix product could mistake for an operator
+        rng = RandomSource(7)
+        u1, u2 = haar_random_unitaries(rng, 2)
+        psis = random_states(rng, n)
+
+        def fixed_order(a, b, psi):
+            return fixed_order_apply(a, b, psi, "12")
+
+        for f in (two_switch_output, two_switch_output_circuit, fixed_order):
+            stacked = f(u1, u2, psis)
+            assert stacked.shape[0] == n
+            for k in range(n):
+                assert np.abs(stacked[k] - f(u1, u2, psis[k])).max() <= 1e-15
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             two_switch_output(2 * ID2, ID2, PLUS)
@@ -102,6 +118,23 @@ class TestExitProbabilities:
             base = exit_probabilities(u1, u2)
             shifted = exit_probabilities(np.exp(0.3j) * u1, np.exp(-1.1j) * u2)
             assert shifted.p0 == pytest.approx(base.p0, abs=1e-12)
+
+    def test_stacked_matches_per_pair(self):
+        rng = RandomSource(6)
+        us = haar_random_unitaries(rng, 200)
+        pairs = [commuting_pair(rng), anticommuting_pair(rng)]
+        u1 = np.concatenate([us[0::2], [p.u1 for p in pairs], [SX, SX]])
+        u2 = np.concatenate([us[1::2], [p.u2 for p in pairs], [SZ, HAD]])
+        psis = random_states(rng, len(u1))
+        for psi in (None, psis):
+            stacked = exit_probabilities(u1, u2, psi)
+            assert stacked.verdict.shape == stacked.p0.shape == (len(u1),)
+            for k in range(len(u1)):
+                one = exit_probabilities(u1[k], u2[k], None if psi is None else psi[k])
+                assert stacked.verdict[k] is one.verdict
+                assert stacked.p0[k] == pytest.approx(one.p0, abs=1e-15)
+                assert stacked.p1[k] == pytest.approx(one.p1, abs=1e-15)
+                assert stacked.degenerate[k] == one.degenerate
 
     def test_state_independence_on_promise(self):
         rng = RandomSource(5)

@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase as fdist
@@ -137,3 +142,32 @@ class TestLoadAngleTable:
     def test_angles_preserved_exactly(self):
         table = load_angle_table("1,25.61,5.20,24.38,24.97,25.80,25.02,1,2,3,4,5,6\n")
         assert table.rows[0].triples[0] == WaveplateTriple(25.61, 5.20, 24.38)
+
+    @pytest.mark.parametrize("source, where", [
+        ("abc\n", "row 0"),
+        ("x" * 200_000 + "\n", "CSV"),  # above the csv module's field size limit
+    ], ids=["one-field", "over-field-limit"])
+    def test_malformed_first_line(self, source, where):
+        with pytest.raises(ValueError, match=where):
+            load_angle_table(source)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_angle(self, bad):
+        with pytest.raises(ValueError, match="row 1"):
+            load_angle_table(f"I,0,0,0,0,0,0\nX,{bad},0,0,0,0,0\n")
+
+    @given(st.lists(st.lists(st.one_of(
+        st.text(max_size=8),
+        st.floats().map(repr),
+        st.sampled_from(["0", "45", "nan", "inf", "", " "]),
+    ), max_size=14), max_size=4))
+    def test_arbitrary_rows_parse_or_raise_value_error(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        try:
+            table = load_angle_table(buf.getvalue())
+        except ValueError:
+            return
+        for row in table.rows:
+            assert len(row.triples) in (2, 4)
+            assert all(np.isfinite(t.as_tuple()).all() for t in row.triples)
