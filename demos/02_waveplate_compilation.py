@@ -9,32 +9,26 @@ tables are checked against it: the four Pauli rows and the 50 commuting /
 import numpy as np
 
 from qswitch import RandomSource, exit_probabilities
-from qswitch.gates import haar_random_unitaries
+from qswitch.gates import haar_random_unitaries, stack_pairs
 from qswitch.linalg import SY, frobenius_distance_up_to_phase
-from qswitch.switch import Verdict
 from qswitch.waveplates import decompose, table_gate_pairs, triple_to_unitary
 
-t = decompose(SY)
+q_first, h, q_last = angles = decompose(SY)
 print("Pauli Y compiles to plate angles (degrees):")
-print(f"  QWP {t.q_first:.2f}, HWP {t.h:.2f}, QWP {t.q_last:.2f}")
+print(f"  QWP {q_first:.2f}, HWP {h:.2f}, QWP {q_last:.2f}")
 print(f"  reconstruction distance: "
-      f"{frobenius_distance_up_to_phase(triple_to_unitary(t), SY):.2e}")
+      f"{frobenius_distance_up_to_phase(triple_to_unitary(angles), SY):.2e}")
 
-print("\nRound-trip over 1000 Haar-random gates:")
-rng = RandomSource(0)
-worst = max(
-    frobenius_distance_up_to_phase(triple_to_unitary(decompose(u)), u)
-    for u in haar_random_unitaries(rng, 1000)
-)
+print("\nRound-trip over 1000 Haar-random gates, as one stacked call:")
+us = haar_random_unitaries(RandomSource(0), 1000)
+worst = frobenius_distance_up_to_phase(triple_to_unitary(decompose(us)), us).max()
 print(f"  worst phase-invariant Frobenius distance: {worst:.2e}")
 
 print("\nPackaged 100-pair angle table:")
 pairs = table_gate_pairs()
-success = []
-for pair in pairs:
-    out = exit_probabilities(pair.u1, pair.u2)
-    success.append(out.p0 if pair.label is Verdict.COMMUTE else out.p1)
-print(f"  pairs: {len(pairs)} "
-      f"({sum(p.label is Verdict.COMMUTE for p in pairs)} commuting)")
+u1, u2, port = stack_pairs(pairs)
+out = exit_probabilities(u1, u2)
+success = np.where(port == 0, out.p0, out.p1)
+print(f"  pairs: {len(pairs)} ({np.sum(port == 0)} commuting)")
 print(f"  mean ideal switch success: {np.mean(success):.8f}")
 print(f"  worst single pair:         {min(success):.8f}")

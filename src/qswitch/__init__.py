@@ -19,7 +19,7 @@ from .gates import (
     commuting_pair,
 )
 from .switch import SwitchOutcome, Verdict, exit_probabilities, two_switch_output
-from .waveplates import WaveplateTriple, decompose, hwp, qwp, triple_to_unitary
+from .waveplates import decompose, hwp, qwp, triple_to_unitary
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "RandomSource",
     "SwitchOutcome",
     "Verdict",
-    "WaveplateTriple",
     "anticommuting_pair",
     "classify_pair",
     "commuting_pair",

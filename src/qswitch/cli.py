@@ -48,7 +48,7 @@ def parse_gate(spec: str) -> np.ndarray:
             raise UsageError(f"bad waveplate angle in {spec!r}") from exc
         if not np.all(np.isfinite(angles)):
             raise UsageError(f"non-finite waveplate angle in {spec!r}")
-        return triple_to_unitary(tuple(angles))
+        return triple_to_unitary(angles)
     parts = spec.split(",")
     if len(parts) == 8:
         try:
@@ -201,17 +201,10 @@ def cmd_bound(args) -> int:
 
 def cmd_compile(args) -> int:
     u = parse_gate(args.gate)
-    triple = decompose(u)
-    resid = frobenius_distance_up_to_phase(triple_to_unitary(triple), u)
-    _emit(
-        {
-            "q_first": round(triple.q_first, 6),
-            "h": round(triple.h, 6),
-            "q_last": round(triple.q_last, 6),
-            "roundtrip_residual": resid,
-        },
-        args.json,
-    )
+    angles = decompose(u)
+    payload = {key: round(a, 6) for key, a in zip(("q_first", "h", "q_last"), angles.tolist())}
+    payload["roundtrip_residual"] = frobenius_distance_up_to_phase(triple_to_unitary(angles), u)
+    _emit(payload, args.json)
     return 0
 
 

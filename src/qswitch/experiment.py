@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
-from .gates import GatePair, RandomSource, classify_pair
-from .linalg import ID2
+from .gates import GatePair, RandomSource, classify_pair, stack_pairs
+from .linalg import ID2, require_state, require_unitary
 from .switch import PLUS, Verdict
 from .waveplates import (
     decompose,
@@ -113,7 +113,8 @@ def ideal_port_probabilities_with_noise(
     visibility and phase pi this reduces exactly to the ideal switch.  Gates
     (..., 2, 2), states (..., 2), rotations and times broadcast as stacks.
     """
-    psi = np.asarray(psi)[..., None]
+    u1, u2 = require_unitary(u1), require_unitary(u2)
+    psi = require_state(psi, 2)[..., None]
     branch_a = (u1 @ u2 @ psi)[..., 0] / np.sqrt(2.0)
     branch_b = (u2 @ u1 @ psi)[..., 0] / np.sqrt(2.0)
     phi = (
@@ -221,23 +222,13 @@ class _Settings:
     phase is re-zeroed at the start of every group.
     """
 
-    ids: tuple[str, ...]
-    labels: tuple[Verdict, ...]
+    ids: list[str]
+    labels: np.ndarray  # object array of Verdict
     u1: np.ndarray
     u2: np.ndarray
-    angles: np.ndarray
+    angles: np.ndarray  # (setting, 6): the plate triples of u1, then of u2
     psi: np.ndarray
     slot: np.ndarray
-
-    @property
-    def commute(self) -> np.ndarray:
-        return np.array([label is Verdict.COMMUTE for label in self.labels])
-
-
-def _stack(rows: list[tuple], group_size: int) -> _Settings:
-    """Stack rows (id, label, u1, u2, angles, psi) into groups of ``group_size``."""
-    ids, labels, *arrays = zip(*rows)
-    return _Settings(ids, labels, *map(np.array, arrays), slot=np.arange(len(ids)) % group_size)
 
 
 @dataclass
@@ -311,7 +302,9 @@ def _run_groups(
     )  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
     p0, p0_std = p0s.mean(axis=0), p0s.std(axis=0)
-    success = np.where(settings.commute, p0, 1.0 - p0)
+    # wrapped: numpy would read a bare Verdict member as a str and match nothing
+    commute = settings.labels == np.array(Verdict.COMMUTE, dtype=object)
+    success = np.where(commute, p0, 1.0 - p0)
     results = [
         SettingResult(setting_id, label.value, c, p, sd, ok)
         for setting_id, label, c, p, sd, ok in zip(
@@ -331,38 +324,48 @@ def _run_groups(
     )
 
 
-def _pauli_rows(psi: np.ndarray, prefix: str = "") -> list[tuple]:
-    triples = {row.index: row.triples for row in load_pauli_table().rows}
-    rows = []
-    for g1, g2 in itertools.product("IXYZ", repeat=2):
-        t1, t2 = triples[g1][0], triples[g2][1]
-        u1, u2 = triple_to_unitary(t1), triple_to_unitary(t2)
-        label = classify_pair(u1, u2, tol=1e-6)
-        rows.append((f"{prefix}{g1}{g2}", label, u1, u2, t1.as_tuple() + t2.as_tuple(), psi))
-    return rows
+def _pauli_settings(psi: np.ndarray, prefixes: list[str]) -> _Settings:
+    """The 16 Pauli pairs in IXYZ x IXYZ order, repeated in one group for each
+    state of a stack (k, 2) and named with that state's prefix."""
+    table = load_pauli_table()
+    rows = [table.index.index(gate) for gate in "IXYZ"]
+    # the first gate's first-slot triple and the second gate's second-slot one
+    triples = np.stack([table.angles[np.repeat(rows, 4), 0], table.angles[np.tile(rows, 4), 1]], axis=1)
+    gates = triple_to_unitary(triples)
+    labels = classify_pair(gates[:, 0], gates[:, 1], tol=1e-6)
+    k = len(psi)
+    return _Settings(
+        ids=[prefix + g1 + g2 for prefix in prefixes for g1, g2 in itertools.product("IXYZ", repeat=2)],
+        labels=np.tile(labels, k),
+        u1=np.tile(gates[:, 0], (k, 1, 1)),
+        u2=np.tile(gates[:, 1], (k, 1, 1)),
+        angles=np.tile(triples.reshape(16, 6), (k, 1)),
+        psi=np.repeat(psi, 16, axis=0),
+        slot=np.tile(np.arange(16), k),
+    )
 
 
 def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     """All 16 Pauli-gate combinations on |+>, one group, phase re-zeroed at the start."""
-    return _run_groups("pauli", _stack(_pauli_rows(PLUS), 16), noise, rng)
+    return _run_groups("pauli", _pauli_settings(PLUS[None], [""]), noise, rng)
 
 
-def _random_rows(pairs: list[GatePair] | None) -> list[tuple]:
+def _random_settings(pairs: list[GatePair] | None) -> _Settings:
     if pairs is not None:
-        return [
-            (f"P{k}", pair.label, pair.u1, pair.u2,
-             decompose(pair.u1).as_tuple() + decompose(pair.u2).as_tuple(), PLUS)
-            for k, pair in enumerate(pairs)
-        ]
-    table = load_random_pairs_table()
-    rows = []
-    # commuting cases first, then the anti-commuting ones, as acquired
-    for prefix, label, k in (("C", Verdict.COMMUTE, 0), ("A", Verdict.ANTICOMMUTE, 2)):
-        for row in table.rows:
-            t1, t2 = row.triples[k : k + 2]
-            rows.append((f"{prefix}{row.index}", label, triple_to_unitary(t1),
-                         triple_to_unitary(t2), t1.as_tuple() + t2.as_tuple(), PLUS))
-    return rows
+        u1, u2, port = stack_pairs(pairs)
+        ids = [f"P{k}" for k in range(len(pairs))]
+        angles = decompose(np.stack([u1, u2], axis=1)).reshape(-1, 6)
+    else:
+        table = load_random_pairs_table()
+        # commuting cases first, then the anti-commuting ones, as acquired
+        triples = np.concatenate([table.angles[:, 0:2], table.angles[:, 2:4]])
+        gates = triple_to_unitary(triples)
+        u1, u2 = gates[:, 0], gates[:, 1]
+        port = np.repeat([0, 1], len(table))
+        ids = [prefix + row for prefix in "CA" for row in table.index]
+        angles = triples.reshape(-1, 6)
+    labels = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)[port]
+    return _Settings(ids, labels, u1, u2, angles, PLUS, np.arange(len(ids)) % RANDOM_GROUP_SIZE)
 
 
 def run_random_suite(
@@ -373,16 +376,14 @@ def run_random_suite(
     With ``pairs`` omitted the bundled angle table supplies both the gates and
     the plate angles; explicit pairs are compiled to angles on the fly.
     """
-    return _run_groups("random100", _stack(_random_rows(pairs), RANDOM_GROUP_SIZE), noise, rng)
+    return _run_groups("random100", _random_settings(pairs), noise, rng)
 
 
 def run_state_sweep(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     """Pauli suite repeated for input states prepared by a half-wave plate at ``PREP_ANGLES``."""
-    rows = []
-    for angle in PREP_ANGLES:
-        psi = hwp(angle) @ np.array([1.0, 0.0], dtype=complex)
-        rows += _pauli_rows(psi, prefix=f"hwp{angle:g}:")
-    report = _run_groups("statesweep", _stack(rows, 16), noise, rng)
+    psi = hwp(np.array(PREP_ANGLES)) @ np.array([1.0, 0.0], dtype=complex)
+    settings = _pauli_settings(psi, [f"hwp{angle:g}:" for angle in PREP_ANGLES])
+    report = _run_groups("statesweep", settings, noise, rng)
     success = np.array([s.correct_prob for s in report.settings]).reshape(len(PREP_ANGLES), -1)
     report.extras["per_state_success"] = {
         f"hwp{angle:g}": round(float(mean), 10) for angle, mean in zip(PREP_ANGLES, success.mean(1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SY, SZ, require_unitary
+from .linalg import SY, SZ, frobenius_norm, require_unitary
 from .switch import Verdict
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_CLASSIFY_TOL = 1e-8
+_VERDICTS = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE, Verdict.NEITHER], dtype=object)
 
 
 @dataclass
@@ -100,58 +101,48 @@ def _labelled_pairs(u1: np.ndarray, u2: np.ndarray, label: Verdict, record: dict
     return [GatePair(u1=a, u2=b, label=label, seed_record=record) for a, b in zip(u1, u2)]
 
 
-def _commuting_pairs(rng: RandomSource, n: int, thetas: tuple[float, float] | None = None,
-                     basis: np.ndarray | None = None) -> list[GatePair]:
-    """n pairs R diag(1, e^{i theta_k}) R^dag, k = 1, 2, with Haar R and uniform thetas.
-
-    A forced ``basis`` or ``thetas`` (one pair's worth) replaces the draw.
-    """
+def _commuting_pairs(rng: RandomSource, n: int) -> list[GatePair]:
+    """n pairs R diag(1, e^{i theta_k}) R^dag, k = 1, 2, with Haar R and uniform thetas."""
     record = rng.record()
-    rs = haar_random_unitaries(rng, n) if basis is None else require_unitary(basis)[None]
-    if thetas is None:
-        thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n, 2))
-    thetas = np.reshape(thetas, (-1, 2))
+    rs = haar_random_unitaries(rng, n)
+    thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n, 2))
     c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
     return _labelled_pairs(c1, c2, Verdict.COMMUTE, record)
 
 
-def _anticommuting_pairs(rng: RandomSource, n: int, basis: np.ndarray | None = None) -> list[GatePair]:
-    """n pairs R sigma_z R^dag, R sigma_y R^dag with Haar R (or a forced ``basis``)."""
+def _anticommuting_pairs(rng: RandomSource, n: int) -> list[GatePair]:
+    """n pairs R sigma_z R^dag, R sigma_y R^dag with Haar R."""
     record = rng.record()
-    rs = haar_random_unitaries(rng, n) if basis is None else require_unitary(basis)[None]
+    rs = haar_random_unitaries(rng, n)
     return _labelled_pairs(rs @ SZ @ _dagger(rs), rs @ SY @ _dagger(rs), Verdict.ANTICOMMUTE, record)
 
 
-def commuting_pair(rng: RandomSource, thetas: tuple[float, float] | None = None,
-                   basis: np.ndarray | None = None) -> GatePair:
-    """C_k = R diag(1, e^{i theta_k}) R^dag with Haar R and uniform thetas.
-
-    ``thetas`` and ``basis`` can be forced for testing; by default both are
-    drawn from the stream.
-    """
-    return _commuting_pairs(rng, 1, thetas, basis)[0]
+def commuting_pair(rng: RandomSource) -> GatePair:
+    """C_k = R diag(1, e^{i theta_k}) R^dag with Haar R and uniform thetas."""
+    return _commuting_pairs(rng, 1)[0]
 
 
-def anticommuting_pair(rng: RandomSource, basis: np.ndarray | None = None) -> GatePair:
+def anticommuting_pair(rng: RandomSource) -> GatePair:
     """A_1 = R sigma_z R^dag, A_2 = R sigma_y R^dag for one Haar R."""
-    return _anticommuting_pairs(rng, 1, basis)[0]
+    return _anticommuting_pairs(rng, 1)[0]
 
 
-def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> Verdict:
-    """Label a pair by the Frobenius norm of its commutator / anti-commutator."""
+def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> Verdict | np.ndarray:
+    """Label a pair by the Frobenius norm of its commutator / anti-commutator.
+
+    For stacks (..., 2, 2) of gates the result is an object array of
+    ``Verdict``; for one pair it is the ``Verdict`` member itself.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     u1 = require_unitary(u1)
     u2 = require_unitary(u2)
-    comm = np.linalg.norm(u1 @ u2 - u2 @ u1)
-    anti = np.linalg.norm(u1 @ u2 + u2 @ u1)
-    if comm <= tol and anti <= tol:
+    ab, ba = u1 @ u2, u2 @ u1
+    comm = frobenius_norm(ab - ba) <= tol
+    anti = frobenius_norm(ab + ba) <= tol
+    if np.any(comm & anti):
         raise ValueError("both norms within tolerance; inputs cannot be unitary")
-    if comm <= tol:
-        return Verdict.COMMUTE
-    if anti <= tol:
-        return Verdict.ANTICOMMUTE
-    return Verdict.NEITHER
+    return _VERDICTS[np.where(comm, 0, np.where(anti, 1, 2))]
 
 
 def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> list[GatePair]:

@@ -18,6 +18,7 @@ __all__ = [
     "require_unitary",
     "require_state",
     "tensor",
+    "frobenius_norm",
     "frobenius_distance_up_to_phase",
     "choi",
 ]
@@ -44,8 +45,9 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("matrix has non-finite entries")
+    # no unitary has a larger entry; this rejects NaN and inf and keeps the residual finite
+    if not np.abs(u).max() <= 1.0 + UNITARY_TOL:
+        raise ValueError("matrix has an entry that is non-finite or above 1 in modulus")
     resid = _unitarity_residual(u).max()
     if not resid <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
@@ -58,8 +60,8 @@ def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim < 1 or (dim is not None and psi.shape[-1] != dim):
         raise ValueError(f"state has shape {psi.shape}, expected (..., {dim or 'n'})")
-    if not np.isfinite(psi).all():
-        raise ValueError("state has non-finite entries")
+    if not np.abs(psi).max() <= 1.0 + UNITARY_TOL:  # as in require_unitary
+        raise ValueError("state has an entry that is non-finite or above 1 in modulus")
     dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max()
     if not dev <= UNITARY_TOL:
         raise ValueError(f"state is not normalized (norm off by {dev:.3e})")
@@ -74,8 +76,19 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def frobenius_distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """min over real phi of ||a - e^{i phi} b||_F.
+def frobenius_norm(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., m, n).
+
+    Summed as ``np.linalg.norm`` sums one matrix, so that a stacked result is
+    bit-equal to per-matrix calls (the ``axis`` form of ``norm`` is not).
+    """
+    flat = np.asarray(x, dtype=complex).reshape(np.shape(x)[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def frobenius_distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """min over real phi of ||a - e^{i phi} b||_F, for one pair of matrices (a float)
+    or for stacks (..., m, n) of them (an array).
 
     The minimizing phase is the argument of tr(a^dag b); evaluating the norm
     at that phase directly avoids the cancellation that the equivalent
@@ -85,9 +98,11 @@ def frobenius_distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    overlap = np.trace(a.conj().T @ b)
-    phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.linalg.norm(a - phase * b))
+    overlap = np.trace(np.swapaxes(a.conj(), -2, -1) @ b, axis1=-2, axis2=-1)
+    size = np.hypot(overlap.real, overlap.imag)  # as abs() of one complex; np.abs differs
+    phase = np.where(size > 0, overlap.conj() / np.where(size > 0, size, 1.0), 1.0)
+    dist = frobenius_norm(a - phase[..., None, None] * b)
+    return dist if dist.ndim else float(dist)
 
 
 def choi_vector(u: np.ndarray) -> np.ndarray:

@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .linalg import frobenius_distance_up_to_phase, require_unitary
+from .linalg import require_unitary
 from .switch import Verdict
 
 __all__ = [
-    "WaveplateTriple",
-    "AngleTableRow",
     "AngleTable",
     "qwp",
     "hwp",
@@ -44,75 +43,50 @@ __all__ = [
 TABLE_ANGLE_TOL = 0.05
 
 
-@dataclass(frozen=True)
-class WaveplateTriple:
-    """Fast-axis angles in degrees, listed in the order the photon meets them."""
-
-    q_first: float
-    h: float
-    q_last: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.q_first, self.h, self.q_last)
-
-
-@dataclass(frozen=True)
-class AngleTableRow:
-    index: str
-    triples: tuple[WaveplateTriple, ...]
-
-
 @dataclass
 class AngleTable:
-    rows: list[AngleTableRow]
+    """Rows of plate triples: ``angles`` is (rows, triples, 3) in degrees, each
+    triple ordered (q_first, h, q_last) as the photon meets the plates."""
+
+    index: tuple[str, ...]
+    angles: np.ndarray
     diagnostics: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.index)
 
 
-def rotation(theta_deg: float) -> np.ndarray:
-    t = np.deg2rad(theta_deg)
+def _plate(theta_deg: float | np.ndarray, retardance: np.ndarray) -> np.ndarray:
+    """R(t) diag(retardance) R(-t) for each angle of a stack, shape (..., 2, 2)."""
+    t = np.deg2rad(np.asarray(theta_deg, dtype=float))
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    r = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2).astype(complex)
+    # one product over all rows of the stack: each entry is summed as in r @ retardance
+    return (r.reshape(-1, 2) @ retardance).reshape(r.shape) @ np.swapaxes(r, -2, -1).conj()
 
 
-def qwp(theta_deg: float) -> np.ndarray:
-    """Quarter-wave plate with fast axis at ``theta_deg`` degrees."""
-    r = rotation(theta_deg)
-    return r @ np.diag([1.0, 1j]) @ r.conj().T
+def qwp(theta_deg: float | np.ndarray) -> np.ndarray:
+    """Quarter-wave plate(s) with fast axis at ``theta_deg`` degrees."""
+    return _plate(theta_deg, np.diag([1.0, 1j]))
 
 
-def hwp(theta_deg: float) -> np.ndarray:
-    """Half-wave plate with fast axis at ``theta_deg`` degrees."""
-    r = rotation(theta_deg)
-    return r @ np.diag([1.0, -1.0]) @ r.conj().T
+def hwp(theta_deg: float | np.ndarray) -> np.ndarray:
+    """Half-wave plate(s) with fast axis at ``theta_deg`` degrees."""
+    return _plate(theta_deg, np.diag([1.0, -1.0]))
 
 
-def triple_to_unitary(t: WaveplateTriple | tuple[float, float, float]) -> np.ndarray:
-    if isinstance(t, WaveplateTriple):
-        t = t.as_tuple()
-    q_first, h, q_last = t
-    return qwp(q_last) @ hwp(h) @ qwp(q_first)
+def triple_to_unitary(angles: tuple[float, float, float] | np.ndarray) -> np.ndarray:
+    """QWP(q_last) HWP(h) QWP(q_first) for plate angles (..., 3), shape (..., 2, 2)."""
+    angles = np.asarray(angles, dtype=float)
+    quarters = qwp(angles[..., ::2])  # (..., 2, 2, 2): q_first, q_last
+    return quarters[..., 1, :, :] @ hwp(angles[..., 1]) @ quarters[..., 0, :, :]
 
 
-def _su2_quaternion(u: np.ndarray) -> tuple[float, float, float, float]:
-    """(w, x, y, z) with U' = w I - i (x sx + y sy + z sz), det U' = 1."""
-    u = np.asarray(u, dtype=complex)
-    det = np.linalg.det(u)
-    u = u / np.sqrt(det)
-    w = (u[0, 0] + u[1, 1]).real / 2.0
-    x = -(u[0, 1] + u[1, 0]).imag / 2.0
-    y = (u[1, 0] - u[0, 1]).real / 2.0
-    z = (u[1, 1] - u[0, 0]).imag / 2.0
-    return float(w), float(x), float(y), float(z)
-
-
-def decompose(u: np.ndarray) -> WaveplateTriple:
-    """Closed-form quarter-half-quarter angles realizing ``u`` up to phase.
+def decompose(u: np.ndarray) -> np.ndarray:
+    """Closed-form quarter-half-quarter angles (..., 3) realizing ``u`` (..., 2, 2) up to phase.
 
     Writing a = q_first, c = q_last, the product QWP(c) HWP(b) QWP(a) has
-    unit quaternion
+    unit quaternion (w, x, y, z), with U = w I - i (x sx + y sy + z sz),
 
         ( -cos(M) cos(d),  sin(M) cos(s),  -cos(M) sin(d),  -sin(M) sin(s) )
 
@@ -122,67 +96,58 @@ def decompose(u: np.ndarray) -> WaveplateTriple:
     are resolved by setting the free angle to zero.
     """
     u = require_unitary(u)
-    w, x, y, z = _su2_quaternion(u)
-    r1 = float(np.hypot(w, y))
-    r2 = float(np.hypot(x, z))
-    m = float(np.arctan2(r2, r1))  # in [0, pi/2]: cos M = r1, sin M = r2
-    d = float(np.arctan2(-y, -w)) if r1 > 1e-15 else 0.0
-    s = float(np.arctan2(-z, x)) if r2 > 1e-15 else 0.0
-    a = (s - d) / 2.0
-    c = (s + d) / 2.0
-    b = (m + s) / 2.0
-    return WaveplateTriple(
-        q_first=float(np.rad2deg(a)), h=float(np.rad2deg(b)), q_last=float(np.rad2deg(c))
-    )
-
-
-def _parse_triples(values: list[str], row_label: str, diagnostics: list[str]) -> tuple[WaveplateTriple, ...]:
-    angles = [float(v) for v in values]
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"non-finite angle in {values}")
-    triples = []
-    for k in range(0, len(angles), 3):
-        q1, h, q2 = angles[k : k + 3]
-        if not -90.0 <= h < 180.0:
-            # e.g. half-wave angles printed above 180 deg: equivalent mod 180
-            diagnostics.append(
-                f"row {row_label}: half-wave angle {h} outside principal range (equivalent mod 180)"
-            )
-        triples.append(WaveplateTriple(q_first=q1, h=h, q_last=q2))
-    return tuple(triples)
+    u = u / np.sqrt(np.linalg.det(u))[..., None, None]  # det 1
+    w = (u[..., 0, 0] + u[..., 1, 1]).real / 2.0
+    x = -(u[..., 0, 1] + u[..., 1, 0]).imag / 2.0
+    y = (u[..., 1, 0] - u[..., 0, 1]).real / 2.0
+    z = (u[..., 1, 1] - u[..., 0, 0]).imag / 2.0
+    r1 = np.hypot(w, y)
+    r2 = np.hypot(x, z)
+    m = np.arctan2(r2, r1)  # in [0, pi/2]: cos M = r1, sin M = r2
+    d = np.where(r1 > 1e-15, np.arctan2(-y, -w), 0.0)
+    s = np.where(r2 > 1e-15, np.arctan2(-z, x), 0.0)
+    return np.rad2deg(np.stack([(s - d) / 2.0, (m + s) / 2.0, (s + d) / 2.0], axis=-1))
 
 
 def load_angle_table(source: str) -> AngleTable:
     """Parse an angle table from CSV text.
 
-    Two layouts are accepted: 7 columns (gate name + two triples, one gate
-    implemented with separate settings for each slot) and 13 columns (index +
-    four triples: a commuting pair followed by an anti-commuting pair).
+    Two layouts are accepted, one per table: 7 columns (gate name + two
+    triples, one gate implemented with separate settings for each slot) and
+    13 columns (index + four triples: a commuting pair followed by an
+    anti-commuting pair).
     """
-    diagnostics: list[str] = []
-    rows: list[AngleTableRow] = []
     try:
         records = list(csv.reader(io.StringIO(source)))
     except csv.Error as exc:
         raise ValueError(f"malformed CSV: {exc}") from exc
+    index: list[str] = []
+    values: list[list[float]] = []
     for line_no, record in enumerate(records):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if line_no == 0 and len(record) > 1 and not _is_numeric(record[1]):
             continue  # header
         try:
-            if len(record) == 7:
-                triples = _parse_triples(record[1:7], record[0], diagnostics)
-                rows.append(AngleTableRow(index=record[0], triples=triples))
-            elif len(record) == 13:
-                c_triples = _parse_triples(record[1:7], record[0], diagnostics)
-                a_triples = _parse_triples(record[7:13], record[0], diagnostics)
-                rows.append(AngleTableRow(index=record[0], triples=c_triples + a_triples))
-            else:
+            if len(record) not in (7, 13):
                 raise ValueError(f"expected 7 or 13 columns, got {len(record)}")
+            if values and len(record) != 1 + len(values[0]):
+                raise ValueError(f"{len(record)} columns where earlier rows have {1 + len(values[0])}")
+            row = [float(v) for v in record[1:]]
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite angle in {record[1:]}")
         except ValueError as exc:
             raise ValueError(f"row {line_no}: {exc}") from exc
-    return AngleTable(rows=rows, diagnostics=diagnostics)
+        index.append(record[0])
+        values.append(row)
+    angles = np.array(values, dtype=float).reshape(len(values), len(values[0]) // 3 if values else 0, 3)
+    # e.g. half-wave angles printed above 180 deg: equivalent mod 180
+    h = angles[..., 1]
+    diagnostics = [
+        f"row {index[k]}: half-wave angle {h[k, j]} outside principal range (equivalent mod 180)"
+        for k, j in zip(*np.nonzero((h < -90.0) | (h >= 180.0)))
+    ]
+    return AngleTable(index=tuple(index), angles=angles, diagnostics=diagnostics)
 
 
 def _is_numeric(token: str) -> bool:
@@ -217,16 +182,15 @@ def table_gate_pairs(table: AngleTable | None = None):
 
     if table is None:
         table = load_random_pairs_table()
+    if table.angles.shape[1] != 4:
+        raise ValueError(f"expected 4 triples per row, got {table.angles.shape[1]}")
+    gates = triple_to_unitary(table.angles)  # (row, triple, 2, 2)
     pairs: list[GatePair] = []
-    anti: list[GatePair] = []
-    for row in table.rows:
-        if len(row.triples) != 4:
-            raise ValueError(f"row {row.index}: expected 4 triples, got {len(row.triples)}")
-        c1, c2, a1, a2 = (triple_to_unitary(t) for t in row.triples)
-        if classify_pair(c1, c2, tol=TABLE_ANGLE_TOL) is not Verdict.COMMUTE:
-            raise ValueError(f"row {row.index}: commuting pair fails classification")
-        if classify_pair(a1, a2, tol=TABLE_ANGLE_TOL) is not Verdict.ANTICOMMUTE:
-            raise ValueError(f"row {row.index}: anti-commuting pair fails classification")
-        pairs.append(GatePair(u1=c1, u2=c2, label=Verdict.COMMUTE, seed_record={"table_row": row.index}))
-        anti.append(GatePair(u1=a1, u2=a2, label=Verdict.ANTICOMMUTE, seed_record={"table_row": row.index}))
-    return pairs + anti
+    for label, name, k in ((Verdict.COMMUTE, "commuting", 0), (Verdict.ANTICOMMUTE, "anti-commuting", 2)):
+        u1, u2 = gates[:, k], gates[:, k + 1]
+        wrong = np.flatnonzero(classify_pair(u1, u2, tol=TABLE_ANGLE_TOL) != np.array(label, dtype=object))
+        if wrong.size:
+            raise ValueError(f"row {table.index[wrong[0]]}: {name} pair fails classification")
+        pairs += [GatePair(u1=a, u2=b, label=label, seed_record={"table_row": row})
+                  for a, b, row in zip(u1, u2, table.index)]
+    return pairs

@@ -22,7 +22,7 @@ from qswitch.comb import (
 )
 from qswitch.experiment import NoiseParams, run_pauli_suite, run_random_suite, run_state_sweep
 from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs, stack_pairs
-from qswitch.linalg import frobenius_distance_up_to_phase
+from qswitch.linalg import frobenius_distance_up_to_phase, frobenius_norm
 from qswitch.switch import (
     exit_probabilities,
     two_switch_output,
@@ -109,11 +109,9 @@ def test_criterion_02_perfect_discrimination_on_promise():
 
 
 def test_criterion_03_pauli_angle_table():
-    worst = 0.0
-    for row in load_pauli_table().rows:
-        target = PAULI_BY_NAME[row.index]
-        for triple in row.triples:
-            worst = max(worst, frobenius_distance_up_to_phase(triple_to_unitary(triple), target))
+    table = load_pauli_table()
+    targets = np.array([[PAULI_BY_NAME[name]] * 2 for name in table.index])
+    worst = float(frobenius_distance_up_to_phase(triple_to_unitary(table.angles), targets).max())
     report(
         "criterion 3 (Pauli plate-angle rows reconstruct their gate)",
         worst <= 1e-9,
@@ -122,11 +120,8 @@ def test_criterion_03_pauli_angle_table():
 
 
 def test_criterion_04_hundred_pair_table(table_pairs):
-    worst_alg = 0.0
-    for row in load_random_pairs_table().rows:
-        c1, c2, a1, a2 = (triple_to_unitary(t) for t in row.triples)
-        worst_alg = max(worst_alg, float(np.linalg.norm(c1 @ c2 - c2 @ c1)))
-        worst_alg = max(worst_alg, float(np.linalg.norm(a1 @ a2 + a2 @ a1)))
+    c1, c2, a1, a2 = np.moveaxis(triple_to_unitary(load_random_pairs_table().angles), 1, 0)
+    worst_alg = max(frobenius_norm(c1 @ c2 - c2 @ c1).max(), frobenius_norm(a1 @ a2 + a2 @ a1).max())
     u1, u2, port = stack_pairs(table_pairs)
     out = exit_probabilities(u1, u2)
     worst_succ = float((1.0 - np.where(port == 0, out.p0, out.p1)).max())

@@ -114,6 +114,17 @@ class TestSimulateCounts:
         counts_b = simulate_counts(ID2, ID2, PLUS, noise, RandomSource(6))
         assert np.array_equal(counts_a, counts_b)
 
+    @pytest.mark.parametrize("u1, psi, message", [
+        (2 * ID2, PLUS, "above 1"),
+        (0.5 * ID2, PLUS, "not unitary"),
+        (np.full((2, 2), np.nan), PLUS, "non-finite"),
+        (ID2, np.array([3.0, 0.0]), "above 1"),  # was hidden by the clip of p1
+        (ID2, np.array([0.6, 0.0]), "not normalized"),
+    ], ids=["twice-identity", "half-identity", "nan", "norm-3", "norm-0.6"])
+    def test_rejects_invalid_gates_and_states(self, u1, psi, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_counts(u1, ID2, psi, NoiseParams(), RandomSource(7))
+
 
 class TestCorrectedProbability:
     def test_pure_port0(self):

@@ -6,6 +6,7 @@ import pytest
 
 from qswitch.gates import (
     RandomSource,
+    _eigenphase_gates,
     anticommuting_pair,
     classify_pair,
     commuting_pair,
@@ -13,6 +14,7 @@ from qswitch.gates import (
     pairs_to_csv,
     pairs_to_json,
     sample_pairs,
+    stack_pairs,
 )
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase
 from qswitch.switch import Verdict
@@ -71,13 +73,14 @@ class TestPairConstructors:
             assert comm_norm(pair.u1, pair.u2) <= 1e-10
 
     def test_forced_zero_thetas(self):
-        pair = commuting_pair(RandomSource(2), thetas=(0.0, 0.0))
-        assert frobenius_distance_up_to_phase(pair.u1, ID2) <= 1e-12
-        assert frobenius_distance_up_to_phase(pair.u2, ID2) <= 1e-12
+        # theta = 0 gives the identity in any eigenbasis
+        rs = haar_random_unitaries(RandomSource(2), 3)
+        gates = _eigenphase_gates(rs, np.zeros(3))
+        assert frobenius_distance_up_to_phase(gates, np.broadcast_to(ID2, gates.shape)).max() <= 1e-12
 
     def test_forced_basis_identity_theta_pi(self):
-        pair = commuting_pair(RandomSource(3), thetas=(np.pi, np.pi / 2), basis=ID2)
-        assert frobenius_distance_up_to_phase(pair.u1, SZ) <= 1e-12
+        gate = _eigenphase_gates(ID2[None], np.array([np.pi]))[0]
+        assert frobenius_distance_up_to_phase(gate, SZ) <= 1e-12
 
     def test_anticommuting_pairs_anticommute(self):
         rng = RandomSource(4)
@@ -85,14 +88,16 @@ class TestPairConstructors:
             pair = anticommuting_pair(rng)
             assert pair.label is Verdict.ANTICOMMUTE
             assert anti_norm(pair.u1, pair.u2) <= 1e-10
-            # conjugated Paulis stay Hermitian and unitary
-            assert np.linalg.norm(pair.u1 - pair.u1.conj().T) <= 1e-12
-            assert np.linalg.norm(pair.u2 - pair.u2.conj().T) <= 1e-12
+            # conjugated Paulis stay Hermitian, traceless and unitary
+            for gate in (pair.u1, pair.u2):
+                assert np.linalg.norm(gate - gate.conj().T) <= 1e-12
+                assert abs(np.trace(gate)) <= 1e-12
 
     def test_forced_basis_identity(self):
-        pair = anticommuting_pair(RandomSource(5), basis=ID2)
-        assert np.allclose(pair.u1, SZ)
-        assert np.allclose(pair.u2, SY)
+        # in the basis R = I, theta = 0 gives I and theta = pi gives Z exactly
+        gates = _eigenphase_gates(np.array([ID2, ID2]), np.array([0.0, np.pi]))
+        assert np.allclose(gates[0], ID2)
+        assert np.allclose(gates[1], SZ)
 
     def test_commutator_of_anticommuting_pair_is_unitary(self):
         rng = RandomSource(6)
@@ -129,6 +134,16 @@ class TestClassifyPair:
                 base = classify_pair(u1, u2)
                 conj = classify_pair(r @ u1 @ r.conj().T, r @ u2 @ r.conj().T, tol=1e-8)
                 assert base is conj
+
+    def test_stacked_matches_per_pair_calls(self):
+        pairs = sample_pairs(RandomSource(14), 20, 20)
+        u1, u2, _ = stack_pairs(pairs)
+        u1 = np.concatenate([u1, [SX, SX]])  # a NEITHER pair among them
+        u2 = np.concatenate([u2, [HAD, ID2]])
+        stacked = classify_pair(u1.reshape(6, 7, 2, 2), u2.reshape(6, 7, 2, 2))
+        assert stacked.shape == (6, 7) and stacked.dtype == object
+        assert all(a is classify_pair(b1, b2) for a, b1, b2 in zip(stacked.reshape(-1), u1, u2))
+        assert stacked.reshape(-1)[-2] is Verdict.NEITHER
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,78 @@
+"""Deterministic CLI outputs, compared byte for byte with ``tests/golden/``.
+
+The golden files hold the written files of ``qswitch suite {pauli,random100,
+statesweep} --seed 0``, ``bound_evaluation.csv`` with the solver-independent
+fields of ``bound --json``, and the rounded angles of ``compile --json``.
+Raw residual floats are left out because they depend on the numpy build.
+
+Regenerate them, only when an output is meant to change, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qswitch.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SUITES = ("pauli", "random100", "statesweep")
+BOUND_KEYS = ("p_succ", "iterations", "table_pairs_success", "switch_success_same_pairs")
+COMPILE_SPECS = ("I", "X", "Y", "Z", "H", "wp:10,20,30")
+NAMES = [f"{which}_{kind}" for which in SUITES for kind in ("settings.csv", "summary.json")] + [
+    "bound_evaluation.csv", "bound.json", "compile.json"]
+
+
+def _stdout(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def _dump(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def golden_outputs(out: Path) -> dict[str, bytes]:
+    """Every golden file's fresh contents, by file name; ``out`` takes the CLI's files."""
+    files = {}
+    for which in SUITES:
+        _stdout(["suite", which, "--seed", "0", "--out", str(out)])
+        for name in (f"{which}_settings.csv", f"{which}_summary.json"):
+            files[name] = (out / name).read_bytes()
+    bound = json.loads(_stdout(["bound", "--json", "--out", str(out)]))
+    files["bound_evaluation.csv"] = (out / "bound_evaluation.csv").read_bytes()
+    files["bound.json"] = _dump({key: bound[key] for key in BOUND_KEYS})
+    angles = {}
+    for spec in COMPILE_SPECS:
+        payload = json.loads(_stdout(["compile", spec, "--json"]))
+        angles[spec] = [payload[key] for key in ("q_first", "h", "q_last")]
+    files["compile.json"] = _dump(angles)
+    return files
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_set_is_complete(fresh):
+    assert sorted(fresh) == sorted(NAMES) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_output_matches_golden(fresh, name):
+    assert fresh[name] == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in golden_outputs(Path(tmp)).items():
+            (GOLDEN / name).write_bytes(data)

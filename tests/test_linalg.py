@@ -10,7 +10,9 @@ from qswitch.linalg import (
     SZ,
     choi,
     frobenius_distance_up_to_phase,
+    frobenius_norm,
     require_state,
+    require_unitary,
     tensor,
 )
 
@@ -60,6 +62,20 @@ class TestPhaseDistance:
         with pytest.raises(ValueError):
             frobenius_distance_up_to_phase(SX, np.eye(4))
 
+    def test_stacked_matches_per_pair_calls(self):
+        rng = RandomSource(5)
+        a = haar_random_unitaries(rng, 60)
+        b = a * np.exp(0.3j) + 1e-9 * haar_random_unitaries(rng, 60)
+        b[:3] = 0.0  # zero overlap: the phase defaults to 1
+        stacked = frobenius_distance_up_to_phase(a.reshape(6, 10, 2, 2), b.reshape(6, 10, 2, 2))
+        assert stacked.shape == (6, 10)
+        assert np.array_equal(stacked.reshape(-1), [frobenius_distance_up_to_phase(x, y) for x, y in zip(a, b)])
+        assert isinstance(frobenius_distance_up_to_phase(a[0], b[0]), float)
+
+    def test_norm_matches_numpy_norm_of_one_matrix(self):
+        x = haar_random_unitaries(RandomSource(6), 1000) * 3.7 - 0.2j
+        assert np.array_equal(frobenius_norm(x), [np.linalg.norm(m) for m in x])
+
 
 class TestChoi:
     def test_identity_choi(self):
@@ -105,3 +121,18 @@ class TestRequireState:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             require_state(np.ones((4, 3)) / np.sqrt(3), 2)
+
+
+@pytest.mark.filterwarnings("error")
+class TestHugeEntries:
+    """Entries beyond any unitary's or normalized state's are rejected without a warning."""
+
+    @pytest.mark.parametrize("value", [1e200, 1.7e308, np.inf, np.nan, 1.5])
+    def test_require_unitary(self, value):
+        with pytest.raises(ValueError, match="above 1"):
+            require_unitary(np.full((2, 2), value))
+
+    @pytest.mark.parametrize("value", [1e200, 1.7e308, np.inf, np.nan, 1.5])
+    def test_require_state(self, value):
+        with pytest.raises(ValueError, match="above 1"):
+            require_state([value, 0.0])

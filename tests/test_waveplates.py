@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries
+from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries, stack_pairs
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase as fdist
 from qswitch.switch import Verdict, exit_probabilities
 from qswitch.waveplates import (
     TABLE_ANGLE_TOL,
-    WaveplateTriple,
+    AngleTable,
     decompose,
     hwp,
     load_angle_table,
@@ -78,27 +78,68 @@ class TestDecompose:
         assert fdist(triple_to_unitary(decompose(u)), u) <= 1e-8
 
     def test_haar_round_trip(self):
-        rng = RandomSource(21)
-        for u in haar_random_unitaries(rng, 10_000):
-            t = decompose(u)
-            assert fdist(triple_to_unitary(t), u) <= 1e-8
+        us = haar_random_unitaries(RandomSource(21), 10_000)
+        assert fdist(triple_to_unitary(decompose(us)), us).max() <= 1e-8
+
+    @given(
+        st.sampled_from(["cos M = 0", "sin M = 0"]),
+        st.one_of(st.just(0.0), st.floats(1e-300, 1e-6)),
+        st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+    )
+    def test_round_trip_near_singularities(self, where, eps, alpha, beta, phase):
+        # the unit quaternion (w, x, y, z) of U = w I - i (x sx + y sy + z sz) has
+        # cos M = |(w, y)| and sin M = |(x, z)|; put one of them at eps
+        small, large = eps * np.array([np.cos(alpha), np.sin(alpha)]), np.array([np.cos(beta), np.sin(beta)])
+        large *= np.sqrt(1.0 - eps**2)
+        (w, y), (x, z) = (small, large) if where == "cos M = 0" else (large, small)
+        u = np.exp(1j * phase) * (w * ID2 - 1j * (x * SX + y * SY + z * SZ))
+        angles = decompose(u)
+        assert angles.shape == (3,) and np.isfinite(angles).all()
+        assert fdist(triple_to_unitary(angles), u) <= 1e-8
+
+
+class TestStackedCalls:
+    """A stacked call gives bit for bit (signed zeros included) what the per-item calls give."""
+
+    @staticmethod
+    def assert_same_bits(stacked, items):
+        items = np.array(items)
+        assert stacked.shape == items.shape and stacked.tobytes() == items.tobytes()
+
+    def test_plates(self):
+        thetas = np.concatenate([[0.0, -0.0, 45.0, 90.0, -180.0],
+                                 RandomSource(1).generator.uniform(-360.0, 360.0, 64)])
+        for plate in (qwp, hwp):
+            self.assert_same_bits(plate(thetas), [plate(t) for t in thetas])
+
+    def test_triple_to_unitary(self):
+        angles = RandomSource(2).generator.uniform(-360.0, 360.0, (8, 8, 3))
+        angles[0] = [[0.0, 45.0, 0.0], [90.0, 45.0, 0.0], [-0.0, 0.0, 0.0], [90.0, 0.0, 90.0]] * 2
+        stacked = triple_to_unitary(angles)
+        assert stacked.shape == (8, 8, 2, 2)
+        self.assert_same_bits(stacked.reshape(-1, 2, 2), [triple_to_unitary(t) for t in angles.reshape(-1, 3)])
+
+    def test_decompose(self):
+        us = np.concatenate([[ID2, SX, SY, SZ, HAD, -ID2, 1j * SX, SY @ SZ],
+                             haar_random_unitaries(RandomSource(3), 56)])
+        stacked = decompose(us.reshape(8, 8, 2, 2))
+        assert stacked.shape == (8, 8, 3)
+        self.assert_same_bits(stacked.reshape(-1, 3), [decompose(u) for u in us])
 
 
 class TestPauliTable:
     def test_rows_reconstruct_their_gate(self):
         table = load_pauli_table()
-        assert len(table) == 4
-        for row in table.rows:
-            target = PAULI_BY_NAME[row.index]
-            for triple in row.triples:
-                assert fdist(triple_to_unitary(triple), target) <= 1e-9
+        assert len(table) == 4 and table.angles.shape == (4, 2, 3)
+        targets = np.array([[PAULI_BY_NAME[name]] * 2 for name in table.index])
+        assert fdist(triple_to_unitary(table.angles), targets).max() <= 1e-9
 
 
 class TestRandomPairsTable:
     def test_shape(self):
         table = load_random_pairs_table()
         assert len(table) == 50
-        assert all(len(row.triples) == 4 for row in table.rows)
+        assert table.angles.shape == (50, 4, 3)
 
     def test_half_wave_angle_diagnostics(self):
         table = load_random_pairs_table()
@@ -107,24 +148,40 @@ class TestRandomPairsTable:
         assert "row 21" in flagged and "187.37" in flagged
 
     def test_classification_at_loose_tolerance(self):
-        for row in load_random_pairs_table().rows:
-            c1, c2, a1, a2 = (triple_to_unitary(t) for t in row.triples)
-            assert classify_pair(c1, c2, tol=TABLE_ANGLE_TOL) is Verdict.COMMUTE
-            assert classify_pair(a1, a2, tol=TABLE_ANGLE_TOL) is Verdict.ANTICOMMUTE
+        gates = triple_to_unitary(load_random_pairs_table().angles)
+        commuting = classify_pair(gates[:, 0], gates[:, 1], tol=TABLE_ANGLE_TOL)
+        anticommuting = classify_pair(gates[:, 2], gates[:, 3], tol=TABLE_ANGLE_TOL)
+        assert all(v is Verdict.COMMUTE for v in commuting)
+        assert all(v is Verdict.ANTICOMMUTE for v in anticommuting)
 
     def test_table_gate_pairs_labels_and_success(self):
         pairs = table_gate_pairs()
         assert len(pairs) == 100
-        for pair in pairs:
-            out = exit_probabilities(pair.u1, pair.u2)
-            correct = out.p0 if pair.label is Verdict.COMMUTE else out.p1
-            assert correct >= 1 - 1e-3
+        u1, u2, port = stack_pairs(pairs)
+        out = exit_probabilities(u1, u2)
+        assert np.where(port == 0, out.p0, out.p1).min() >= 1 - 1e-3
+
+    @pytest.mark.parametrize("row, source, target, message", [
+        (5, slice(0, 2), slice(2, 4), "row 6: anti-commuting pair"),
+        (20, slice(2, 4), slice(0, 2), "row 21: commuting pair"),
+    ])
+    def test_mislabelled_row_is_named(self, row, source, target, message):
+        table = load_random_pairs_table()
+        angles = table.angles.copy()
+        angles[row, target] = angles[row, source]
+        with pytest.raises(ValueError, match=message):
+            table_gate_pairs(AngleTable(table.index, angles))
+
+    def test_two_triple_rows_are_rejected(self):
+        with pytest.raises(ValueError, match="expected 4 triples"):
+            table_gate_pairs(load_pauli_table())
 
 
 class TestLoadAngleTable:
     def test_empty_input(self):
         table = load_angle_table("")
         assert len(table) == 0
+        assert table.angles.shape == (0, 0, 3)
         assert table.diagnostics == []
 
     def test_header_skipped(self):
@@ -141,7 +198,16 @@ class TestLoadAngleTable:
 
     def test_angles_preserved_exactly(self):
         table = load_angle_table("1,25.61,5.20,24.38,24.97,25.80,25.02,1,2,3,4,5,6\n")
-        assert table.rows[0].triples[0] == WaveplateTriple(25.61, 5.20, 24.38)
+        assert table.index == ("1",)
+        assert table.angles[0, 0].tolist() == [25.61, 5.20, 24.38]
+
+    @pytest.mark.parametrize("source", [
+        "I,0,0,0,0,0,0\n1,0,0,0,0,0,0,0,0,0,0,0,0\n",
+        "1,0,0,0,0,0,0,0,0,0,0,0,0\nI,0,0,0,0,0,0\n",
+    ], ids=["7-then-13", "13-then-7"])
+    def test_mixed_layouts(self, source):
+        with pytest.raises(ValueError, match="row 1"):
+            load_angle_table(source)
 
     @pytest.mark.parametrize("source, where", [
         ("abc\n", "row 0"),
@@ -168,6 +234,6 @@ class TestLoadAngleTable:
             table = load_angle_table(buf.getvalue())
         except ValueError:
             return
-        for row in table.rows:
-            assert len(row.triples) in (2, 4)
-            assert all(np.isfinite(t.as_tuple()).all() for t in row.triples)
+        assert len(table.angles) == len(table.index)
+        assert table.angles.shape[1:] in ((2, 3), (4, 3)) if len(table) else table.angles.shape == (0, 0, 3)
+        assert np.isfinite(table.angles).all()
