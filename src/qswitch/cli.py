@@ -182,6 +182,9 @@ def cmd_bound(args) -> int:
         "p_succ": round(result.p_succ, 6),
         "iterations": result.iterations,
         "primal_residual": result.primal_residual,
+        "lower": result.lower,
+        "upper": result.upper,
+        "gap": result.gap,
         "residuals": {k: float(v) for k, v in result.residuals.items()},
         "table_pairs_success": round(table_success, 6),
         "switch_success_same_pairs": round(float(np.mean(ideal)), 6),

@@ -17,9 +17,10 @@ with the conjugated-amplitude construction used below).
 
 The objective Omega averages the score operators over the two promise
 classes.  It is computed exactly from a finite unitary design, not sampled.
-The optimization max tr(W Omega) over combs is solved by ADMM splitting:
-exact projection onto the affine comb subspace alternating with projection
-onto the PSD cone.
+Omega and the comb constraints share a symmetry, so max tr(W Omega) over
+combs is solved by ADMM in 28 real coordinates of the symmetric subspace
+(see "block coordinates" below).  The solve returns the optimal comb as a
+32x32 operator and a certified interval around the optimum.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .gates import GatePair, stack_pairs
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import SY, SZ, choi, choi_vector, require_state, require_unitary
+from .linalg import ID2, SY, SZ, choi, choi_vector, require_state, require_unitary, tensor
 
 __all__ = [
     "CombResult",
@@ -66,7 +67,13 @@ class CombResult:
     comb: np.ndarray
     iterations: int
     primal_residual: float
+    lower: float  # certified interval around the optimum
+    upper: float
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
 
 
 def _basis_projector(i: int) -> np.ndarray:
@@ -205,14 +212,15 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
 
 
 def _tail_traces(x: np.ndarray) -> list[np.ndarray]:
-    """[x, tr_P5 x, tr_P4P5 x, tr_P3P4P5 x, tr_P2..P5 x] of a 32x32 operator.
+    """[x, tr_P5 x, tr_P4P5 x, tr_P3P4P5 x, tr_P2..P5 x] of a 32x32 operator
+    or a stack (..., 32, 32) of them.
 
     Every comb constraint traces a tail of the wire order, so each entry is
     the previous one with its last qubit traced out.
     """
     traces = [x]
     for m in (16, 8, 4, 2):
-        traces.append(traces[-1].reshape(m, 2, m, 2).trace(axis1=1, axis2=3))
+        traces.append(traces[-1].reshape(x.shape[:-2] + (m, 2, m, 2)).trace(axis1=-3, axis2=-1))
     return traces
 
 
@@ -238,7 +246,8 @@ def comb_residuals(w: np.ndarray) -> dict:
 
 
 def project_comb_affine(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the affine comb subspace.
+    """Orthogonal projection onto the affine comb subspace, of a 32x32 operator
+    or of each operator of a stack (..., 32, 32).
 
     The two recursive constraints are kernels of the commuting orthogonal
     projections L5(1-L4) and L345(1-L2), where L_S replaces wires S by the
@@ -258,42 +267,187 @@ def project_comb_affine(x: np.ndarray) -> np.ndarray:
         - np.kron(t3 / 8, np.eye(8))
         + np.kron(t4 / 16, np.eye(16))
     )
-    y += (4.0 - np.trace(y).real) / DIM * np.eye(DIM)
+    y += ((4.0 - np.trace(y, axis1=-2, axis2=-1).real) / DIM)[..., None, None] * np.eye(DIM)
     return y
 
 
-def _project_psd(x: np.ndarray) -> np.ndarray:
-    h = (x + x.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+# --------------------------------------------------------------------------
+# block coordinates of the symmetric subspace
+#
+# Omega and the comb constraints are invariant under conj(V) (x) V (x) conj(V)
+# (x) V (x) I for every qubit unitary V, so the optimum can be taken in the
+# commutant of that action.  With sigma_y on P1 and P3 the action becomes
+# V^(x)4, whose commutant on the four gate wires is I5 (x) M2 + I3 (x) M1 +
+# I1 (x) M0 in the total-spin (Schur) basis, with blocks M_j of size 1, 3
+# and 2.  Each outcome |i><i| of P5 has its own three blocks: 2 x (1 + 9 + 4)
+# = 28 real coordinates (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).
+
+SPINS = (2, 1, 0)
+MULTIPLICITIES = (1, 3, 2)  # copies of each spin in four qubits: the size of M_j
+
+
+def _schur_vectors() -> np.ndarray:
+    """The vectors |j, m, a> of the gate wires in the comb's frame, shape (3, 16, 5, 3).
+
+    Index 0 runs over j = 2, 1, 0; m over the 2j+1 spin states (zero-padded
+    to 5) and a over the copies of spin j (zero-padded to 3).  The copies at
+    m = j span the kernel of the raising operator at J_z = j; lowering them
+    step by step gives every copy the same phases, so V^(x)4 acts alike on all.
+    """
+    lowering = np.zeros((16, 16))  # J-: each qubit in turn from |0> (up) to |1>, P1 the high bit
+    for s, bit in itertools.product(range(16), (8, 4, 2, 1)):
+        if not s & bit:
+            lowering[s | bit, s] = 1.0
+    spin_z = np.array([2 - bin(s).count("1") for s in range(16)])
+    frame = tensor(SY, ID2, SY, ID2)
+    q = np.zeros((3, 16, 5, 3), dtype=complex)
+    for s, (j, mult) in enumerate(zip(SPINS, MULTIPLICITIES)):
+        top = np.flatnonzero(spin_z == j)
+        vecs = np.zeros((16, mult))
+        vecs[top] = np.linalg.svd(lowering.T[:, top])[2][len(top) - mult:].T
+        for m in range(2 * j + 1):
+            if m:
+                vecs = lowering @ vecs
+                vecs /= np.linalg.norm(vecs, axis=0)
+            q[s, :, m, :mult] = frame @ vecs
+    return q
+
+
+def _unit_blocks() -> np.ndarray:
+    """The blocks M[i, j] of the 28 unit coordinates, shape (28, 6, 3, 3), zero-padded.
+
+    Per block: the diagonal entries and, for each entry above it, the real
+    and imaginary parts times sqrt(2); all divided by sqrt(2j+1), the norm
+    of I_{2j+1}, so that the coordinates are Frobenius-orthonormal.
+    """
+    units = []
+    for slot in range(6):
+        j, mult = SPINS[slot % 3], MULTIPLICITIES[slot % 3]
+        for a, b in zip(*np.triu_indices(mult)):
+            for entry in ([1.0] if a == b else [np.sqrt(0.5), 1j * np.sqrt(0.5)]):
+                unit = np.zeros((6, 3, 3), dtype=complex)
+                unit[slot, a, b] = entry
+                unit[slot, b, a] = np.conj(entry)
+                units.append(unit / np.sqrt(2 * j + 1))
+    return np.array(units)
+
+
+class _BlockCoordinates:
+    """Frobenius-orthonormal real coordinates of the symmetric Hermitian operators.
+
+    ``basis`` holds the 28 operators B_k (32x32); ``affine`` (28x28) and
+    ``offset`` (the coordinates of I * 4/32) are ``project_comb_affine`` in
+    these coordinates, read off one stacked call.  Built per solve, so that
+    importing the package builds nothing.
+    """
+
+    def __init__(self) -> None:
+        q = _schur_vectors()
+        units = _unit_blocks()
+        # on the gate wires, entry (a, b) of M_j is the operator sum_m |j, m, a><j, m, b|
+        entries = np.einsum("spma,sqmb->sabpq", q, q.conj()).reshape(27, 256)
+        gate_wires = (units.reshape(56, 27) @ entries).reshape(28, 2, 16, 16)
+        basis = np.zeros((28, 16, 2, 16, 2), dtype=complex)
+        for i in (0, 1):
+            basis[:, :, i, :, i] = gate_wires[:, i]
+        self.basis = basis.reshape(28, DIM, DIM)
+        # blocks as floats (real and imaginary parts interleaved), 108 per operator
+        self.to_blocks = units.reshape(28, -1).view(float).T
+        # <B_k, X> = (2j+1) <M_k, P> for X with blocks P, and <M_k, M_k> = 1/(2j+1)
+        self.from_blocks = self.to_blocks.T / (self.to_blocks**2).sum(axis=0)[:, None]
+        zero_and_basis = np.concatenate([np.zeros((1, DIM, DIM)), self.basis])
+        projected = self.reduce(project_comb_affine(zero_and_basis))
+        self.offset = projected[0]
+        self.affine = (projected[1:] - self.offset).T
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates <B_k, x> of the symmetric part of a 32x32 operator or of
+        each operator of a stack (..., 32, 32)."""
+        flat = np.reshape(x, np.shape(x)[:-2] + (-1,))
+        return (flat @ self.basis.reshape(len(self.basis), -1).conj().T).real
+
+    def embed(self, c: np.ndarray) -> np.ndarray:
+        """The 32x32 operator sum_k c_k B_k."""
+        return np.tensordot(c, self.basis, 1)
+
+    def blocks(self, c: np.ndarray) -> np.ndarray:
+        """The six padded 3x3 blocks M[i, j] (outcome, spin) of coordinates ``c``."""
+        return (self.to_blocks @ c).view(complex).reshape(6, 3, 3)
+
+    def coordinates(self, blocks: np.ndarray) -> np.ndarray:
+        """The coordinates of six padded Hermitian blocks; inverse of ``blocks``."""
+        return self.from_blocks @ blocks.view(float).reshape(-1)
+
+    def min_eigenvalue(self, c: np.ndarray) -> float:
+        """Smallest eigenvalue of the six padded blocks, the padding's zeros included."""
+        return float(np.linalg.eigvalsh(self.blocks(c)).min())
+
+
+def _certified_interval(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
+                        u: np.ndarray) -> tuple[float, float]:
+    """[lower, upper] around the optimum from the last ADMM primal ``z`` and multiplier ``u``.
+
+    Lower: ``z`` projected onto the affine comb subspace and mixed with the
+    feasible I * 4/32 just enough to be PSD, so a valid comb.  Upper: the dual
+    witness T, the projection of Omega - RHO u onto the complement of the
+    comb subspace, shifted by eps I until T - Omega is PSD.  For every comb
+    W, <Omega, W> <= <T, W> = <T, I * 4/32>, as T is orthogonal to the
+    differences of combs; the identity is too, so the shift adds 4 eps.
+    """
+    w = coords.affine @ z + coords.offset
+    lam = min(coords.min_eigenvalue(w), 0.0)
+    mix = lam / (lam - 4.0 / DIM)  # (1 - mix) lam + mix * 4/32 = 0
+    lower = float(target @ ((1.0 - mix) * w + mix * coords.offset))
+    s = target - RHO * u
+    t = s - coords.affine @ s
+    eps = -min(coords.min_eigenvalue(t - target), 0.0)
+    upper = float(t @ coords.offset) + 4.0 * eps
+    return lower, upper
 
 
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
-    """Maximize tr(W Omega) over valid combs by ADMM splitting.
+    """Maximize tr(W Omega) over valid combs by ADMM in the 28 block coordinates.
 
-    Alternates the exact affine-subspace projection ``project_comb_affine``
-    (with the linear objective folded into the proximal step at penalty
-    ``RHO``, relaxed by ``OVER_RELAXATION``) against the PSD-cone projection.
+    ``omega`` must be invariant under conj(V) (x) V (x) conj(V) (x) V (x) I,
+    as the class-averaged objective is; ValueError otherwise.  Each
+    iteration applies the affine comb projection as a fixed 28x28 map plus
+    an offset, read off ``project_comb_affine`` (with the linear objective
+    folded into the proximal step at penalty ``RHO``, relaxed by
+    ``OVER_RELAXATION``), then projects onto the PSD cone with one batched
+    eigh of the six padded 3x3 blocks.  The coordinates are orthonormal, so
+    the primal residual and the objective are those of the 32x32 operators.
     Stops when the primal residual is below ``PRIMAL_TOL`` and the objective
     has moved less than ``OBJECTIVE_TOL`` over the last 100 iterations;
     raises RuntimeError if that has not happened after ``MAX_ITER``.
+
+    The result holds the final iterate as a 32x32 comb in the original frame,
+    its objective and residuals, and a certified interval [lower, upper]
+    (``_certified_interval``) that contains the optimum.
     """
-    omega_m = np.asarray(omega)
-    omega_m = (omega_m + omega_m.conj().T) / 2.0
-    z = np.eye(DIM, dtype=complex) * (4.0 / DIM)
-    u = np.zeros((DIM, DIM), dtype=complex)
+    omega = np.asarray(omega, dtype=complex)
+    if omega.shape != (DIM, DIM):
+        raise ValueError(f"objective must be {DIM}x{DIM}, got shape {omega.shape}")
+    coords = _BlockCoordinates()
+    target = coords.reduce(omega)
+    off_subspace = float(np.linalg.norm(omega - coords.embed(target)))
+    if not off_subspace <= 1e-10 * (1.0 + float(np.linalg.norm(omega))):
+        raise ValueError(f"objective is not invariant under the gate symmetry "
+                         f"(distance {off_subspace:.3e} from the symmetric subspace)")
+    affine, offset = coords.affine, coords.offset
+    pull = target / RHO
+    z = offset  # I * 4/32
+    u = np.zeros_like(z)
     objective_history: list[float] = []
-    w = z
     resid = np.inf
     for it in range(1, MAX_ITER + 1):
-        w = project_comb_affine(z - u + omega_m / RHO)
+        w = affine @ (z - u + pull) + offset
         w_relaxed = OVER_RELAXATION * w + (1.0 - OVER_RELAXATION) * z
-        z = _project_psd(w_relaxed + u)
+        lam, vec = np.linalg.eigh(coords.blocks(w_relaxed + u))
+        psd = (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(np.swapaxes(vec, -2, -1))
+        z = coords.coordinates(psd)
         u = u + w_relaxed - z
         resid = float(np.linalg.norm(w - z))
-        obj = float(np.trace(omega_m @ z).real)
-        objective_history.append(obj)
+        objective_history.append(float(target @ z))
         if (
             it >= 100
             and resid <= PRIMAL_TOL
@@ -301,18 +455,21 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         ):
             break
     # z is PSD by construction and affine-feasible up to the primal residual
-    residuals = comb_residuals(z)
-    p_succ = float(np.trace(omega_m @ z).real)
+    comb = coords.embed(z)
+    residuals = comb_residuals(comb)
     if not resid <= PRIMAL_TOL:
         raise RuntimeError(
             f"ADMM did not converge in {MAX_ITER} iterations "
             f"(primal residual {resid:.3e}, residuals {residuals})"
         )
+    lower, upper = _certified_interval(coords, target, z, u)
     return CombResult(
-        p_succ=p_succ,
-        comb=z,
+        p_succ=float(np.trace(omega @ comb).real),
+        comb=comb,
         iterations=it,
         primal_residual=resid,
+        lower=lower,
+        upper=upper,
         residuals=residuals,
     )
 

@@ -352,6 +352,8 @@ def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
 
 def _random_settings(pairs: list[GatePair] | None) -> _Settings:
     if pairs is not None:
+        if len(pairs) == 0:
+            raise ValueError("no pairs were given")
         u1, u2, port = stack_pairs(pairs)
         ids = [f"P{k}" for k in range(len(pairs))]
         angles = decompose(np.stack([u1, u2], axis=1)).reshape(-1, 6)

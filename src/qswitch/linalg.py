@@ -46,9 +46,10 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
     # no unitary has a larger entry; this rejects NaN and inf and keeps the residual finite
-    if not np.abs(u).max() <= 1.0 + UNITARY_TOL:
+    # (initial=0.0 lets an empty stack through)
+    if not np.abs(u).max(initial=0.0) <= 1.0 + UNITARY_TOL:
         raise ValueError("matrix has an entry that is non-finite or above 1 in modulus")
-    resid = _unitarity_residual(u).max()
+    resid = _unitarity_residual(u).max(initial=0.0)
     if not resid <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
     return u
@@ -60,9 +61,9 @@ def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim < 1 or (dim is not None and psi.shape[-1] != dim):
         raise ValueError(f"state has shape {psi.shape}, expected (..., {dim or 'n'})")
-    if not np.abs(psi).max() <= 1.0 + UNITARY_TOL:  # as in require_unitary
+    if not np.abs(psi).max(initial=0.0) <= 1.0 + UNITARY_TOL:  # as in require_unitary
         raise ValueError("state has an entry that is non-finite or above 1 in modulus")
-    dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max()
+    dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max(initial=0.0)
     if not dev <= UNITARY_TOL:
         raise ValueError(f"state is not normalized (norm off by {dev:.3e})")
     return psi
@@ -82,7 +83,8 @@ def frobenius_norm(x: np.ndarray) -> np.ndarray:
     Summed as ``np.linalg.norm`` sums one matrix, so that a stacked result is
     bit-equal to per-matrix calls (the ``axis`` form of ``norm`` is not).
     """
-    flat = np.asarray(x, dtype=complex).reshape(np.shape(x)[:-2] + (-1,))
+    x = np.asarray(x, dtype=complex)
+    flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))  # not -1: stacks may be empty
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 

@@ -153,6 +153,20 @@ def test_criterion_05_fixed_order_bound(bound):
     )
 
 
+def test_fixed_order_bound_is_certified(bound):
+    # a feasible comb gives the lower end and a dual witness the upper end;
+    # the optimum is conjectured to be (17 + 2 sqrt 7)/24 (ROADMAP item 2)
+    closed_form = (17 + 2 * np.sqrt(7)) / 24
+    ok = (bound.lower <= bound.p_succ <= bound.upper and bound.gap <= 1e-8
+          and bound.lower <= closed_form <= bound.upper)
+    report(
+        "certified fixed-order bound",
+        ok,
+        f"[{bound.lower:.15f}, {bound.upper:.15f}], gap {bound.gap:.1e} (tol 1e-8), "
+        f"p_succ {bound.p_succ:.15f}, (17 + 2 sqrt 7)/24 = {closed_form:.15f}",
+    )
+
+
 def test_criterion_06_bound_on_table_pairs(bound, table_pairs):
     value = evaluate_comb(bound.comb, table_pairs)
     report(

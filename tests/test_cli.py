@@ -271,6 +271,7 @@ class TestBound:
         assert data["p_succ"] == pytest.approx(0.9288, abs=0.005)
         assert data["table_pairs_success"] == pytest.approx(0.939, abs=0.01)
         assert data["switch_success_same_pairs"] >= 0.999
+        assert data["lower"] <= data["upper"] and data["gap"] == data["upper"] - data["lower"]
         rows = (tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()
         assert len(rows) == 101
 

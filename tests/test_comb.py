@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qswitch.comb import (
     DIM,
     DIMS,
+    _BlockCoordinates,
     _tail_traces,
     build_comb_from_circuit,
     class_averaged_objective,
@@ -147,6 +148,15 @@ class TestExactObjective:
 
 
 class TestTailTraces:
+    def test_stack_matches_per_operator_calls(self):
+        gen = np.random.default_rng(10)
+        x = np.stack([random_hermitian(gen, DIM) for _ in range(3)])
+        stacked = _tail_traces(x)
+        for k in range(3):
+            for got, one in zip(stacked, _tail_traces(x[k])):
+                assert np.array_equal(got[k], one)
+        assert np.array_equal(project_comb_affine(x)[1], project_comb_affine(x[1]))
+
     def test_product_operators(self):
         # tracing the last k wires of A (x) B, with B on those k wires, gives tr(B) A
         gen = np.random.default_rng(9)
@@ -187,6 +197,60 @@ class TestAffineProjection:
         v3 = np.linalg.qr(random_hermitian(gen, 4) * 1j + random_hermitian(gen, 4))[0]
         w = build_comb_from_circuit(prep, v2, v3)
         assert np.linalg.norm(project_comb_affine(w) - w) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def coords():
+    return _BlockCoordinates()
+
+
+def gate_symmetry(v):
+    """conj(V) (x) V (x) conj(V) (x) V (x) I, under which Omega and the comb constraints are invariant."""
+    return tensor(v.conj(), v, v.conj(), v, ID2)
+
+
+class TestBlockCoordinates:
+    def test_basis_is_orthonormal_and_hermitian(self, coords):
+        flat = coords.basis.reshape(28, -1)
+        assert np.abs((flat.conj() @ flat.T).real - np.eye(28)).max() <= 1e-14
+        assert np.abs(coords.basis - np.conj(np.swapaxes(coords.basis, -2, -1))).max() <= 1e-15
+
+    def test_basis_commutes_with_gate_symmetry(self, coords):
+        for v in icosahedral_design():
+            g = gate_symmetry(v)
+            assert np.abs(g @ coords.basis - coords.basis @ g).max() <= 1e-14
+
+    def test_affine_map_matches_projection(self, coords):
+        gen = np.random.default_rng(18)
+        for c in gen.standard_normal((10, 28)):
+            full = project_comb_affine(coords.embed(c))
+            assert np.abs(coords.embed(coords.affine @ c + coords.offset) - full).max() <= 1e-13
+
+    def test_objective_round_trip(self, coords, small_objective):
+        assert np.abs(coords.embed(coords.reduce(small_objective)) - small_objective).max() <= 1e-14
+
+    def test_blocks_round_trip(self, coords):
+        c = np.random.default_rng(19).standard_normal(28)
+        blocks = coords.blocks(c)
+        assert np.array_equal(blocks, np.conj(np.swapaxes(blocks, -2, -1)))
+        assert np.abs(coords.coordinates(blocks) - c).max() <= 1e-15
+        # the six blocks hold the spectrum of the 32x32 operator, each eigenvalue
+        # of spin-j block repeated 2j+1 times
+        sizes = [1, 3, 2] * 2
+        spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(b[:m, :m]), 5 - 2 * (k % 3))
+                                   for k, (b, m) in enumerate(zip(blocks, sizes))])
+        assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(coords.embed(c))).max() <= 1e-13
+
+    def test_rejects_non_invariant_objective(self):
+        omega = random_hermitian(np.random.default_rng(20), DIM)
+        with pytest.raises(ValueError, match="not invariant"):
+            optimize_fixed_order(omega)
+
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
+    def test_projection_idempotent(self, coords, seed, exponent):
+        c = np.random.default_rng(seed).standard_normal(28) * 10.0**exponent
+        p = coords.affine @ c + coords.offset
+        assert np.linalg.norm(coords.affine @ p + coords.offset - p) <= 1e-12 * (1 + np.linalg.norm(c))
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +312,12 @@ class TestOptimization:
         prob = cp.Problem(cp.Maximize(cp.real(cp.trace(omega @ w))), constraints)
         prob.solve(solver=cp.SCS, eps=1e-8)
         assert optimum.p_succ == pytest.approx(prob.value, abs=1e-4)
+
+    def test_comb_is_symmetric(self, optimum):
+        # the iterate stays in the symmetric subspace, so the comb it maps back to does too
+        for v in icosahedral_design()[::7]:
+            g = gate_symmetry(v)
+            assert np.abs(g @ optimum.comb - optimum.comb @ g).max() <= 1e-13
 
     def test_deterministic(self, small_objective, optimum):
         again = optimize_fixed_order(small_objective)

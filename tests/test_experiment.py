@@ -235,6 +235,10 @@ class TestSuites:
         report = run_random_suite(NoiseParams.noiseless(), RandomSource(16), pairs=pairs)
         assert report.mean_success == 1.0
 
+    def test_random_suite_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="no pairs were given"):
+            run_random_suite(NoiseParams(), RandomSource(16), pairs=[])
+
     def test_state_sweep_reports_per_state(self):
         report = run_state_sweep(NoiseParams(), RandomSource(17))
         assert len(report.settings) == 80

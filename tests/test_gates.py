@@ -149,6 +149,10 @@ class TestClassifyPair:
         with pytest.raises(ValueError):
             classify_pair(SX, SY, tol=0.0)
 
+    def test_empty_stack(self):
+        verdicts = classify_pair(np.empty((0, 2, 2)), np.empty((0, 2, 2)))
+        assert verdicts.shape == (0,) and verdicts.dtype == object
+
 
 class TestExport:
     def test_csv_round_trip(self, tmp_path):

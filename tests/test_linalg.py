@@ -122,6 +122,11 @@ class TestRequireState:
         with pytest.raises(ValueError):
             require_state(np.ones((4, 3)) / np.sqrt(3), 2)
 
+    def test_empty_stacks(self):
+        assert require_state(np.empty((0, 2)), 2).shape == (0, 2)
+        assert require_unitary(np.empty((0, 2, 2))).shape == (0, 2, 2)
+        assert frobenius_norm(np.empty((0, 2, 2))).shape == (0,)
+
 
 @pytest.mark.filterwarnings("error")
 class TestHugeEntries:

@@ -136,6 +136,11 @@ class TestExitProbabilities:
                 assert stacked.p1[k] == pytest.approx(one.p1, abs=1e-15)
                 assert stacked.degenerate[k] == one.degenerate
 
+    def test_empty_stack(self):
+        empty = np.empty((0, 2, 2))
+        out = exit_probabilities(empty, empty)
+        assert out.p0.shape == out.p1.shape == out.verdict.shape == out.degenerate.shape == (0,)
+
     def test_state_independence_on_promise(self):
         rng = RandomSource(5)
         for _ in range(10):

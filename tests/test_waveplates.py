@@ -126,6 +126,9 @@ class TestStackedCalls:
         assert stacked.shape == (8, 8, 3)
         self.assert_same_bits(stacked.reshape(-1, 3), [decompose(u) for u in us])
 
+    def test_decompose_empty_stack(self):
+        assert decompose(np.empty((0, 2, 2))).shape == (0, 3)
+
 
 class TestPauliTable:
     def test_rows_reconstruct_their_gate(self):
