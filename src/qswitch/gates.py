@@ -8,7 +8,6 @@ R sigma_y R^dag for the same Haar R.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "sample_pairs",
     "stack_pairs",
     "pairs_to_csv",
-    "pairs_to_json",
 ]
 
 DEFAULT_CLASSIFY_TOL = 1e-8
@@ -87,14 +85,10 @@ def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
     return _ginibre_to_unitary(g)
 
 
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -2, -1))
-
-
 def _eigenphase_gates(rs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """R diag(1, e^{i theta}) R^dag for each basis R of a stack and its phase theta."""
     eigenvalues = np.stack([np.ones_like(theta), np.exp(1j * theta)], axis=-1)
-    return (rs * eigenvalues[:, None, :]) @ _dagger(rs)
+    return (rs * eigenvalues[:, None, :]) @ rs.mT.conj()
 
 
 def _labelled_pairs(u1: np.ndarray, u2: np.ndarray, label: Verdict, record: dict) -> list[GatePair]:
@@ -114,7 +108,7 @@ def _anticommuting_pairs(rng: RandomSource, n: int) -> list[GatePair]:
     """n pairs R sigma_z R^dag, R sigma_y R^dag with Haar R."""
     record = rng.record()
     rs = haar_random_unitaries(rng, n)
-    return _labelled_pairs(rs @ SZ @ _dagger(rs), rs @ SY @ _dagger(rs), Verdict.ANTICOMMUTE, record)
+    return _labelled_pairs(rs @ SZ @ rs.mT.conj(), rs @ SY @ rs.mT.conj(), Verdict.ANTICOMMUTE, record)
 
 
 def commuting_pair(rng: RandomSource) -> GatePair:
@@ -184,18 +178,3 @@ def pairs_to_csv(pairs: list[GatePair], path) -> None:
         writer.writerow(_CSV_HEADER)
         for k, pair in enumerate(pairs):
             writer.writerow(_pair_row(k, pair))
-
-
-def pairs_to_json(pairs: list[GatePair]) -> str:
-    rows = []
-    for k, pair in enumerate(pairs):
-        rows.append(
-            {
-                "index": k,
-                "label": pair.label.value,
-                "u1": [[entry.real, entry.imag] for entry in pair.u1.reshape(-1)],
-                "u2": [[entry.real, entry.imag] for entry in pair.u2.reshape(-1)],
-                "seed_record": pair.seed_record,
-            }
-        )
-    return json.dumps(rows, indent=2)

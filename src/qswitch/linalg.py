@@ -29,14 +29,17 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
+for _const in (ID2, SX, SY, SZ, HAD):
+    _const.flags.writeable = False  # require_unitary hands back these very objects
+
 PAULI_GATES = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 
 UNITARY_TOL = 1e-10
 
 
-def _unitarity_residual(u: np.ndarray) -> np.ndarray:
-    """Frobenius norm of U U^dag - I for each matrix of a stack (..., n, n)."""
-    return np.linalg.norm(u @ np.conj(np.swapaxes(u, -2, -1)) - np.eye(u.shape[-1]), axis=(-2, -1))
+def _max(x: np.ndarray) -> float:
+    """Largest entry of ``x``; NaN if any entry is NaN, and 0.0 for an empty stack."""
+    return np.maximum.reduce(x, axis=None, initial=0.0)
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
@@ -46,10 +49,13 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
     # no unitary has a larger entry; this rejects NaN and inf and keeps the residual finite
-    # (initial=0.0 lets an empty stack through)
-    if not np.abs(u).max(initial=0.0) <= 1.0 + UNITARY_TOL:
+    if not _max(np.abs(u)) <= 1.0 + UNITARY_TOL:
         raise ValueError("matrix has an entry that is non-finite or above 1 in modulus")
-    resid = _unitarity_residual(u).max(initial=0.0)
+    n = u.shape[-1]
+    # U U^dag - I as rows of n*n entries; the subtraction touches only this fresh product
+    dev = (u @ u.mT.conj()).reshape(u.shape[:-2] + (n * n,))
+    dev[..., :: n + 1] -= 1.0
+    resid = np.sqrt(_max(np.vecdot(dev, dev).real))  # largest Frobenius norm of the stack
     if not resid <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
     return u
@@ -61,9 +67,9 @@ def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim < 1 or (dim is not None and psi.shape[-1] != dim):
         raise ValueError(f"state has shape {psi.shape}, expected (..., {dim or 'n'})")
-    if not np.abs(psi).max(initial=0.0) <= 1.0 + UNITARY_TOL:  # as in require_unitary
+    if not _max(np.abs(psi)) <= 1.0 + UNITARY_TOL:  # as in require_unitary
         raise ValueError("state has an entry that is non-finite or above 1 in modulus")
-    dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max(initial=0.0)
+    dev = _max(np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0))
     if not dev <= UNITARY_TOL:
         raise ValueError(f"state is not normalized (norm off by {dev:.3e})")
     return psi

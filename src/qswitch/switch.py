@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+PLUS.flags.writeable = False
 
 
 class Verdict(str, enum.Enum):
@@ -58,9 +59,11 @@ def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.nda
     Gates may be stacks (..., 2, 2) and states stacks (..., 2); the result
     has the broadcast shape (..., 4).
     """
-    u1 = require_unitary(u1)
-    u2 = require_unitary(u2)
-    psi = require_state(psi, 2)
+    return _switch_output(require_unitary(u1), require_unitary(u2), require_state(psi, 2))
+
+
+def _switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``two_switch_output`` on inputs that are already validated."""
     ab, ba = u1 @ u2, u2 @ u1
     # (..., 4, 2): the anti-commutator stacked over the commutator
     halves = np.concatenate([ab + ba, ab - ba], axis=-2)
@@ -86,7 +89,9 @@ def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -
 def exit_probabilities(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray | None = None) -> SwitchOutcome:
     """Port probabilities and verdict of the switch protocol, for one pair of
     gates or for stacks (..., 2, 2) of them and of states (..., 2)."""
-    out = two_switch_output(u1, u2, PLUS if psi is None else psi)
+    u1, u2 = require_unitary(u1), require_unitary(u2)
+    # PLUS is read-only and valid, so only a caller's state is checked
+    out = _switch_output(u1, u2, PLUS if psi is None else require_state(psi, 2))
     square = (out.conj() * out).real
     p0 = square[..., 0] + square[..., 1]
     p1 = square[..., 2] + square[..., 3]

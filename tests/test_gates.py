@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from qswitch.gates import (
     commuting_pair,
     haar_random_unitaries,
     pairs_to_csv,
-    pairs_to_json,
     sample_pairs,
     stack_pairs,
 )
@@ -177,9 +175,3 @@ class TestExport:
         assert rows[0][-1] == "seed"
         assert len(rows) == 101
         assert all(row[-1] == "" for row in rows[1:])
-
-    def test_json_fields(self):
-        pairs = sample_pairs(RandomSource(13), 1, 1)
-        data = json.loads(pairs_to_json(pairs))
-        assert [d["label"] for d in data] == ["COMMUTE", "ANTICOMMUTE"]
-        assert all("seed_record" in d for d in data)

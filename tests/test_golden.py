@@ -2,7 +2,8 @@
 
 The golden files hold the written files of ``qswitch suite {pauli,random100,
 statesweep} --seed 0``, ``bound_evaluation.csv`` with the solver-independent
-fields of ``bound --json``, and the rounded angles of ``compile --json``.
+fields of ``bound --json``, the rounded angles of ``compile --json``, and the
+payloads of ``discriminate --json`` for a few gate pairs and input states.
 Raw residual floats are left out because they depend on the numpy build.
 
 Regenerate them, only when an output is meant to change, with
@@ -23,8 +24,16 @@ GOLDEN = Path(__file__).parent / "golden"
 SUITES = ("pauli", "random100", "statesweep")
 BOUND_KEYS = ("p_succ", "iterations", "table_pairs_success", "switch_success_same_pairs")
 COMPILE_SPECS = ("I", "X", "Y", "Z", "H", "wp:10,20,30")
+# (u1, u2, state): one exit_probabilities call each, on the switch's one-pair path
+DISCRIMINATE_CASES = (
+    ("X", "Y", "+"),
+    ("X", "X", "+"),
+    ("H", "Z", "+"),
+    ("wp:0,45,0", "Z", "0"),
+    ("wp:10,20,30", "wp:1,2,3", "0.6,0,0,0.8"),
+)
 NAMES = [f"{which}_{kind}" for which in SUITES for kind in ("settings.csv", "summary.json")] + [
-    "bound_evaluation.csv", "bound.json", "compile.json"]
+    "bound_evaluation.csv", "bound.json", "compile.json", "discriminate.json"]
 
 
 def _stdout(argv: list[str]) -> str:
@@ -54,6 +63,11 @@ def golden_outputs(out: Path) -> dict[str, bytes]:
         payload = json.loads(_stdout(["compile", spec, "--json"]))
         angles[spec] = [payload[key] for key in ("q_first", "h", "q_last")]
     files["compile.json"] = _dump(angles)
+    verdicts = {}
+    for u1, u2, state in DISCRIMINATE_CASES:
+        argv = ["discriminate", "--u1", u1, "--u2", u2, "--state", state, "--json"]
+        verdicts[f"{u1} {u2} {state}"] = json.loads(_stdout(argv))
+    files["discriminate.json"] = _dump(verdicts)
     return files
 
 

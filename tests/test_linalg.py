@@ -1,13 +1,19 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qswitch.gates import RandomSource, haar_random_unitaries
 from qswitch.linalg import (
     HAD,
     ID2,
+    PAULI_GATES,
     SX,
     SY,
     SZ,
+    UNITARY_TOL,
     choi,
     frobenius_distance_up_to_phase,
     frobenius_norm,
@@ -141,3 +147,89 @@ class TestHugeEntries:
     def test_require_state(self, value):
         with pytest.raises(ValueError, match="above 1"):
             require_state([value, 0.0])
+
+
+@pytest.mark.parametrize("gate", [HAD, *PAULI_GATES.values()], ids=["H", *PAULI_GATES])
+def test_gate_constants_are_read_only(gate):
+    with pytest.raises(ValueError, match="read-only"):
+        gate[0, 0] = 0.5
+    assert require_unitary(gate) is gate  # handed back as is, so a write would reach every caller
+
+
+def reference_unitary_residual(u):
+    """Largest ||U U^dag - I||_F over a stack, written out one matrix at a time."""
+    mats = u.reshape((-1,) + u.shape[-2:])
+    return max(np.linalg.norm(m @ m.conj().T - np.eye(len(m))) for m in mats)
+
+
+def reference_state_deviation(psi):
+    """Largest | ||psi|| - 1 | over a stack, written out one state at a time."""
+    return max(abs(np.linalg.norm(v) - 1.0) for v in psi.reshape(-1, psi.shape[-1]))
+
+
+def complex_normal(gen, shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def perturbed_unitaries(seed, dim, count, scale):
+    """``count`` random dim x dim unitaries, each moved by ``scale`` in Frobenius norm."""
+    gen = np.random.default_rng(seed)
+    u = np.linalg.qr(complex_normal(gen, (count, dim, dim))).Q
+    e = complex_normal(gen, u.shape)
+    return u + scale * e / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
+
+
+def perturbed_states(seed, dim, count, scale):
+    """``count`` random unit vectors of length dim, each moved by ``scale`` in norm."""
+    gen = np.random.default_rng(seed)
+    psi, e = (x / np.linalg.norm(x, axis=-1, keepdims=True) for x in complex_normal(gen, (2, count, dim)))
+    return psi + scale * e
+
+
+def layouts(x):
+    """``x`` itself, the same values in transposed and Fortran memory, its
+    reversed-stride view, and a read-only copy."""
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    transposed = np.swapaxes(np.swapaxes(x, -2, -1).copy(), -2, -1)
+    return [x, transposed, np.asfortranarray(x), x[::-1, ..., ::-1], frozen]
+
+
+def check_validator(validate, reference, x):
+    """``validate`` accepts ``x`` exactly when the reference is within UNITARY_TOL,
+    reports the reference's value when it rejects, and never writes to ``x``."""
+    before = x.copy()
+    expected = reference(x)
+    if expected <= UNITARY_TOL - 1e-15:
+        assert validate(x) is x
+    elif expected > UNITARY_TOL + 1e-15:
+        with pytest.raises(ValueError) as exc:
+            validate(x)
+        if "above 1" not in str(exc.value):  # the entry bound may reject first
+            value = float(re.search(r" ([-+.e\d]+)\)$", str(exc.value)).group(1))
+            assert value == pytest.approx(expected, rel=1e-3)  # printed to 4 digits
+    assert np.array_equal(x, before)
+
+
+# Perturbations from 1e-12 to 1e-8 in size, on both sides of UNITARY_TOL
+SCALES = st.floats(-12.0, -8.0).map(lambda e: 10.0**e)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestValidatorsAgainstReference:
+    @given(seed=SEEDS, dim=st.integers(1, 4), count=st.integers(1, 4), scale=SCALES)
+    def test_require_unitary(self, seed, dim, count, scale):
+        for x in layouts(perturbed_unitaries(seed, dim, count, scale)):
+            check_validator(require_unitary, reference_unitary_residual, x)
+
+    @given(seed=SEEDS, dim=st.integers(1, 4), count=st.integers(1, 4), scale=SCALES)
+    def test_require_state(self, seed, dim, count, scale):
+        for x in layouts(perturbed_states(seed, dim, count, scale)):
+            check_validator(require_state, reference_state_deviation, x)
+
+    def test_scales_reach_both_sides_of_the_tolerance(self):
+        for perturbed, reference in [
+            (perturbed_unitaries, reference_unitary_residual),
+            (perturbed_states, reference_state_deviation),
+        ]:
+            assert reference(perturbed(0, 2, 1, 1e-12)) < UNITARY_TOL < reference(perturbed(0, 2, 1, 1e-8))

@@ -6,6 +6,8 @@ from qswitch.gates import (
     anticommuting_pair,
     commuting_pair,
     haar_random_unitaries,
+    sample_pairs,
+    stack_pairs,
 )
 from qswitch.linalg import HAD, ID2, SX, SY, SZ
 from qswitch.switch import (
@@ -76,6 +78,17 @@ class TestTwoSwitchOutput:
         with pytest.raises(ValueError):
             exit_probabilities(SX, SZ, np.array([bad, 0.0]))
 
+    @pytest.mark.parametrize("psi, match", [
+        ([1.0, 1.0], "not normalized"),
+        ([np.nan, 0.0], "non-finite"),
+        ([1.0, 0.0, 0.0], "shape"),
+    ])
+    def test_rejects_bad_state(self, psi, match):
+        with pytest.raises(ValueError, match=match):
+            two_switch_output(SX, SZ, np.array(psi))
+        with pytest.raises(ValueError, match=match):
+            exit_probabilities(SX, SZ, np.array(psi))
+
 
 class TestExitProbabilities:
     def test_pauli_examples(self):
@@ -135,6 +148,20 @@ class TestExitProbabilities:
                 assert stacked.p0[k] == pytest.approx(one.p0, abs=1e-15)
                 assert stacked.p1[k] == pytest.approx(one.p1, abs=1e-15)
                 assert stacked.degenerate[k] == one.degenerate
+
+    def test_default_state_is_plus_bit_for_bit(self):
+        pairs = sample_pairs(RandomSource(8), 50, 50)
+        u1, u2, _ = stack_pairs(pairs)
+        for args in [(u1, u2), *((p.u1, p.u2) for p in pairs)]:
+            default, explicit = exit_probabilities(*args), exit_probabilities(*args, PLUS)
+            assert np.array_equal(default.p0, explicit.p0)
+            assert np.array_equal(default.p1, explicit.p1)
+            assert np.array_equal(default.verdict, explicit.verdict)
+
+    def test_plus_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            PLUS[:] = [1.0, 0.0]
+        assert np.array_equal(PLUS, np.array([1.0, 1.0]) / np.sqrt(2))
 
     def test_empty_stack(self):
         empty = np.empty((0, 2, 2))
