@@ -9,8 +9,9 @@ The SDP's objective averages each promise class over its Haar-random
 eigenbasis.  That average is a low-degree polynomial in the basis, so the 120
 elements of the binary icosahedral group (a unitary 5-design) give it exactly.
 The objective is invariant under the same basis change on both gates, so the
-SDP is solved in 28 coordinates, and a feasible comb and a dual witness
-certify an interval around the optimum.
+SDP is solved in 20 real coordinates of a spin basis that couples the wires
+into and out of each gate.  A feasible comb and a dual witness certify an
+interval around the optimum; that feasible comb is the one returned.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ print("Averaging the score operators over the 120-element icosahedral design..."
 omega = objective_operator()
 print(f"  trace of the objective: {np.trace(omega).real:.12f} (exactly 4)")
 
-print("Optimizing over fixed-order strategies (ADMM in the 28 symmetric coordinates)...")
+print("Optimizing over fixed-order strategies (ADMM in the 20 real symmetric coordinates)...")
 result = optimize_fixed_order(omega)
 print(f"  optimal success probability: {result.p_succ:.6f}")
 print(f"  certified interval: [{result.lower:.12f}, {result.upper:.12f}] "

@@ -18,9 +18,9 @@ with the conjugated-amplitude construction used below).
 The objective Omega averages the score operators over the two promise
 classes.  It is computed exactly from a finite unitary design, not sampled.
 Omega and the comb constraints share a symmetry, so max tr(W Omega) over
-combs is solved by ADMM in 28 real coordinates of the symmetric subspace
-(see "block coordinates" below).  The solve returns the optimal comb as a
-32x32 operator and a certified interval around the optimum.
+combs is solved by ADMM in 20 real coordinates of the symmetric subspace
+(see "block coordinates" below).  The solve returns a certified interval
+around the optimum and the valid 32x32 comb that attains its lower end.
 """
 
 from __future__ import annotations
@@ -191,17 +191,17 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     The score operator S_i = choi(U1) (x) choi(U2) (x) |i><i| is the outer
     square of x = v1 (x) v2 (x) |i>, with v the Choi vectors, so tr(S_i W)
     is the rank-one contraction <x|W|x>.  Results are clamped to [0, 1]
-    within a 1e-8 guard band.
+    within a 1e-8 guard band; outcomes must be integers.
     """
     i = np.asarray(i)
-    if not np.isin(i, (0, 1)).all():
+    if not (np.issubdtype(i.dtype, np.integer) and np.isin(i, (0, 1)).all()):
         raise ValueError("outcome must be 0 or 1")
     v1 = choi_vector(require_unitary(u1))
     v2 = choi_vector(require_unitary(u2))
     y = (v1[..., :, None] * v2[..., None, :]).reshape(v1.shape[:-1] + (16,))
     blocks = np.asarray(w).reshape(16, 2, 16, 2).transpose(1, 3, 0, 2)[[0, 1], [0, 1]]
     p = np.einsum("...a,...ab,...b->...", y.conj(), blocks[i], y).real
-    bad = (p < -1e-8) | (p > 1.0 + 1e-8)
+    bad = ~((p >= -1e-8) & (p <= 1.0 + 1e-8))  # NaN included
     if np.any(bad):
         raise ValueError(f"comb produced out-of-range probability {p[bad][0]}")
     return np.clip(p, 0.0, 1.0)
@@ -279,8 +279,12 @@ def project_comb_affine(x: np.ndarray) -> np.ndarray:
 # commutant of that action.  With sigma_y on P1 and P3 the action becomes
 # V^(x)4, whose commutant on the four gate wires is I5 (x) M2 + I3 (x) M1 +
 # I1 (x) M0 in the total-spin (Schur) basis, with blocks M_j of size 1, 3
-# and 2.  Each outcome |i><i| of P5 has its own three blocks: 2 x (1 + 9 + 4)
-# = 28 real coordinates (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).
+# and 2.  Each outcome |i><i| of P5 has its own three blocks.  The copies of
+# each spin couple (P1 P2) and (P3 P4) (Clebsch-Gordan; Bacon, Chuang & Harrow,
+# arXiv:quant-ph/0407082).  In that basis the frame, the spin vectors and
+# Omega's blocks are real (the blocks are even diagonal and rational), so the
+# blocks are taken real symmetric: 2 x (1 + 6 + 3) = 20 real coordinates
+# (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004, real type).
 
 SPINS = (2, 1, 0)
 MULTIPLICITIES = (1, 3, 2)  # copies of each spin in four qubits: the size of M_j
@@ -290,52 +294,55 @@ def _schur_vectors() -> np.ndarray:
     """The vectors |j, m, a> of the gate wires in the comb's frame, shape (3, 16, 5, 3).
 
     Index 0 runs over j = 2, 1, 0; m over the 2j+1 spin states (zero-padded
-    to 5) and a over the copies of spin j (zero-padded to 3).  The copies at
-    m = j span the kernel of the raising operator at J_z = j; lowering them
-    step by step gives every copy the same phases, so V^(x)4 acts alike on all.
+    to 5) and a over the copies of spin j (zero-padded to 3).  Each copy
+    couples the pairs (P1 P2) and (P3 P4): its top vector, at m = j, is built
+    from |00>, |11>, the singlet and the m = 0 triplet t0 of each pair.
+    Lowering the tops step by step gives every copy the same phases, so
+    V^(x)4 acts alike on all.  The frame sigma_y (x) I (x) sigma_y (x) I is
+    real, and so are the vectors.
     """
-    lowering = np.zeros((16, 16))  # J-: each qubit in turn from |0> (up) to |1>, P1 the high bit
-    for s, bit in itertools.product(range(16), (8, 4, 2, 1)):
-        if not s & bit:
-            lowering[s | bit, s] = 1.0
-    spin_z = np.array([2 - bin(s).count("1") for s in range(16)])
-    frame = tensor(SY, ID2, SY, ID2)
-    q = np.zeros((3, 16, 5, 3), dtype=complex)
-    for s, (j, mult) in enumerate(zip(SPINS, MULTIPLICITIES)):
-        top = np.flatnonzero(spin_z == j)
-        vecs = np.zeros((16, mult))
-        vecs[top] = np.linalg.svd(lowering.T[:, top])[2][len(top) - mult:].T
+    # J-: each qubit in turn from |0> (up) to |1>, P1 the high bit
+    flip = np.array([[0.0, 0.0], [1.0, 0.0]])
+    lowering = sum(np.kron(np.kron(np.eye(2**k), flip), np.eye(8 >> k)) for k in range(4))
+    up, down = np.eye(4)[[0, 3]]
+    singlet, t0 = np.array([[0.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+    tops = ([np.kron(up, up)],
+            [np.kron(up, singlet), np.kron(singlet, up), (np.kron(up, t0) - np.kron(t0, up)) / np.sqrt(2.0)],
+            [np.kron(singlet, singlet),
+             (np.kron(up, down) - np.kron(t0, t0) + np.kron(down, up)) / np.sqrt(3.0)])
+    frame = tensor(SY, ID2, SY, ID2).real
+    q = np.zeros((3, 16, 5, 3))
+    for s, (j, top) in enumerate(zip(SPINS, tops)):
+        vecs = np.transpose(top)
         for m in range(2 * j + 1):
             if m:
                 vecs = lowering @ vecs
                 vecs /= np.linalg.norm(vecs, axis=0)
-            q[s, :, m, :mult] = frame @ vecs
+            q[s, :, m, :len(top)] = frame @ vecs
     return q
 
 
 def _unit_blocks() -> np.ndarray:
-    """The blocks M[i, j] of the 28 unit coordinates, shape (28, 6, 3, 3), zero-padded.
+    """The blocks M[i, j] of the 20 unit coordinates, shape (20, 6, 3, 3), zero-padded.
 
-    Per block: the diagonal entries and, for each entry above it, the real
-    and imaginary parts times sqrt(2); all divided by sqrt(2j+1), the norm
-    of I_{2j+1}, so that the coordinates are Frobenius-orthonormal.
+    Per block: the diagonal entries and, for each entry above it, the
+    symmetric pair of entries times sqrt(1/2); all divided by sqrt(2j+1), the
+    norm of I_{2j+1}, so that the coordinates are Frobenius-orthonormal.
     """
     units = []
     for slot in range(6):
         j, mult = SPINS[slot % 3], MULTIPLICITIES[slot % 3]
         for a, b in zip(*np.triu_indices(mult)):
-            for entry in ([1.0] if a == b else [np.sqrt(0.5), 1j * np.sqrt(0.5)]):
-                unit = np.zeros((6, 3, 3), dtype=complex)
-                unit[slot, a, b] = entry
-                unit[slot, b, a] = np.conj(entry)
-                units.append(unit / np.sqrt(2 * j + 1))
+            unit = np.zeros((6, 3, 3))
+            unit[slot, a, b] = unit[slot, b, a] = 1.0 if a == b else np.sqrt(0.5)
+            units.append(unit / np.sqrt(2 * j + 1))
     return np.array(units)
 
 
 class _BlockCoordinates:
-    """Frobenius-orthonormal real coordinates of the symmetric Hermitian operators.
+    """Frobenius-orthonormal coordinates of the symmetric real operators.
 
-    ``basis`` holds the 28 operators B_k (32x32); ``affine`` (28x28) and
+    ``basis`` holds the 20 real operators B_k (32x32); ``affine`` (20x20) and
     ``offset`` (the coordinates of I * 4/32) are ``project_comb_affine`` in
     these coordinates, read off one stacked call.  Built per solve, so that
     importing the package builds nothing.
@@ -344,15 +351,13 @@ class _BlockCoordinates:
     def __init__(self) -> None:
         q = _schur_vectors()
         units = _unit_blocks()
+        n = len(units)
         # on the gate wires, entry (a, b) of M_j is the operator sum_m |j, m, a><j, m, b|
-        entries = np.einsum("spma,sqmb->sabpq", q, q.conj()).reshape(27, 256)
-        gate_wires = (units.reshape(56, 27) @ entries).reshape(28, 2, 16, 16)
-        basis = np.zeros((28, 16, 2, 16, 2), dtype=complex)
-        for i in (0, 1):
-            basis[:, :, i, :, i] = gate_wires[:, i]
-        self.basis = basis.reshape(28, DIM, DIM)
-        # blocks as floats (real and imaginary parts interleaved), 108 per operator
-        self.to_blocks = units.reshape(28, -1).view(float).T
+        entries = np.einsum("spma,sqmb->sabpq", q, q).reshape(27, 256)
+        gate_wires = (units.reshape(2 * n, 27) @ entries).reshape(n, 2, 16, 16)
+        # B_k = sum_i (gate-wire operator of outcome i) (x) |i><i|
+        self.basis = np.einsum("nipq,ij->npiqj", gate_wires, np.eye(2)).reshape(n, DIM, DIM)
+        self.to_blocks = units.reshape(n, -1).T  # the 54 padded block entries of each B_k
         # <B_k, X> = (2j+1) <M_k, P> for X with blocks P, and <M_k, M_k> = 1/(2j+1)
         self.from_blocks = self.to_blocks.T / (self.to_blocks**2).sum(axis=0)[:, None]
         zero_and_basis = np.concatenate([np.zeros((1, DIM, DIM)), self.basis])
@@ -364,7 +369,7 @@ class _BlockCoordinates:
         """Coordinates <B_k, x> of the symmetric part of a 32x32 operator or of
         each operator of a stack (..., 32, 32)."""
         flat = np.reshape(x, np.shape(x)[:-2] + (-1,))
-        return (flat @ self.basis.reshape(len(self.basis), -1).conj().T).real
+        return (flat @ self.basis.reshape(len(self.basis), -1).T).real
 
     def embed(self, c: np.ndarray) -> np.ndarray:
         """The 32x32 operator sum_k c_k B_k."""
@@ -372,57 +377,59 @@ class _BlockCoordinates:
 
     def blocks(self, c: np.ndarray) -> np.ndarray:
         """The six padded 3x3 blocks M[i, j] (outcome, spin) of coordinates ``c``."""
-        return (self.to_blocks @ c).view(complex).reshape(6, 3, 3)
+        return (self.to_blocks @ c).reshape(6, 3, 3)
 
     def coordinates(self, blocks: np.ndarray) -> np.ndarray:
-        """The coordinates of six padded Hermitian blocks; inverse of ``blocks``."""
-        return self.from_blocks @ blocks.view(float).reshape(-1)
+        """The coordinates of six padded symmetric blocks; inverse of ``blocks``."""
+        return self.from_blocks @ blocks.reshape(-1)
 
     def min_eigenvalue(self, c: np.ndarray) -> float:
         """Smallest eigenvalue of the six padded blocks, the padding's zeros included."""
         return float(np.linalg.eigvalsh(self.blocks(c)).min())
 
 
-def _certified_interval(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
-                        u: np.ndarray) -> tuple[float, float]:
-    """[lower, upper] around the optimum from the last ADMM primal ``z`` and multiplier ``u``.
+def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
+                 u: np.ndarray) -> tuple[np.ndarray, float]:
+    """A valid comb and an upper bound on the optimum, from the last ADMM
+    primal ``z`` and multiplier ``u``; the comb's value is the lower bound.
 
-    Lower: ``z`` projected onto the affine comb subspace and mixed with the
-    feasible I * 4/32 just enough to be PSD, so a valid comb.  Upper: the dual
-    witness T, the projection of Omega - RHO u onto the complement of the
-    comb subspace, shifted by eps I until T - Omega is PSD.  For every comb
-    W, <Omega, W> <= <T, W> = <T, I * 4/32>, as T is orthogonal to the
-    differences of combs; the identity is too, so the shift adds 4 eps.
+    Comb: ``z`` projected onto the affine comb subspace and mixed with the
+    feasible I * 4/32 just enough to be PSD.  Upper: the dual witness T, the
+    projection of Omega - RHO u onto the complement of the comb subspace,
+    shifted by eps I until T - Omega is PSD.  For every comb W, <Omega, W>
+    <= <T, W> = <T, I * 4/32>, as T is orthogonal to the differences of
+    combs; the identity is too, so the shift adds 4 eps.
     """
     w = coords.affine @ z + coords.offset
     lam = min(coords.min_eigenvalue(w), 0.0)
     mix = lam / (lam - 4.0 / DIM)  # (1 - mix) lam + mix * 4/32 = 0
-    lower = float(target @ ((1.0 - mix) * w + mix * coords.offset))
     s = target - RHO * u
     t = s - coords.affine @ s
     eps = -min(coords.min_eigenvalue(t - target), 0.0)
-    upper = float(t @ coords.offset) + 4.0 * eps
-    return lower, upper
+    return (1.0 - mix) * w + mix * coords.offset, float(t @ coords.offset) + 4.0 * eps
 
 
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
-    """Maximize tr(W Omega) over valid combs by ADMM in the 28 block coordinates.
+    """Maximize tr(W Omega) over valid combs by ADMM in the 20 block coordinates.
 
-    ``omega`` must be invariant under conj(V) (x) V (x) conj(V) (x) V (x) I,
-    as the class-averaged objective is; ValueError otherwise.  Each
-    iteration applies the affine comb projection as a fixed 28x28 map plus
-    an offset, read off ``project_comb_affine`` (with the linear objective
-    folded into the proximal step at penalty ``RHO``, relaxed by
-    ``OVER_RELAXATION``), then projects onto the PSD cone with one batched
-    eigh of the six padded 3x3 blocks.  The coordinates are orthonormal, so
-    the primal residual and the objective are those of the 32x32 operators.
-    Stops when the primal residual is below ``PRIMAL_TOL`` and the objective
-    has moved less than ``OBJECTIVE_TOL`` over the last 100 iterations;
-    raises RuntimeError if that has not happened after ``MAX_ITER``.
+    ``omega`` must lie in the span of the coordinates: invariant under
+    conj(V) (x) V (x) conj(V) (x) V (x) I, as the class-averaged objective
+    is, and with real blocks; ValueError otherwise.  Each iteration applies
+    the affine comb projection as a fixed 20x20 map plus an offset, read off
+    ``project_comb_affine`` (with the linear objective folded into the
+    proximal step at penalty ``RHO``, relaxed by ``OVER_RELAXATION``), then
+    projects onto the PSD cone with one batched real eigh of the six padded
+    3x3 blocks.  The coordinates are orthonormal, so the primal residual and
+    the objective are those of the 32x32 operators.  Stops when the primal
+    residual is below ``PRIMAL_TOL`` and the objective has moved less than
+    ``OBJECTIVE_TOL`` over the last 100 iterations; raises RuntimeError if
+    that has not happened after ``MAX_ITER``.
 
-    The result holds the final iterate as a 32x32 comb in the original frame,
-    its objective and residuals, and a certified interval [lower, upper]
-    (``_certified_interval``) that contains the optimum.
+    The last iterate is PSD but off the comb subspace by the primal residual.
+    The result holds instead the certified comb of ``_certificate``, a valid
+    real 32x32 comb in the original frame, and its residuals; its objective
+    is both ``p_succ`` and ``lower``, the lower end of a certified interval
+    [lower, upper] that contains the optimum.
     """
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (DIM, DIM):
@@ -443,8 +450,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         w = affine @ (z - u + pull) + offset
         w_relaxed = OVER_RELAXATION * w + (1.0 - OVER_RELAXATION) * z
         lam, vec = np.linalg.eigh(coords.blocks(w_relaxed + u))
-        psd = (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(np.swapaxes(vec, -2, -1))
-        z = coords.coordinates(psd)
+        z = coords.coordinates((vec * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(vec, -2, -1))
         u = u + w_relaxed - z
         resid = float(np.linalg.norm(w - z))
         objective_history.append(float(target @ z))
@@ -454,24 +460,14 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
             and abs(objective_history[-1] - objective_history[-100]) <= OBJECTIVE_TOL
         ):
             break
-    # z is PSD by construction and affine-feasible up to the primal residual
-    comb = coords.embed(z)
-    residuals = comb_residuals(comb)
     if not resid <= PRIMAL_TOL:
-        raise RuntimeError(
-            f"ADMM did not converge in {MAX_ITER} iterations "
-            f"(primal residual {resid:.3e}, residuals {residuals})"
-        )
-    lower, upper = _certified_interval(coords, target, z, u)
-    return CombResult(
-        p_succ=float(np.trace(omega @ comb).real),
-        comb=comb,
-        iterations=it,
-        primal_residual=resid,
-        lower=lower,
-        upper=upper,
-        residuals=residuals,
-    )
+        raise RuntimeError(f"ADMM did not converge in {MAX_ITER} iterations "
+                           f"(primal residual {resid:.3e}, objective {objective_history[-1]})")
+    certified, upper = _certificate(coords, target, z, u)
+    comb = coords.embed(certified)
+    lower = float(target @ certified)
+    return CombResult(p_succ=lower, comb=comb, iterations=it, primal_residual=resid,
+                      lower=lower, upper=upper, residuals=comb_residuals(comb))
 
 
 def evaluate_comb(w: np.ndarray, pairs: list[GatePair]) -> float:

@@ -95,6 +95,8 @@ def decompose(u: np.ndarray) -> np.ndarray:
     coordinate singularities (cos M = 0 or sin M = 0) leave d or s free and
     are resolved by setting the free angle to zero.
     """
+    if np.shape(u)[-2:] != (2, 2):
+        raise ValueError(f"expected qubit gates (..., 2, 2), got shape {np.shape(u)}")
     u = require_unitary(u)
     u = u / np.sqrt(np.linalg.det(u))[..., None, None]  # det 1
     w = (u[..., 0, 0] + u[..., 1, 1]).real / 2.0

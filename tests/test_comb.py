@@ -57,10 +57,18 @@ class TestProbabilityFromComb:
             probability_from_comb(np.eye(DIM) / 8.0, SX, SX, 2)
         with pytest.raises(ValueError):
             probability_from_comb(np.eye(DIM) / 8.0, np.stack([SX, SY]), np.stack([SX, SY]), [0, 2])
+        # booleans would index as a mask and floats not at all: only integer outcomes count
+        for i in (False, True, [True, False], 1.0, [0.0, 1.0], np.float64(0.0)):
+            with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+                probability_from_comb(np.eye(DIM) / 8.0, np.stack([SX, SY]), np.stack([SX, SY]), i)
 
     def test_out_of_range_probability(self):
-        with pytest.raises(ValueError, match="out-of-range"):
-            probability_from_comb(np.eye(DIM), SX, HAD, 0)
+        pairs = sample_pairs(RandomSource(22), 1, 1)
+        for w in (np.eye(DIM), np.full((DIM, DIM), np.nan)):  # NaN is out of range too
+            with pytest.raises(ValueError, match="out-of-range"):
+                probability_from_comb(w, SX, HAD, 0)
+            with pytest.raises(ValueError, match="out-of-range"):
+                evaluate_comb(w, pairs)
 
 
 class TestCircuitCombs:
@@ -211,8 +219,8 @@ def gate_symmetry(v):
 
 class TestBlockCoordinates:
     def test_basis_is_orthonormal_and_hermitian(self, coords):
-        flat = coords.basis.reshape(28, -1)
-        assert np.abs((flat.conj() @ flat.T).real - np.eye(28)).max() <= 1e-14
+        flat = coords.basis.reshape(20, -1)
+        assert np.abs((flat.conj() @ flat.T).real - np.eye(20)).max() <= 1e-14
         assert np.abs(coords.basis - np.conj(np.swapaxes(coords.basis, -2, -1))).max() <= 1e-15
 
     def test_basis_commutes_with_gate_symmetry(self, coords):
@@ -222,7 +230,7 @@ class TestBlockCoordinates:
 
     def test_affine_map_matches_projection(self, coords):
         gen = np.random.default_rng(18)
-        for c in gen.standard_normal((10, 28)):
+        for c in gen.standard_normal((10, 20)):
             full = project_comb_affine(coords.embed(c))
             assert np.abs(coords.embed(coords.affine @ c + coords.offset) - full).max() <= 1e-13
 
@@ -230,7 +238,7 @@ class TestBlockCoordinates:
         assert np.abs(coords.embed(coords.reduce(small_objective)) - small_objective).max() <= 1e-14
 
     def test_blocks_round_trip(self, coords):
-        c = np.random.default_rng(19).standard_normal(28)
+        c = np.random.default_rng(19).standard_normal(20)
         blocks = coords.blocks(c)
         assert np.array_equal(blocks, np.conj(np.swapaxes(blocks, -2, -1)))
         assert np.abs(coords.coordinates(blocks) - c).max() <= 1e-15
@@ -241,6 +249,16 @@ class TestBlockCoordinates:
                                    for k, (b, m) in enumerate(zip(blocks, sizes))])
         assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(coords.embed(c))).max() <= 1e-13
 
+    def test_objective_blocks_are_diagonal_and_rational(self, coords, small_objective):
+        # the coupled copies make every block of Omega diagonal; outcome 0 then 1, spin 2, 1, 0 each
+        expected = np.zeros((6, 3, 3))
+        for k, diagonal in enumerate([[1 / 15], [1 / 6, 1 / 6, 0], [1 / 2, 1 / 6], [1 / 5], [0, 0, 1 / 3], [0]]):
+            expected[k, range(len(diagonal)), range(len(diagonal))] = diagonal
+        assert np.abs(coords.blocks(coords.reduce(small_objective)) - expected).max() <= 1e-15
+
+    def test_basis_is_real(self, coords):
+        assert coords.basis.dtype == np.float64 and coords.basis.shape == (20, DIM, DIM)
+
     def test_rejects_non_invariant_objective(self):
         omega = random_hermitian(np.random.default_rng(20), DIM)
         with pytest.raises(ValueError, match="not invariant"):
@@ -248,7 +266,7 @@ class TestBlockCoordinates:
 
     @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
     def test_projection_idempotent(self, coords, seed, exponent):
-        c = np.random.default_rng(seed).standard_normal(28) * 10.0**exponent
+        c = np.random.default_rng(seed).standard_normal(20) * 10.0**exponent
         p = coords.affine @ c + coords.offset
         assert np.linalg.norm(coords.affine @ p + coords.offset - p) <= 1e-12 * (1 + np.linalg.norm(c))
 
@@ -274,6 +292,14 @@ class TestOptimization:
         assert res["slot1"] <= 1e-6
         assert res["trace"] <= 1e-6
         assert res["min_eigenvalue"] >= -1e-10
+
+    def test_returns_the_certified_comb(self, small_objective, optimum):
+        # the comb is the feasible one behind the lower end, not the last ADMM iterate
+        assert optimum.p_succ == optimum.lower
+        res = comb_residuals(optimum.comb)
+        assert res["min_eigenvalue"] >= -1e-14
+        assert max(res["slot2"], res["slot1"], res["trace"]) <= 1e-13
+        assert np.trace(small_objective @ optimum.comb).real == pytest.approx(optimum.lower, abs=1e-14)
 
     def test_beats_constant_guess(self, optimum):
         assert optimum.p_succ > 0.5

@@ -81,6 +81,12 @@ class TestDecompose:
         us = haar_random_unitaries(RandomSource(21), 10_000)
         assert fdist(triple_to_unitary(decompose(us)), us).max() <= 1e-8
 
+    @pytest.mark.parametrize("u", [np.eye(4), np.kron(ID2, SX), np.eye(1), np.eye(3)[None], ID2[0], 1.0])
+    def test_rejects_non_qubit_gates(self, u):
+        # a 4x4 unitary used to compile to a qubit triple, e.g. I (x) X to the identity
+        with pytest.raises(ValueError, match="qubit gates"):
+            decompose(u)
+
     @given(
         st.sampled_from(["cos M = 0", "sin M = 0"]),
         st.one_of(st.just(0.0), st.floats(1e-300, 1e-6)),
