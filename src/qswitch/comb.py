@@ -53,11 +53,10 @@ __all__ = [
 DIMS = [2, 2, 2, 2, 2]
 DIM = 32
 
-# ADMM settings: penalty, over-relaxation and the two stopping tolerances
+# ADMM settings: penalty, over-relaxation and the stopping rule's certified gap
 RHO = 1.0
 OVER_RELAXATION = 1.6
-PRIMAL_TOL = 1e-8
-OBJECTIVE_TOL = 1e-9
+GAP_TOL = 1e-10
 MAX_ITER = 100_000
 
 
@@ -420,16 +419,16 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     proximal step at penalty ``RHO``, relaxed by ``OVER_RELAXATION``), then
     projects onto the PSD cone with one batched real eigh of the six padded
     3x3 blocks.  The coordinates are orthonormal, so the primal residual and
-    the objective are those of the 32x32 operators.  Stops when the primal
-    residual is below ``PRIMAL_TOL`` and the objective has moved less than
-    ``OBJECTIVE_TOL`` over the last 100 iterations; raises RuntimeError if
-    that has not happened after ``MAX_ITER``.
+    the objective are those of the 32x32 operators.  Every 10th iteration
+    ``_certificate`` turns the iterate into a certified interval [lower,
+    upper] around the optimum; the solve stops as soon as upper - lower is
+    at most ``GAP_TOL``, and raises RuntimeError if that has not happened
+    after ``MAX_ITER``.
 
     The last iterate is PSD but off the comb subspace by the primal residual.
-    The result holds instead the certified comb of ``_certificate``, a valid
-    real 32x32 comb in the original frame, and its residuals; its objective
-    is both ``p_succ`` and ``lower``, the lower end of a certified interval
-    [lower, upper] that contains the optimum.
+    The result holds instead the certified comb of that check, a valid real
+    32x32 comb in the original frame, and its residuals; its objective is
+    both ``p_succ`` and ``lower``.
     """
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (DIM, DIM):
@@ -444,8 +443,6 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     pull = target / RHO
     z = offset  # I * 4/32
     u = np.zeros_like(z)
-    objective_history: list[float] = []
-    resid = np.inf
     for it in range(1, MAX_ITER + 1):
         w = affine @ (z - u + pull) + offset
         w_relaxed = OVER_RELAXATION * w + (1.0 - OVER_RELAXATION) * z
@@ -453,24 +450,21 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         z = coords.coordinates((vec * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(vec, -2, -1))
         u = u + w_relaxed - z
         resid = float(np.linalg.norm(w - z))
-        objective_history.append(float(target @ z))
-        if (
-            it >= 100
-            and resid <= PRIMAL_TOL
-            and abs(objective_history[-1] - objective_history[-100]) <= OBJECTIVE_TOL
-        ):
-            break
-    if not resid <= PRIMAL_TOL:
-        raise RuntimeError(f"ADMM did not converge in {MAX_ITER} iterations "
-                           f"(primal residual {resid:.3e}, objective {objective_history[-1]})")
-    certified, upper = _certificate(coords, target, z, u)
-    comb = coords.embed(certified)
-    lower = float(target @ certified)
-    return CombResult(p_succ=lower, comb=comb, iterations=it, primal_residual=resid,
-                      lower=lower, upper=upper, residuals=comb_residuals(comb))
+        # a check costs about one iteration, so checking every 10th adds about 10%
+        if it % 10 == 0:
+            certified, upper = _certificate(coords, target, z, u)
+            lower = float(target @ certified)
+            if upper - lower <= GAP_TOL:
+                comb = coords.embed(certified)
+                return CombResult(p_succ=lower, comb=comb, iterations=it, primal_residual=resid,
+                                  lower=lower, upper=upper, residuals=comb_residuals(comb))
+    raise RuntimeError(f"ADMM did not reach a certified gap of {GAP_TOL} in {MAX_ITER} "
+                       f"iterations (primal residual {resid:.3e})")
 
 
 def evaluate_comb(w: np.ndarray, pairs: list[GatePair]) -> float:
     """Mean probability of the correct verdict over labeled gate pairs."""
+    if len(pairs) == 0:
+        raise ValueError("no pairs were given")
     u1, u2, port = stack_pairs(pairs)
     return float(np.mean(probability_from_comb(w, u1, u2, port)))

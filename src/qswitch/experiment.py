@@ -152,8 +152,8 @@ def simulate_counts(
 
 def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndarray:
     """Efficiency-corrected port-0 probability C0 / (C0 + C1/eta), elementwise on arrays."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:  # NaN included
+        raise ValueError("eta must be finite and positive")
     c0 = np.asarray(c0, dtype=float)
     c1 = np.asarray(c1, dtype=float)
     if np.any(c0 < 0) or np.any(c1 < 0):

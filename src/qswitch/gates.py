@@ -127,7 +127,7 @@ def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_
     For stacks (..., 2, 2) of gates the result is an object array of
     ``Verdict``; for one pair it is the ``Verdict`` member itself.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tolerance must be positive")
     u1 = require_unitary(u1)
     u2 = require_unitary(u2)
@@ -154,8 +154,11 @@ def stack_pairs(pairs: list[GatePair]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ports = {Verdict.COMMUTE: 0, Verdict.ANTICOMMUTE: 1}
     if any(pair.label not in ports for pair in pairs):
         raise ValueError("pairs must be labeled COMMUTE or ANTICOMMUTE")
-    port = np.array([ports[pair.label] for pair in pairs])
-    return np.array([pair.u1 for pair in pairs]), np.array([pair.u2 for pair in pairs]), port
+    port = np.array([ports[pair.label] for pair in pairs], dtype=int)
+    shape = (len(pairs), 2, 2)  # also when there are none
+    u1 = np.array([pair.u1 for pair in pairs], dtype=complex).reshape(shape)
+    u2 = np.array([pair.u2 for pair in pairs], dtype=complex).reshape(shape)
+    return u1, u2, port
 
 
 def _pair_row(index: int, pair: GatePair) -> list:

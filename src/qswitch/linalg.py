@@ -119,7 +119,8 @@ def choi_vector(u: np.ndarray) -> np.ndarray:
     Works on a matrix or a stack (..., n, n) of them, unitary or not.
     """
     u = np.asarray(u, dtype=complex)
-    return np.swapaxes(u, -2, -1).reshape(u.shape[:-2] + (-1,))
+    n = u.shape[-1]
+    return np.swapaxes(u, -2, -1).reshape(u.shape[:-2] + (n * n,))  # not -1: stacks may be empty
 
 
 def choi(u: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qswitch import comb
 from qswitch.comb import (
     DIM,
     DIMS,
@@ -61,6 +62,11 @@ class TestProbabilityFromComb:
         for i in (False, True, [True, False], 1.0, [0.0, 1.0], np.float64(0.0)):
             with pytest.raises(ValueError, match="outcome must be 0 or 1"):
                 probability_from_comb(np.eye(DIM) / 8.0, np.stack([SX, SY]), np.stack([SX, SY]), i)
+
+    def test_empty_stack(self):
+        w = np.eye(DIM) * 4.0 / DIM
+        p = probability_from_comb(w, np.empty((0, 2, 2)), np.empty((0, 2, 2)), np.array([], dtype=int))
+        assert p.shape == (0,)
 
     def test_out_of_range_probability(self):
         pairs = sample_pairs(RandomSource(22), 1, 1)
@@ -359,6 +365,25 @@ class TestOptimization:
         object.__setattr__(pairs[0], "label", Verdict.NEITHER)
         with pytest.raises(ValueError):
             evaluate_comb(optimum.comb, pairs)
+
+
+    def test_evaluate_comb_rejects_no_pairs(self, optimum):
+        with pytest.raises(ValueError, match="no pairs were given"):
+            evaluate_comb(optimum.comb, [])
+
+    def test_stops_on_the_certified_gap(self, monkeypatch, small_objective, optimum):
+        assert optimum.gap <= comb.GAP_TOL
+        monkeypatch.setattr(comb, "GAP_TOL", 1e-6)
+        loose = optimize_fixed_order(small_objective)
+        assert loose.iterations < optimum.iterations
+        assert loose.gap <= 1e-6
+        assert loose.lower <= (17 + 2 * np.sqrt(7)) / 24 <= loose.upper
+        assert loose.p_succ == loose.lower
+
+    def test_raises_without_a_certified_gap(self, monkeypatch, small_objective):
+        monkeypatch.setattr(comb, "MAX_ITER", 30)
+        with pytest.raises(RuntimeError, match="primal residual"):
+            optimize_fixed_order(small_objective)
 
 
 class TestSwitchExceedsBound:

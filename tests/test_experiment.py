@@ -143,6 +143,9 @@ class TestCorrectedProbability:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             corrected_probability(1, 1, 0.0)
+        for eta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                corrected_probability(10, 10, eta)
 
     def test_unbiased_in_expectation(self):
         # estimator mean over many repetitions stays within 3 standard errors

@@ -146,10 +146,20 @@ class TestClassifyPair:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             classify_pair(SX, SY, tol=0.0)
+        for u2 in (SY, SX):  # NaN is no tolerance, for either class
+            with pytest.raises(ValueError):
+                classify_pair(SX, u2, tol=float("nan"))
 
     def test_empty_stack(self):
         verdicts = classify_pair(np.empty((0, 2, 2)), np.empty((0, 2, 2)))
         assert verdicts.shape == (0,) and verdicts.dtype == object
+
+
+class TestStackPairs:
+    def test_empty(self):
+        u1, u2, port = stack_pairs([])
+        assert u1.shape == u2.shape == (0, 2, 2)
+        assert np.issubdtype(port.dtype, np.integer) and port.shape == (0,)
 
 
 class TestExport:
