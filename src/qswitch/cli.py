@@ -189,6 +189,8 @@ def cmd_bound(args) -> int:
         "table_pairs_success": round(table_success, 6),
         "switch_success_same_pairs": round(float(np.mean(ideal)), 6),
     }
+    if args.json:
+        payload["trace"] = result.history
     if args.out:
         correct = probability_from_comb(result.comb, u1, u2, port)
         rows = [["pair", "label", "correct_probability"]] + [

@@ -53,9 +53,8 @@ __all__ = [
 DIMS = [2, 2, 2, 2, 2]
 DIM = 32
 
-# ADMM settings: penalty, over-relaxation and the stopping rule's certified gap
-RHO = 1.0
-OVER_RELAXATION = 1.6
+# ADMM settings: penalty and the stopping rule's certified gap
+RHO = 0.5
 GAP_TOL = 1e-10
 MAX_ITER = 100_000
 
@@ -69,6 +68,7 @@ class CombResult:
     lower: float  # certified interval around the optimum
     upper: float
     residuals: dict = field(default_factory=dict)
+    history: list[dict] = field(default_factory=list)
 
     @property
     def gap(self) -> float:
@@ -389,7 +389,7 @@ class _BlockCoordinates:
 
 def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
                  u: np.ndarray) -> tuple[np.ndarray, float]:
-    """A valid comb and an upper bound on the optimum, from the last ADMM
+    """A valid comb and an upper bound on the optimum, from the current ADMM
     primal ``z`` and multiplier ``u``; the comb's value is the lower bound.
 
     Comb: ``z`` projected onto the affine comb subspace and mixed with the
@@ -416,19 +416,20 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     is, and with real blocks; ValueError otherwise.  Each iteration applies
     the affine comb projection as a fixed 20x20 map plus an offset, read off
     ``project_comb_affine`` (with the linear objective folded into the
-    proximal step at penalty ``RHO``, relaxed by ``OVER_RELAXATION``), then
-    projects onto the PSD cone with one batched real eigh of the six padded
-    3x3 blocks.  The coordinates are orthonormal, so the primal residual and
-    the objective are those of the 32x32 operators.  Every 10th iteration
-    ``_certificate`` turns the iterate into a certified interval [lower,
-    upper] around the optimum; the solve stops as soon as upper - lower is
-    at most ``GAP_TOL``, and raises RuntimeError if that has not happened
-    after ``MAX_ITER``.
+    proximal step at penalty ``RHO``), then projects onto the PSD cone with
+    one batched real eigh of the six padded 3x3 blocks.  The coordinates
+    are orthonormal, so the primal residual and the objective are those of
+    the 32x32 operators.  Every 10th iteration ``_certificate`` turns the
+    iterate into a certified interval [lower, upper] around the optimum,
+    and ``history`` gains a row (iteration, objective of the iterate,
+    primal residual, lower, upper); the solve stops as soon as upper -
+    lower is at most ``GAP_TOL``, and raises RuntimeError if that has not
+    happened after ``MAX_ITER`` iterations.
 
     The last iterate is PSD but off the comb subspace by the primal residual.
-    The result holds instead the certified comb of that check, a valid real
-    32x32 comb in the original frame, and its residuals; its objective is
-    both ``p_succ`` and ``lower``.
+    The result holds instead the certified comb of the last check, a valid
+    real 32x32 comb in the original frame, and its residuals; its objective
+    is both ``p_succ`` and ``lower``.
     """
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (DIM, DIM):
@@ -441,25 +442,28 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
                          f"(distance {off_subspace:.3e} from the symmetric subspace)")
     affine, offset = coords.affine, coords.offset
     pull = target / RHO
-    z = offset  # I * 4/32
+    w = z = offset  # I * 4/32
     u = np.zeros_like(z)
+    history = []
     for it in range(1, MAX_ITER + 1):
         w = affine @ (z - u + pull) + offset
-        w_relaxed = OVER_RELAXATION * w + (1.0 - OVER_RELAXATION) * z
-        lam, vec = np.linalg.eigh(coords.blocks(w_relaxed + u))
+        lam, vec = np.linalg.eigh(coords.blocks(w + u))
         z = coords.coordinates((vec * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(vec, -2, -1))
-        u = u + w_relaxed - z
-        resid = float(np.linalg.norm(w - z))
+        u = u + w - z
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:
             certified, upper = _certificate(coords, target, z, u)
             lower = float(target @ certified)
+            resid = float(np.linalg.norm(w - z))
+            history.append({"iteration": it, "objective": float(target @ z),
+                            "primal_residual": resid, "lower": lower, "upper": upper})
             if upper - lower <= GAP_TOL:
                 comb = coords.embed(certified)
                 return CombResult(p_succ=lower, comb=comb, iterations=it, primal_residual=resid,
-                                  lower=lower, upper=upper, residuals=comb_residuals(comb))
+                                  lower=lower, upper=upper, residuals=comb_residuals(comb),
+                                  history=history)
     raise RuntimeError(f"ADMM did not reach a certified gap of {GAP_TOL} in {MAX_ITER} "
-                       f"iterations (primal residual {resid:.3e})")
+                       f"iterations (primal residual {np.linalg.norm(w - z):.3e})")
 
 
 def evaluate_comb(w: np.ndarray, pairs: list[GatePair]) -> float:

@@ -117,11 +117,14 @@ def ideal_port_probabilities_with_noise(
     psi = require_state(psi, 2)[..., None]
     branch_a = (u1 @ u2 @ psi)[..., 0] / np.sqrt(2.0)
     branch_b = (u2 @ u1 @ psi)[..., 0] / np.sqrt(2.0)
-    phi = (
-        noise.phase_setpoint
-        + noise.phase_drift_per_degree * np.asarray(accumulated_rotation)
-        + noise.phase_drift_per_minute * np.asarray(elapsed_minutes)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase is rejected below
+        phi = (
+            noise.phase_setpoint
+            + noise.phase_drift_per_degree * np.asarray(accumulated_rotation)
+            + noise.phase_drift_per_minute * np.asarray(elapsed_minutes)
+        )
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("accumulated_rotation and elapsed_minutes must give a finite phase")
     overlap = np.sum(branch_a.conj() * branch_b, axis=-1)
     p1 = (np.sum(np.abs(branch_a) ** 2, axis=-1) + np.sum(np.abs(branch_b) ** 2, axis=-1)) / 2.0
     p1 = np.clip(p1 + noise.visibility * (np.exp(1j * phi) * overlap).real, 0.0, 1.0)
@@ -156,8 +159,8 @@ def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndar
         raise ValueError("eta must be finite and positive")
     c0 = np.asarray(c0, dtype=float)
     c1 = np.asarray(c1, dtype=float)
-    if np.any(c0 < 0) or np.any(c1 < 0):
-        raise ValueError("counts must be nonnegative")
+    if not np.all((c0 >= 0) & (c0 < np.inf) & (c1 >= 0) & (c1 < np.inf)):  # NaN included
+        raise ValueError("counts must be finite and nonnegative")
     if np.any(c0 + c1 == 0):
         raise ValueError("zero total counts")
     return c0 / (c0 + c1 / eta)

@@ -272,6 +272,9 @@ class TestBound:
         assert data["table_pairs_success"] == pytest.approx(0.939, abs=0.01)
         assert data["switch_success_same_pairs"] >= 0.999
         assert data["lower"] <= data["upper"] and data["gap"] == data["upper"] - data["lower"]
+        last = {key: data[key] for key in ("primal_residual", "lower", "upper")}
+        last.update(iteration=data["iterations"], objective=pytest.approx(data["lower"]))
+        assert data["trace"][-1] == last
         rows = (tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()
         assert len(rows) == 101
 

@@ -385,6 +385,22 @@ class TestOptimization:
         with pytest.raises(RuntimeError, match="primal residual"):
             optimize_fixed_order(small_objective)
 
+    @pytest.mark.parametrize("max_iter", [0, 5])
+    def test_raises_before_the_first_check(self, monkeypatch, small_objective, max_iter):
+        monkeypatch.setattr(comb, "MAX_ITER", max_iter)
+        with pytest.raises(RuntimeError, match=f"in {max_iter} iterations"):
+            optimize_fixed_order(small_objective)
+
+    def test_history_traces_every_check(self, optimum):
+        rows = optimum.history
+        assert [row["iteration"] for row in rows] == list(range(10, optimum.iterations + 1, 10))
+        last = rows[-1]
+        assert (last["lower"], last["upper"]) == (optimum.lower, optimum.upper)
+        assert last["primal_residual"] == optimum.primal_residual
+        assert all(row["lower"] <= row["upper"] for row in rows)
+        # the checks narrow the interval to the stopping gap
+        assert rows[0]["upper"] - rows[0]["lower"] > comb.GAP_TOL >= last["upper"] - last["lower"]
+
 
 class TestSwitchExceedsBound:
     def test_switch_is_perfect_where_comb_is_not(self):

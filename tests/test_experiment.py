@@ -125,6 +125,19 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=message):
             simulate_counts(u1, ID2, psi, NoiseParams(), RandomSource(7))
 
+    @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams.noiseless()], ids=["drift", "no-drift"])
+    @pytest.mark.parametrize("when", [
+        {"accumulated_rotation": np.nan},
+        {"accumulated_rotation": np.array([0.0, np.inf])},
+        {"elapsed_minutes": -np.inf},
+        {"elapsed_minutes": np.nan},
+    ], ids=["rotation-nan", "rotation-inf", "minutes-neg-inf", "minutes-nan"])
+    def test_rejects_non_finite_rotation_or_time(self, noise, when):
+        with pytest.raises(ValueError, match="finite phase"):
+            ideal_port_probabilities_with_noise(ID2, ID2, PLUS, noise, **when)
+        with pytest.raises(ValueError, match="finite phase"):
+            simulate_counts(ID2, ID2, PLUS, noise, RandomSource(7), **when)
+
 
 class TestCorrectedProbability:
     def test_pure_port0(self):
@@ -146,6 +159,13 @@ class TestCorrectedProbability:
         for eta in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and positive"):
                 corrected_probability(10, 10, eta)
+
+    @pytest.mark.parametrize("c0, c1", [
+        (np.nan, 1), (np.inf, 1), (1, np.inf), (1, np.nan), ([5, np.nan], [1, 2]),
+    ])
+    def test_rejects_non_finite_counts(self, c0, c1):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            corrected_probability(c0, c1, 0.7)
 
     def test_unbiased_in_expectation(self):
         # estimator mean over many repetitions stays within 3 standard errors
