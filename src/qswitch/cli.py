@@ -123,8 +123,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def cmd_discriminate(args) -> int:
-    u1 = parse_gate(args.u1)
-    u2 = parse_gate(args.u2)
+    u1, u2 = parse_gate(args.u1), parse_gate(args.u2)
     psi = parse_state(args.state)
     outcome = exit_probabilities(u1, u2, psi)
     promise = classify_pair(u1, u2, tol=1e-6)

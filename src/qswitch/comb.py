@@ -34,7 +34,7 @@ from .gates import GatePair, stack_pairs
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import ID2, SY, SZ, choi, choi_vector, require_state, require_unitary, tensor
+from .linalg import ID2, SY, SZ, choi, choi_vector, require_state, require_unitary, require_unitary_pair, tensor
 
 __all__ = [
     "CombResult",
@@ -195,8 +195,8 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     i = np.asarray(i)
     if not (np.issubdtype(i.dtype, np.integer) and np.isin(i, (0, 1)).all()):
         raise ValueError("outcome must be 0 or 1")
-    v1 = choi_vector(require_unitary(u1))
-    v2 = choi_vector(require_unitary(u2))
+    u1, u2 = np.split(require_unitary_pair(u1, u2), 2, axis=-2)
+    v1, v2 = choi_vector(u1), choi_vector(u2)
     y = (v1[..., :, None] * v2[..., None, :]).reshape(v1.shape[:-1] + (16,))
     blocks = np.asarray(w).reshape(16, 2, 16, 2).transpose(1, 3, 0, 2)[[0, 1], [0, 1]]
     p = np.einsum("...a,...ab,...b->...", y.conj(), blocks[i], y).real

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from .gates import GatePair, RandomSource, classify_pair, stack_pairs
-from .linalg import ID2, require_state, require_unitary
+from .linalg import ID2, both_orders, require_state
 from .switch import PLUS, Verdict
 from .waveplates import (
     decompose,
@@ -113,10 +113,7 @@ def ideal_port_probabilities_with_noise(
     visibility and phase pi this reduces exactly to the ideal switch.  Gates
     (..., 2, 2), states (..., 2), rotations and times broadcast as stacks.
     """
-    u1, u2 = require_unitary(u1), require_unitary(u2)
-    psi = require_state(psi, 2)[..., None]
-    branch_a = (u1 @ u2 @ psi)[..., 0] / np.sqrt(2.0)
-    branch_b = (u2 @ u1 @ psi)[..., 0] / np.sqrt(2.0)
+    branch_a, branch_b = (x / np.sqrt(2.0) for x in both_orders(u1, u2, require_state(psi, 2)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase is rejected below
         phi = (
             noise.phase_setpoint

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SY, SZ, frobenius_norm, require_unitary
+from .linalg import SY, SZ, frobenius_norm, require_unitary_pair
 from .switch import Verdict
 
 __all__ = [
@@ -127,15 +127,12 @@ def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_
     For stacks (..., 2, 2) of gates the result is an object array of
     ``Verdict``; for one pair it is the ``Verdict`` member itself.
     """
-    if not tol > 0:  # NaN included
-        raise ValueError("tolerance must be positive")
-    u1 = require_unitary(u1)
-    u2 = require_unitary(u2)
+    if not 0 < tol < 2:  # NaN included; unitaries have ||[A,B]||^2 + ||{A,B}||^2 = 8, so from 2 both could pass
+        raise ValueError("tolerance must be in (0, 2)")
+    u1, u2 = np.split(require_unitary_pair(u1, u2), 2, axis=-2)
     ab, ba = u1 @ u2, u2 @ u1
     comm = frobenius_norm(ab - ba) <= tol
     anti = frobenius_norm(ab + ba) <= tol
-    if np.any(comm & anti):
-        raise ValueError("both norms within tolerance; inputs cannot be unitary")
     return _VERDICTS[np.where(comm, 0, np.where(anti, 1, 2))]
 
 

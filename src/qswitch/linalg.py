@@ -16,6 +16,8 @@ __all__ = [
     "HAD",
     "PAULI_GATES",
     "require_unitary",
+    "require_unitary_pair",
+    "both_orders",
     "require_state",
     "tensor",
     "frobenius_norm",
@@ -44,7 +46,7 @@ def _max(x: np.ndarray) -> float:
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
     """Return ``u`` as a complex array, raising ValueError unless it is a unitary
-    or a stack (..., n, n) of unitaries."""
+    or a stack (..., n, n) of unitaries (two gates: ``require_unitary_pair``)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
@@ -59,6 +61,29 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     if not resid <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
     return u
+
+
+def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Two qubit gates or stacks (..., 2, 2) of them, broadcast against each other
+    and checked by one ``require_unitary`` call, as one array (..., 4, 2): u1 over u2."""
+    u1, u2 = np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)
+    for u in (u1, u2):
+        if u.shape[-2:] != (2, 2):  # a non-square or non-unitary u fails require_unitary with its message
+            raise ValueError(f"expected 2x2 gates, got shape {require_unitary(u).shape}")
+    if u1.shape != u2.shape:
+        u1, u2 = np.broadcast_arrays(u1, u2)
+    w = np.concatenate((u1, u2), axis=-2)
+    require_unitary(w.reshape(w.shape[:-2] + (2, 2, 2)))
+    return w
+
+
+def both_orders(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U1 U2 psi and U2 U1 psi for qubit gates (checked in one pass) and states (not checked),
+    from one product: with w = [U1; U2], w [U1 psi, U2 psi] holds both orders."""
+    w = require_unitary_pair(u1, u2)
+    v = w @ psi[..., None]
+    y = w @ v.reshape(v.shape[:-2] + (2, 2)).mT
+    return y[..., :2, 1], y[..., 2:, 0]  # U1 (U2 psi), U2 (U1 psi)
 
 
 def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:

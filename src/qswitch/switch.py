@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HAD, ID2, require_state, require_unitary, tensor
+from .linalg import HAD, ID2, both_orders, require_state, require_unitary_pair, tensor
 
 __all__ = [
     "Verdict",
@@ -56,18 +56,11 @@ class SwitchOutcome:
 def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Joint output state (1/2)|0>{U1,U2}psi + (1/2)|1>[U1,U2]psi.
 
-    Gates may be stacks (..., 2, 2) and states stacks (..., 2); the result
-    has the broadcast shape (..., 4).
+    Gates (..., 2, 2), checked in one pass, and states (..., 2) broadcast to a
+    result (..., 4); both orders come from one product (``both_orders``).
     """
-    return _switch_output(require_unitary(u1), require_unitary(u2), require_state(psi, 2))
-
-
-def _switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``two_switch_output`` on inputs that are already validated."""
-    ab, ba = u1 @ u2, u2 @ u1
-    # (..., 4, 2): the anti-commutator stacked over the commutator
-    halves = np.concatenate([ab + ba, ab - ba], axis=-2)
-    return (halves @ psi[..., None])[..., 0] / 2.0
+    ab, ba = both_orders(u1, u2, require_state(psi, 2))
+    return np.concatenate((ab + ba, ab - ba), axis=-1) / 2.0
 
 
 def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -76,37 +69,26 @@ def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -
     Starts from (|0>+|1>)/sqrt2 (x) psi, applies U1 U2 on the c=0 branch and
     U2 U1 on the c=1 branch, then a Hadamard on the control.
     """
-    u1 = require_unitary(u1)
-    u2 = require_unitary(u2)
-    psi = require_state(psi, 2)
-    joint = tensor(PLUS, psi)[..., None]
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    controlled = tensor(p0, u1 @ u2) + tensor(p1, u2 @ u1)
+    u1, u2 = np.split(require_unitary_pair(u1, u2), 2, axis=-2)
+    joint = tensor(PLUS, require_state(psi, 2))[..., None]
+    controlled = tensor(np.diag([1.0, 0.0]), u1 @ u2) + tensor(np.diag([0.0, 1.0]), u2 @ u1)
     return (tensor(HAD, ID2) @ controlled @ joint)[..., 0]
 
 
 def exit_probabilities(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray | None = None) -> SwitchOutcome:
-    """Port probabilities and verdict of the switch protocol, for one pair of
-    gates or for stacks (..., 2, 2) of them and of states (..., 2)."""
-    u1, u2 = require_unitary(u1), require_unitary(u2)
+    """Port probabilities ||{U1,U2}psi||^2 / 4, ||[U1,U2]psi||^2 / 4 and the verdict,
+    for one pair of gates or for stacks (..., 2, 2) of them and of states (..., 2)."""
     # PLUS is read-only and valid, so only a caller's state is checked
-    out = _switch_output(u1, u2, PLUS if psi is None else require_state(psi, 2))
-    square = (out.conj() * out).real
-    p0 = square[..., 0] + square[..., 1]
-    p1 = square[..., 2] + square[..., 3]
+    ab, ba = both_orders(u1, u2, PLUS if psi is None else require_state(psi, 2))
+    s, d = ab + ba, ab - ba
+    p0, p1 = np.vecdot(s, s).real / 4.0, np.vecdot(d, d).real / 4.0
     verdict = _BY_PORT[(p0 < p1).astype(np.intp)]
     return SwitchOutcome(p0=p0, p1=p1, verdict=verdict, degenerate=abs(p0 - p1) <= 1e-12)
 
 
 def fixed_order_apply(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray, order: int | str) -> np.ndarray:
-    """Apply the gates in a definite order: '12' means U1 acts first."""
-    u1 = require_unitary(u1)
-    u2 = require_unitary(u2)
-    psi = require_state(psi, 2)[..., None]
-    order = str(order)
-    if order == "12":
-        return (u2 @ (u1 @ psi))[..., 0]
-    if order == "21":
-        return (u1 @ (u2 @ psi))[..., 0]
-    raise ValueError(f"order must be '12' or '21', got {order!r}")
+    """Apply the gates in a definite order: '12' means U1 acts first (U2 U1 psi)."""
+    orders = dict(zip(("21", "12"), both_orders(u1, u2, require_state(psi, 2))))
+    if str(order) not in orders:
+        raise ValueError(f"order must be '12' or '21', got {order!r}")
+    return orders[str(order)]

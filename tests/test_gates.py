@@ -149,6 +149,14 @@ class TestClassifyPair:
         for u2 in (SY, SX):  # NaN is no tolerance, for either class
             with pytest.raises(ValueError):
                 classify_pair(SX, u2, tol=float("nan"))
+        # ||[A,B]||^2 + ||{A,B}||^2 = 8 for unitaries: from 2 on, a pair could be within both
+        for tol in (2.0, 3.0, float("inf")):
+            with pytest.raises(ValueError, match=r"tolerance must be in \(0, 2\)"):
+                classify_pair(SX, SY, tol=tol)
+
+    def test_largest_tolerance_still_separates(self):
+        assert classify_pair(SX, SY, tol=1.99) is Verdict.ANTICOMMUTE
+        assert classify_pair(SX, SX, tol=1.99) is Verdict.COMMUTE
 
     def test_empty_stack(self):
         verdicts = classify_pair(np.empty((0, 2, 2)), np.empty((0, 2, 2)))

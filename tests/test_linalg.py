@@ -14,11 +14,13 @@ from qswitch.linalg import (
     SY,
     SZ,
     UNITARY_TOL,
+    both_orders,
     choi,
     frobenius_distance_up_to_phase,
     frobenius_norm,
     require_state,
     require_unitary,
+    require_unitary_pair,
     tensor,
 )
 
@@ -227,9 +229,65 @@ class TestValidatorsAgainstReference:
         for x in layouts(perturbed_states(seed, dim, count, scale)):
             check_validator(require_state, reference_state_deviation, x)
 
+    @given(seed=SEEDS, count=st.integers(1, 4), scale=SCALES, slot=st.integers(0, 1))
+    def test_require_unitary_pair(self, seed, count, scale, slot):
+        # one slot perturbed: the pair passes exactly when that slot is within the tolerance
+        u = perturbed_unitaries(seed, 2, count, scale)
+        pair = [np.linalg.qr(g).Q for g in (u, u[::-1])]
+        pair[slot] = u
+        expected = reference_unitary_residual(u)
+        if expected <= UNITARY_TOL - 1e-15:
+            assert np.array_equal(require_unitary_pair(*pair), np.concatenate(pair, axis=-2))
+        elif expected > UNITARY_TOL + 1e-15:
+            with pytest.raises(ValueError, match="not unitary|above 1"):
+                require_unitary_pair(*pair)
+
     def test_scales_reach_both_sides_of_the_tolerance(self):
         for perturbed, reference in [
             (perturbed_unitaries, reference_unitary_residual),
             (perturbed_states, reference_state_deviation),
         ]:
             assert reference(perturbed(0, 2, 1, 1e-12)) < UNITARY_TOL < reference(perturbed(0, 2, 1, 1e-8))
+
+
+class TestRequireUnitaryPair:
+    def test_one_gate_over_the_other(self):
+        w = require_unitary_pair(SX, SZ)
+        assert w.shape == (4, 2) and w.dtype == complex
+        assert np.array_equal(w[:2], SX) and np.array_equal(w[2:], SZ)
+
+    def test_broadcasts_only_unequal_shapes(self):
+        us = haar_random_unitaries(RandomSource(3), 5)
+        w = require_unitary_pair(HAD, us)
+        assert w.shape == (5, 4, 2)
+        assert np.array_equal(w[:, :2], np.broadcast_to(HAD, (5, 2, 2))) and np.array_equal(w[:, 2:], us)
+        assert require_unitary_pair(np.empty((0, 2, 2)), SX).shape == (0, 4, 2)
+        with pytest.raises(ValueError):
+            require_unitary_pair(us[:2], us)
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.zeros((2, 3)), r"expected square matrices, got shape \(2, 3\)"),
+        (np.zeros(2), r"expected square matrices, got shape \(2,\)"),
+        (np.eye(3), r"expected 2x2 gates, got shape \(3, 3\)"),
+        (2 * np.eye(3), "above 1"),
+    ])
+    def test_shape_of_each_gate(self, bad, match):
+        for pair in ((bad, SX), (SX, bad)):
+            with pytest.raises(ValueError, match=match):
+                require_unitary_pair(*pair)
+
+
+class TestBothOrders:
+    def test_matches_explicit_products(self):
+        rng = RandomSource(4)
+        u1, u2 = haar_random_unitaries(rng, 2)
+        us = haar_random_unitaries(rng, 30)
+        psi = us[:, :, 0]  # unit columns
+        for a, b, states in [(u1, u2, psi), (u1, us, psi), (us, u2, psi[0]), (us, us[::-1], psi)]:
+            ab, ba = both_orders(a, b, states)
+            assert np.abs(ab - (a @ b @ states[..., None])[..., 0]).max() <= 1e-15
+            assert np.abs(ba - (b @ a @ states[..., None])[..., 0]).max() <= 1e-15
+
+    def test_paulis(self):
+        ab, ba = both_orders(SX, SY, np.array([1.0, 0.0]))
+        assert np.allclose(ab, [1j, 0]) and np.allclose(ba, [-1j, 0])  # XY = iZ, YX = -iZ
