@@ -9,7 +9,7 @@ tables are checked against it: the four Pauli rows and the 50 commuting /
 import numpy as np
 
 from qswitch import RandomSource, exit_probabilities
-from qswitch.gates import haar_random_unitaries, stack_pairs
+from qswitch.gates import haar_random_unitaries
 from qswitch.linalg import SY, frobenius_distance_up_to_phase
 from qswitch.waveplates import decompose, table_gate_pairs, triple_to_unitary
 
@@ -26,9 +26,8 @@ print(f"  worst phase-invariant Frobenius distance: {worst:.2e}")
 
 print("\nPackaged 100-pair angle table:")
 pairs = table_gate_pairs()
-u1, u2, port = stack_pairs(pairs)
-out = exit_probabilities(u1, u2)
-success = np.where(port == 0, out.p0, out.p1)
-print(f"  pairs: {len(pairs)} ({np.sum(port == 0)} commuting)")
+out = exit_probabilities(pairs.u1, pairs.u2)
+success = np.where(pairs.port == 0, out.p0, out.p1)
+print(f"  pairs: {len(pairs)} ({np.sum(pairs.port == 0)} commuting)")
 print(f"  mean ideal switch success: {np.mean(success):.8f}")
 print(f"  worst single pair:         {min(success):.8f}")

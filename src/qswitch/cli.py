@@ -22,7 +22,7 @@ from .experiment import (
     run_random_suite,
     run_state_sweep,
 )
-from .gates import RandomSource, classify_pair, pairs_to_csv, sample_pairs, stack_pairs
+from .gates import RandomSource, classify_pair, pairs_to_csv, sample_pairs
 from .linalg import PAULI_GATES, HAD, UNITARY_TOL, frobenius_distance_up_to_phase, require_unitary
 from .switch import Verdict, exit_probabilities
 from .waveplates import decompose, table_gate_pairs, triple_to_unitary
@@ -174,9 +174,8 @@ def cmd_bound(args) -> int:
     result = optimize_fixed_order(objective_operator())
     pairs = table_gate_pairs()
     table_success = evaluate_comb(result.comb, pairs)
-    u1, u2, port = stack_pairs(pairs)
-    switch = exit_probabilities(u1, u2)
-    ideal = np.where(port == 0, switch.p0, switch.p1)
+    switch = exit_probabilities(pairs.u1, pairs.u2)
+    ideal = np.where(pairs.port == 0, switch.p0, switch.p1)
     payload = {
         "p_succ": round(result.p_succ, 6),
         "iterations": result.iterations,
@@ -191,10 +190,9 @@ def cmd_bound(args) -> int:
     if args.json:
         payload["trace"] = result.history
     if args.out:
-        correct = probability_from_comb(result.comb, u1, u2, port)
+        correct = probability_from_comb(result.comb, pairs.u1, pairs.u2, pairs.port)
         rows = [["pair", "label", "correct_probability"]] + [
-            [pair.seed_record.get("table_row", ""), pair.label.value, f"{p:.6f}"]
-            for pair, p in zip(pairs, correct)
+            [row, label.value, f"{p:.6f}"] for row, label, p in zip(pairs.rows, pairs.labels, correct)
         ]
         with open(out / "bound_evaluation.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(rows)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GatePair, stack_pairs
+from .gates import PairStack
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
@@ -466,9 +466,8 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
                        f"iterations (primal residual {np.linalg.norm(w - z):.3e})")
 
 
-def evaluate_comb(w: np.ndarray, pairs: list[GatePair]) -> float:
+def evaluate_comb(w: np.ndarray, pairs: PairStack) -> float:
     """Mean probability of the correct verdict over labeled gate pairs."""
     if len(pairs) == 0:
         raise ValueError("no pairs were given")
-    u1, u2, port = stack_pairs(pairs)
-    return float(np.mean(probability_from_comb(w, u1, u2, port)))
+    return float(np.mean(probability_from_comb(w, pairs.u1, pairs.u2, pairs.port)))

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
-from .gates import GatePair, RandomSource, classify_pair, stack_pairs
+from .gates import PairStack, RandomSource, classify_pair
 from .linalg import ID2, both_orders, require_state
-from .switch import PLUS, Verdict
+from .switch import PLUS, PORT_VERDICTS, Verdict
 from .waveplates import (
     decompose,
     hwp,
@@ -350,11 +350,11 @@ def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     return _run_groups("pauli", _pauli_settings(PLUS[None], [""]), noise, rng)
 
 
-def _random_settings(pairs: list[GatePair] | None) -> _Settings:
+def _random_settings(pairs: PairStack | None) -> _Settings:
     if pairs is not None:
         if len(pairs) == 0:
             raise ValueError("no pairs were given")
-        u1, u2, port = stack_pairs(pairs)
+        u1, u2, port = pairs.u1, pairs.u2, pairs.port
         ids = [f"P{k}" for k in range(len(pairs))]
         angles = decompose(np.stack([u1, u2], axis=1)).reshape(-1, 6)
     else:
@@ -366,12 +366,11 @@ def _random_settings(pairs: list[GatePair] | None) -> _Settings:
         port = np.repeat([0, 1], len(table))
         ids = [prefix + row for prefix in "CA" for row in table.index]
         angles = triples.reshape(-1, 6)
-    labels = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)[port]
-    return _Settings(ids, labels, u1, u2, angles, PLUS, np.arange(len(ids)) % RANDOM_GROUP_SIZE)
+    return _Settings(ids, PORT_VERDICTS[port], u1, u2, angles, PLUS, np.arange(len(ids)) % RANDOM_GROUP_SIZE)
 
 
 def run_random_suite(
-    noise: NoiseParams, rng: RandomSource, pairs: list[GatePair] | None = None
+    noise: NoiseParams, rng: RandomSource, pairs: PairStack | None = None
 ) -> SuiteReport:
     """The 100 random commuting / anti-commuting pairs, in re-zeroed groups of ten.
 

@@ -13,17 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SY, SZ, frobenius_norm, require_unitary_pair
-from .switch import Verdict
+from .switch import PORT_VERDICTS, Verdict
 
 __all__ = [
     "RandomSource",
     "GatePair",
+    "PairStack",
     "haar_random_unitaries",
     "commuting_pair",
     "anticommuting_pair",
     "classify_pair",
     "sample_pairs",
-    "stack_pairs",
     "pairs_to_csv",
 ]
 
@@ -56,12 +56,50 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class GatePair:
-    """Two 2x2 unitaries with a ground-truth promise label."""
+    """Two 2x2 unitaries with a ground-truth promise label: one pair of a ``PairStack``."""
 
     u1: np.ndarray
     u2: np.ndarray
     label: Verdict
-    seed_record: dict | None = None
+
+
+class PairStack:
+    """Labelled pairs as (n, 2, 2) gate stacks ``u1``, ``u2`` and the (n,) exit ``port``
+    each label calls for (``labels`` is ``PORT_VERDICTS[port]``), with the ``seed`` they
+    were sampled from or each pair's angle-table row in ``rows``.
+
+    Indexing and iteration give ``GatePair`` views into the stacks.
+    """
+
+    def __init__(self, u1: np.ndarray, u2: np.ndarray, port: np.ndarray,
+                 seed: int | None = None, rows: tuple[str, ...] | None = None) -> None:
+        self.u1, self.u2, self.port = np.asarray(u1), np.asarray(u2), np.asarray(port)
+        if not (self.port.ndim == 1 and self.u1.shape == self.u2.shape == (len(self.port), 2, 2)):
+            shapes = self.u1.shape, self.u2.shape, self.port.shape
+            raise ValueError(f"expected (n, 2, 2) gates and (n,) ports, got shapes {shapes}")
+        if not (np.issubdtype(self.port.dtype, np.integer) and np.isin(self.port, (0, 1)).all()):
+            raise ValueError("port must be 0 (COMMUTE) or 1 (ANTICOMMUTE)")
+        self.seed, self.rows = seed, rows
+
+    @property
+    def labels(self) -> np.ndarray:
+        return PORT_VERDICTS[self.port]
+
+    def __len__(self) -> int:
+        return len(self.port)
+
+    def __getitem__(self, k: int) -> GatePair:
+        return GatePair(self.u1[k], self.u2[k], PORT_VERDICTS[self.port[k]])
+
+    def __iter__(self):
+        return map(GatePair, self.u1, self.u2, self.labels)
+
+    def __setitem__(self, k: int, pair: GatePair) -> None:
+        # perfbench/selftest.py relabels one sampled pair this way to test the discriminate gate
+        verdicts = PORT_VERDICTS.tolist()
+        if pair.label not in verdicts:
+            raise ValueError(f"a stacked pair must be labelled COMMUTE or ANTICOMMUTE, got {pair.label}")
+        self.u1[k], self.u2[k], self.port[k] = pair.u1, pair.u2, verdicts.index(pair.label)
 
 
 def _ginibre_to_unitary(g: np.ndarray) -> np.ndarray:
@@ -91,34 +129,14 @@ def _eigenphase_gates(rs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (rs * eigenvalues[:, None, :]) @ rs.mT.conj()
 
 
-def _labelled_pairs(u1: np.ndarray, u2: np.ndarray, label: Verdict, record: dict) -> list[GatePair]:
-    return [GatePair(u1=a, u2=b, label=label, seed_record=record) for a, b in zip(u1, u2)]
-
-
-def _commuting_pairs(rng: RandomSource, n: int) -> list[GatePair]:
-    """n pairs R diag(1, e^{i theta_k}) R^dag, k = 1, 2, with Haar R and uniform thetas."""
-    record = rng.record()
-    rs = haar_random_unitaries(rng, n)
-    thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n, 2))
-    c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
-    return _labelled_pairs(c1, c2, Verdict.COMMUTE, record)
-
-
-def _anticommuting_pairs(rng: RandomSource, n: int) -> list[GatePair]:
-    """n pairs R sigma_z R^dag, R sigma_y R^dag with Haar R."""
-    record = rng.record()
-    rs = haar_random_unitaries(rng, n)
-    return _labelled_pairs(rs @ SZ @ rs.mT.conj(), rs @ SY @ rs.mT.conj(), Verdict.ANTICOMMUTE, record)
-
-
 def commuting_pair(rng: RandomSource) -> GatePair:
     """C_k = R diag(1, e^{i theta_k}) R^dag with Haar R and uniform thetas."""
-    return _commuting_pairs(rng, 1)[0]
+    return sample_pairs(rng, 1, 0)[0]
 
 
 def anticommuting_pair(rng: RandomSource) -> GatePair:
     """A_1 = R sigma_z R^dag, A_2 = R sigma_y R^dag for one Haar R."""
-    return _anticommuting_pairs(rng, 1)[0]
+    return sample_pairs(rng, 0, 1)[0]
 
 
 def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> Verdict | np.ndarray:
@@ -136,35 +154,16 @@ def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_
     return _VERDICTS[np.where(comm, 0, np.where(anti, 1, 2))]
 
 
-def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> list[GatePair]:
-    """``n_commuting`` commuting pairs followed by ``n_anticommuting`` anti-commuting ones.
-
-    Each class is drawn as one stack; every pair records the stream state its
-    class was drawn from.
-    """
-    return _commuting_pairs(rng, n_commuting) + _anticommuting_pairs(rng, n_anticommuting)
-
-
-def stack_pairs(pairs: list[GatePair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gates of labeled pairs as two (n, 2, 2) stacks, and the exit port each
-    label calls for (0 for COMMUTE, 1 for ANTICOMMUTE)."""
-    ports = {Verdict.COMMUTE: 0, Verdict.ANTICOMMUTE: 1}
-    if any(pair.label not in ports for pair in pairs):
-        raise ValueError("pairs must be labeled COMMUTE or ANTICOMMUTE")
-    port = np.array([ports[pair.label] for pair in pairs], dtype=int)
-    shape = (len(pairs), 2, 2)  # also when there are none
-    u1 = np.array([pair.u1 for pair in pairs], dtype=complex).reshape(shape)
-    u2 = np.array([pair.u2 for pair in pairs], dtype=complex).reshape(shape)
-    return u1, u2, port
-
-
-def _pair_row(index: int, pair: GatePair) -> list:
-    row: list = [index, pair.label.value]
-    for gate in (pair.u1, pair.u2):
-        for entry in gate.reshape(-1):
-            row += [float(entry.real), float(entry.imag)]
-    row.append((pair.seed_record or {}).get("seed", ""))  # table pairs record a row, not a seed
-    return row
+def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> PairStack:
+    """``n_commuting`` commuting pairs followed by ``n_anticommuting`` anti-commuting ones,
+    each class drawn as one stack (see ``commuting_pair`` and ``anticommuting_pair``)."""
+    rs = haar_random_unitaries(rng, n_commuting)
+    thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2))
+    c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
+    rs = haar_random_unitaries(rng, n_anticommuting)
+    a1, a2 = rs @ SZ @ rs.mT.conj(), rs @ SY @ rs.mT.conj()
+    port = np.repeat([0, 1], [n_commuting, n_anticommuting])
+    return PairStack(np.concatenate([c1, a1]), np.concatenate([c2, a2]), port, seed=rng.seed)
 
 
 _CSV_HEADER = ["index", "label"] + [
@@ -172,9 +171,13 @@ _CSV_HEADER = ["index", "label"] + [
 ] + ["seed"]
 
 
-def pairs_to_csv(pairs: list[GatePair], path) -> None:
+def pairs_to_csv(pairs: PairStack, path) -> None:
+    """Rows of index, label, (re, im) of u1 then u2 row-major, and seed (empty if not sampled)."""
+    entries = np.stack([pairs.u1, pairs.u2], axis=1).reshape(-1, 8)
+    floats = np.stack([entries.real, entries.imag], axis=-1).reshape(-1, 16).tolist()
+    seed = "" if pairs.seed is None else pairs.seed
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for k, pair in enumerate(pairs):
-            writer.writerow(_pair_row(k, pair))
+        writer.writerows([k, label.value, *row, seed]
+                         for k, (label, row) in enumerate(zip(pairs.labels, floats)))

@@ -18,6 +18,7 @@ __all__ = [
     "Verdict",
     "SwitchOutcome",
     "PLUS",
+    "PORT_VERDICTS",
     "two_switch_output",
     "two_switch_output_circuit",
     "exit_probabilities",
@@ -34,7 +35,9 @@ class Verdict(str, enum.Enum):
     NEITHER = "NEITHER"
 
 
-_BY_PORT = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)
+# the verdict each exit port signals: a label's port is its index here
+PORT_VERDICTS = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)
+PORT_VERDICTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def exit_probabilities(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray | None = 
     ab, ba = both_orders(u1, u2, PLUS if psi is None else require_state(psi, 2))
     s, d = ab + ba, ab - ba
     p0, p1 = np.vecdot(s, s).real / 4.0, np.vecdot(d, d).real / 4.0
-    verdict = _BY_PORT[(p0 < p1).astype(np.intp)]
+    verdict = PORT_VERDICTS[(p0 < p1).astype(np.intp)]
     return SwitchOutcome(p0=p0, p1=p1, verdict=verdict, degenerate=abs(p0 - p1) <= 1e-12)
 
 

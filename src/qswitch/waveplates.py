@@ -23,8 +23,9 @@ from importlib import resources
 
 import numpy as np
 
+from . import gates  # looked up at call time, so a wrapper set on gates.classify_pair sees these calls
 from .linalg import require_unitary
-from .switch import Verdict
+from .switch import PORT_VERDICTS
 
 __all__ = [
     "AngleTable",
@@ -174,25 +175,21 @@ def load_random_pairs_table() -> AngleTable:
     return load_angle_table(_read_data("random_pairs_table.csv"))
 
 
-def table_gate_pairs(table: AngleTable | None = None):
+def table_gate_pairs(table: AngleTable | None = None) -> gates.PairStack:
     """Reconstruct the 100 labeled gate pairs from the random-pairs table.
 
-    Returns 50 commuting pairs followed by 50 anti-commuting pairs.  Labels
-    are asserted against ``classify_pair`` at the rounded-angle tolerance.
+    Returns 50 commuting pairs followed by 50 anti-commuting pairs, named by
+    table row, with labels asserted by ``classify_pair`` at the rounded-angle tolerance.
     """
-    from .gates import GatePair, classify_pair
-
     if table is None:
         table = load_random_pairs_table()
     if table.angles.shape[1] != 4:
         raise ValueError(f"expected 4 triples per row, got {table.angles.shape[1]}")
-    gates = triple_to_unitary(table.angles)  # (row, triple, 2, 2)
-    pairs: list[GatePair] = []
-    for label, name, k in ((Verdict.COMMUTE, "commuting", 0), (Verdict.ANTICOMMUTE, "anti-commuting", 2)):
-        u1, u2 = gates[:, k], gates[:, k + 1]
-        wrong = np.flatnonzero(classify_pair(u1, u2, tol=TABLE_ANGLE_TOL) != np.array(label, dtype=object))
-        if wrong.size:
-            raise ValueError(f"row {table.index[wrong[0]]}: {name} pair fails classification")
-        pairs += [GatePair(u1=a, u2=b, label=label, seed_record={"table_row": row})
-                  for a, b, row in zip(u1, u2, table.index)]
-    return pairs
+    unitaries = triple_to_unitary(table.angles)  # (row, triple, 2, 2)
+    u1, u2 = (np.concatenate([unitaries[:, k], unitaries[:, k + 2]]) for k in (0, 1))
+    port = np.repeat([0, 1], len(table))
+    wrong = np.flatnonzero(gates.classify_pair(u1, u2, tol=TABLE_ANGLE_TOL) != PORT_VERDICTS[port])
+    if wrong.size:
+        k, name = wrong[0], ("commuting", "anti-commuting")[port[wrong[0]]]
+        raise ValueError(f"row {table.index[k % len(table)]}: {name} pair fails classification")
+    return gates.PairStack(u1, u2, port, rows=table.index * 2)

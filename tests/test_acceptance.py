@@ -21,7 +21,7 @@ from qswitch.comb import (
     project_comb_affine,
 )
 from qswitch.experiment import NoiseParams, run_pauli_suite, run_random_suite, run_state_sweep
-from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs, stack_pairs
+from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
 from qswitch.linalg import frobenius_distance_up_to_phase, frobenius_norm
 from qswitch.switch import (
     exit_probabilities,
@@ -96,9 +96,8 @@ def test_criterion_01_output_equivalence():
 
 def test_criterion_02_perfect_discrimination_on_promise():
     pairs = sample_pairs(RandomSource(101), 10_000, 10_000)
-    u1, u2, port = stack_pairs(pairs)
-    out = exit_probabilities(u1, u2)
-    correct = np.where(port == 0, out.p0, out.p1)
+    out = exit_probabilities(pairs.u1, pairs.u2)
+    correct = np.where(pairs.port == 0, out.p0, out.p1)
     worst = float(np.abs(correct - 1.0).max())
     wrong = sum(verdict is not pair.label for verdict, pair in zip(out.verdict, pairs))
     report(
@@ -122,9 +121,8 @@ def test_criterion_03_pauli_angle_table():
 def test_criterion_04_hundred_pair_table(table_pairs):
     c1, c2, a1, a2 = np.moveaxis(triple_to_unitary(load_random_pairs_table().angles), 1, 0)
     worst_alg = max(frobenius_norm(c1 @ c2 - c2 @ c1).max(), frobenius_norm(a1 @ a2 + a2 @ a1).max())
-    u1, u2, port = stack_pairs(table_pairs)
-    out = exit_probabilities(u1, u2)
-    worst_succ = float((1.0 - np.where(port == 0, out.p0, out.p1)).max())
+    out = exit_probabilities(table_pairs.u1, table_pairs.u2)
+    worst_succ = float((1.0 - np.where(table_pairs.port == 0, out.p0, out.p1)).max())
     report(
         "criterion 4 (100-pair angle table classifies and discriminates)",
         worst_alg <= 0.05 and worst_succ <= 1e-3,

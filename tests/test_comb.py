@@ -19,7 +19,7 @@ from qswitch.comb import (
     probability_from_comb,
     project_comb_affine,
 )
-from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
+from qswitch.gates import GatePair, PairStack, RandomSource, haar_random_unitaries, sample_pairs
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, choi, tensor
 from qswitch.switch import Verdict, exit_probabilities
 
@@ -361,10 +361,14 @@ class TestOptimization:
         assert 0.85 <= score <= 1.0
 
     def test_evaluate_comb_rejects_unlabeled(self, optimum):
+        # an unlabeled pair cannot reach evaluate_comb: no stack holds one
         pairs = sample_pairs(RandomSource(16), 1, 1)
-        object.__setattr__(pairs[0], "label", Verdict.NEITHER)
-        with pytest.raises(ValueError):
-            evaluate_comb(optimum.comb, pairs)
+        with pytest.raises(ValueError, match="labelled COMMUTE or ANTICOMMUTE"):
+            pairs[0] = GatePair(pairs[0].u1, pairs[0].u2, Verdict.NEITHER)
+        with pytest.raises(ValueError, match="port must be 0"):
+            PairStack(pairs.u1, pairs.u2, np.array([0, 2]))
+        assert pairs.port.tolist() == [0, 1]
+        assert 0.0 <= evaluate_comb(optimum.comb, pairs) <= 1.0
 
 
     def test_evaluate_comb_rejects_no_pairs(self, optimum):

@@ -17,7 +17,7 @@ from qswitch.experiment import (
     simulate_counts,
     simulate_phase_sweep,
 )
-from qswitch.gates import RandomSource, anticommuting_pair, commuting_pair, haar_random_unitaries
+from qswitch.gates import RandomSource, anticommuting_pair, commuting_pair, haar_random_unitaries, sample_pairs
 from qswitch.linalg import ID2
 from qswitch.switch import PLUS, exit_probabilities
 
@@ -251,10 +251,7 @@ class TestSuites:
         assert 0.95 <= report.mean_success <= 0.995
 
     def test_random_suite_explicit_pairs(self):
-        rng = RandomSource(15)
-        pairs = [commuting_pair(rng) for _ in range(3)] + [
-            anticommuting_pair(rng) for _ in range(3)
-        ]
+        pairs = sample_pairs(RandomSource(15), 3, 3)
         report = run_random_suite(NoiseParams.noiseless(), RandomSource(16), pairs=pairs)
         assert report.mean_success == 1.0
 

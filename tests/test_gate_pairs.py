@@ -10,7 +10,7 @@ import pytest
 
 from qswitch.comb import build_comb_from_circuit, probability_from_comb
 from qswitch.experiment import NoiseParams, ideal_port_probabilities_with_noise
-from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries, sample_pairs, stack_pairs
+from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries, sample_pairs
 from qswitch.linalg import ID2, SX, SZ
 from qswitch.switch import (
     PLUS,
@@ -97,8 +97,7 @@ def _assert_same(stacked, single):
 def test_one_gate_against_a_stack(caller):
     f = CALLERS[caller]
     pairs = sample_pairs(RandomSource(12), 4, 4)
-    u1, u2, _ = stack_pairs(pairs)
-    us = np.concatenate([u1, u2, haar_random_unitaries(RandomSource(13), 4)])
+    us = np.concatenate([pairs.u1, pairs.u2, haar_random_unitaries(RandomSource(13), 4)])
     gate = us[3]
     for stacked, single in [(f(gate, us), lambda k: f(gate, us[k])),
                             (f(us, gate), lambda k: f(us[k], gate)),

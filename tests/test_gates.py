@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from qswitch.gates import (
+    PairStack,
     RandomSource,
     _eigenphase_gates,
     anticommuting_pair,
@@ -12,7 +14,6 @@ from qswitch.gates import (
     haar_random_unitaries,
     pairs_to_csv,
     sample_pairs,
-    stack_pairs,
 )
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase
 from qswitch.switch import Verdict
@@ -135,9 +136,8 @@ class TestClassifyPair:
 
     def test_stacked_matches_per_pair_calls(self):
         pairs = sample_pairs(RandomSource(14), 20, 20)
-        u1, u2, _ = stack_pairs(pairs)
-        u1 = np.concatenate([u1, [SX, SX]])  # a NEITHER pair among them
-        u2 = np.concatenate([u2, [HAD, ID2]])
+        u1 = np.concatenate([pairs.u1, [SX, SX]])  # a NEITHER pair among them
+        u2 = np.concatenate([pairs.u2, [HAD, ID2]])
         stacked = classify_pair(u1.reshape(6, 7, 2, 2), u2.reshape(6, 7, 2, 2))
         assert stacked.shape == (6, 7) and stacked.dtype == object
         assert all(a is classify_pair(b1, b2) for a, b1, b2 in zip(stacked.reshape(-1), u1, u2))
@@ -163,11 +163,39 @@ class TestClassifyPair:
         assert verdicts.shape == (0,) and verdicts.dtype == object
 
 
-class TestStackPairs:
+class TestPairStack:
     def test_empty(self):
-        u1, u2, port = stack_pairs([])
-        assert u1.shape == u2.shape == (0, 2, 2)
-        assert np.issubdtype(port.dtype, np.integer) and port.shape == (0,)
+        pairs = sample_pairs(RandomSource(0), 0, 0)
+        assert len(pairs) == 0 and list(pairs) == []
+        assert pairs.u1.shape == pairs.u2.shape == (0, 2, 2)
+        assert np.issubdtype(pairs.port.dtype, np.integer) and pairs.port.shape == (0,)
+
+    @pytest.mark.parametrize("u1, u2, port", [
+        (np.stack([SX, SY]), np.stack([SX]), [0, 1]),  # unequal stacks
+        (np.stack([SX, SY]), np.stack([SX, SY]), [0]),  # fewer ports than pairs
+        (SX, SY, 0),  # one pair is not a stack
+        (np.eye(3)[None], np.eye(3)[None], [0]),  # not 2x2
+        (np.stack([SX, SY]), np.stack([SX, SY]), [[0, 1]]),
+        (np.stack([SX, SY]), np.stack([SX, SY]), [0, 2]),  # NEITHER has no port
+        (np.stack([SX, SY]), np.stack([SX, SY]), [0.0, 1.0]),
+        (np.stack([SX, SY]), np.stack([SX, SY]), [False, True]),
+    ], ids=["unequal", "few-ports", "one-pair", "3x3", "2d-port", "port-2", "float-port", "bool-port"])
+    def test_rejects_malformed_stacks(self, u1, u2, port):
+        with pytest.raises(ValueError):
+            PairStack(u1, u2, port)
+
+    def test_views_and_write_back(self):
+        pairs = sample_pairs(RandomSource(3), 2, 1)
+        assert [pair.label for pair in pairs] == [Verdict.COMMUTE] * 2 + [Verdict.ANTICOMMUTE]
+        assert pairs[-1].label is Verdict.ANTICOMMUTE
+        assert np.shares_memory(pairs[1].u2, pairs.u2)
+        gates = pairs.u1[0].copy(), pairs.u2[0].copy()
+        pairs[0] = dataclasses.replace(pairs[0], label=Verdict.ANTICOMMUTE)
+        assert pairs.port.tolist() == [1, 0, 1]
+        assert np.array_equal(pairs.u1[0], gates[0]) and np.array_equal(pairs.u2[0], gates[1])
+        pairs[1] = pairs[2]
+        assert pairs.port.tolist() == [1, 1, 1]
+        assert np.array_equal(pairs.u1[1], pairs.u1[2]) and np.array_equal(pairs.u2[1], pairs.u2[2])
 
 
 class TestExport:
@@ -178,11 +206,15 @@ class TestExport:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 5  # header + 4 pairs
-        assert rows[0][:2] == ["index", "label"]
-        first = rows[1]
-        u1 = np.array([float(x) for x in first[2:10]]).view()
-        rebuilt = (u1[0::2] + 1j * u1[1::2]).reshape(2, 2)
-        assert np.allclose(rebuilt, pairs[0].u1)
+        assert rows[0][:2] == ["index", "label"] and rows[0][-1] == "seed"
+        assert [row[:2] for row in rows[1:]] == [
+            ["0", "COMMUTE"], ["1", "COMMUTE"], ["2", "ANTICOMMUTE"], ["3", "ANTICOMMUTE"]
+        ]
+        for row, u1, u2 in zip(rows[1:], pairs.u1, pairs.u2):
+            # each float is written as its repr, so it reads back exactly
+            parts = [float(part) for z in (*u1.reshape(-1), *u2.reshape(-1)) for part in (z.real, z.imag)]
+            assert [float(x) for x in row[2:18]] == parts
+            assert row[18:] == ["12"]
 
     def test_csv_of_table_pairs(self, tmp_path):
         # table pairs record their table row, not a seed: the seed cell is empty

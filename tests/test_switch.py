@@ -7,7 +7,6 @@ from qswitch.gates import (
     commuting_pair,
     haar_random_unitaries,
     sample_pairs,
-    stack_pairs,
 )
 from qswitch.linalg import HAD, ID2, SX, SY, SZ
 from qswitch.switch import (
@@ -151,8 +150,7 @@ class TestExitProbabilities:
 
     def test_default_state_is_plus_bit_for_bit(self):
         pairs = sample_pairs(RandomSource(8), 50, 50)
-        u1, u2, _ = stack_pairs(pairs)
-        for args in [(u1, u2), *((p.u1, p.u2) for p in pairs)]:
+        for args in [(pairs.u1, pairs.u2), *((p.u1, p.u2) for p in pairs)]:
             default, explicit = exit_probabilities(*args), exit_probabilities(*args, PLUS)
             assert np.array_equal(default.p0, explicit.p0)
             assert np.array_equal(default.p1, explicit.p1)

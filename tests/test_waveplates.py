@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries, stack_pairs
+from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase as fdist
 from qswitch.switch import Verdict, exit_probabilities
 from qswitch.waveplates import (
@@ -166,9 +166,8 @@ class TestRandomPairsTable:
     def test_table_gate_pairs_labels_and_success(self):
         pairs = table_gate_pairs()
         assert len(pairs) == 100
-        u1, u2, port = stack_pairs(pairs)
-        out = exit_probabilities(u1, u2)
-        assert np.where(port == 0, out.p0, out.p1).min() >= 1 - 1e-3
+        out = exit_probabilities(pairs.u1, pairs.u2)
+        assert np.where(pairs.port == 0, out.p0, out.p1).min() >= 1 - 1e-3
 
     @pytest.mark.parametrize("row, source, target, message", [
         (5, slice(0, 2), slice(2, 4), "row 6: anti-commuting pair"),
