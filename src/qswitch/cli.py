@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .comb import evaluate_comb, objective_operator, optimize_fixed_order, probability_from_comb
+from .comb import objective_operator, optimize_fixed_order, probability_from_comb
+# unused since cmd_bound scores the pairs itself; perfbench traces this name
+from .comb import evaluate_comb  # noqa: F401
 from .experiment import (
     NoiseParams,
     run_pauli_suite,
@@ -173,7 +175,7 @@ def cmd_bound(args) -> int:
         out.mkdir(parents=True, exist_ok=True)  # fail on a bad path before the solve
     result = optimize_fixed_order(objective_operator())
     pairs = table_gate_pairs()
-    table_success = evaluate_comb(result.comb, pairs)
+    correct = probability_from_comb(result.comb, pairs.u1, pairs.u2, pairs.port)
     switch = exit_probabilities(pairs.u1, pairs.u2)
     ideal = np.where(pairs.port == 0, switch.p0, switch.p1)
     payload = {
@@ -184,13 +186,12 @@ def cmd_bound(args) -> int:
         "upper": result.upper,
         "gap": result.gap,
         "residuals": {k: float(v) for k, v in result.residuals.items()},
-        "table_pairs_success": round(table_success, 6),
+        "table_pairs_success": round(float(np.mean(correct)), 6),
         "switch_success_same_pairs": round(float(np.mean(ideal)), 6),
     }
     if args.json:
         payload["trace"] = result.history
     if args.out:
-        correct = probability_from_comb(result.comb, pairs.u1, pairs.u2, pairs.port)
         rows = [["pair", "label", "correct_probability"]] + [
             [row, label.value, f"{p:.6f}"] for row, label, p in zip(pairs.rows, pairs.labels, correct)
         ]

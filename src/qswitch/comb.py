@@ -34,7 +34,7 @@ from .gates import PairStack
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import ID2, SY, SZ, choi, choi_vector, require_state, require_unitary, require_unitary_pair, tensor
+from .linalg import SY, SZ, choi, choi_vector, require_state, require_unitary, require_unitary_pair
 
 __all__ = [
     "CombResult",
@@ -75,12 +75,6 @@ class CombResult:
         return self.upper - self.lower
 
 
-def _basis_projector(i: int) -> np.ndarray:
-    e = np.zeros((2, 2), dtype=complex)
-    e[i, i] = 1.0
-    return e
-
-
 def class_averaged_objective(rs: np.ndarray) -> np.ndarray:
     """(S_0 averaged over commuting pairs + S_1 over anti-commuting pairs) / 2.
 
@@ -94,13 +88,15 @@ def class_averaged_objective(rs: np.ndarray) -> np.ndarray:
     n = rs.shape[0]
     v = choi_vector(np.einsum("nak,nbk->knab", rs, rs.conj()))  # eigenprojector k of each R
     c = np.einsum("kni,knj->nij", v, v.conj())
-    commuting = np.einsum("nab,ncd->acbd", c, c).reshape(16, 16) / n
     rs_dag = np.conjugate(np.swapaxes(rs, -2, -1))
     a1 = choi(rs @ SZ @ rs_dag)
     a2 = choi(rs @ SY @ rs_dag)
-    anticommuting = np.einsum("nab,ncd->acbd", a1, a2).reshape(16, 16) / n
-    m = np.kron(commuting, _basis_projector(0)) + np.kron(anticommuting, _basis_projector(1))
-    return m / 2.0
+    # class averages of C (x) C' (commuting, anti-commuting) by (16 x n)(n x 16) products
+    first, second = np.stack([c, a1]).reshape(2, n, 16), np.stack([c, a2]).reshape(2, n, 16)
+    averages = (first.mT @ second).reshape(2, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(2, 16, 16)
+    m = np.zeros((16, 2, 16, 2), dtype=complex)
+    m[:, [0, 1], :, [0, 1]] = averages / (2.0 * n)  # outcome i holds class i
+    return m.reshape(DIM, DIM)
 
 
 def icosahedral_design() -> np.ndarray:
@@ -176,11 +172,9 @@ def build_comb_from_circuit(
     else:
         raise ValueError("measured_wire must be 0 or 1")
     t = t.reshape(2, da, 16)
-    w = np.zeros((DIM, DIM), dtype=complex)
-    for i in (0, 1):
-        wi = np.einsum("kp,kq->pq", t[i].conj(), t[i])
-        w += np.kron(wi, _basis_projector(i))
-    return w
+    w = np.zeros((16, 2, 16, 2), dtype=complex)
+    w[:, [0, 1], :, [0, 1]] = np.einsum("ikp,ikq->ipq", t.conj(), t)  # outcome i on P5
+    return w.reshape(DIM, DIM)
 
 
 def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
@@ -300,24 +294,30 @@ def _schur_vectors() -> np.ndarray:
     V^(x)4 acts alike on all.  The frame sigma_y (x) I (x) sigma_y (x) I is
     real, and so are the vectors.
     """
+    idx = np.arange(16)
     # J-: each qubit in turn from |0> (up) to |1>, P1 the high bit
-    flip = np.array([[0.0, 0.0], [1.0, 0.0]])
-    lowering = sum(np.kron(np.kron(np.eye(2**k), flip), np.eye(8 >> k)) for k in range(4))
+    lowering = np.zeros((16, 16))
+    for bit in (8, 4, 2, 1):
+        low = idx[idx & bit == 0]
+        lowering[low | bit, low] = 1.0
+    # the frame flips P1 and P3 (bits 3 and 1), with sign -1 where they agree
+    perm = idx ^ 0b1010
+    sign = np.where((idx >> 3 & 1) != (idx >> 1 & 1), 1.0, -1.0)[:, None]
     up, down = np.eye(4)[[0, 3]]
     singlet, t0 = np.array([[0.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-    tops = ([np.kron(up, up)],
-            [np.kron(up, singlet), np.kron(singlet, up), (np.kron(up, t0) - np.kron(t0, up)) / np.sqrt(2.0)],
-            [np.kron(singlet, singlet),
-             (np.kron(up, down) - np.kron(t0, t0) + np.kron(down, up)) / np.sqrt(3.0)])
-    frame = tensor(SY, ID2, SY, ID2).real
+    # np.outer(x, y) is x on (P1 P2) times y on (P3 P4), flattened below
+    tops = ([np.outer(up, up)],
+            [np.outer(up, singlet), np.outer(singlet, up), (np.outer(up, t0) - np.outer(t0, up)) / np.sqrt(2.0)],
+            [np.outer(singlet, singlet),
+             (np.outer(up, down) - np.outer(t0, t0) + np.outer(down, up)) / np.sqrt(3.0)])
     q = np.zeros((3, 16, 5, 3))
     for s, (j, top) in enumerate(zip(SPINS, tops)):
-        vecs = np.transpose(top)
+        vecs = np.reshape(top, (-1, 16)).T
         for m in range(2 * j + 1):
             if m:
                 vecs = lowering @ vecs
                 vecs /= np.linalg.norm(vecs, axis=0)
-            q[s, :, m, :len(top)] = frame @ vecs
+            q[s, :, m, :len(top)] = sign * vecs[perm]
     return q
 
 
@@ -331,7 +331,7 @@ def _unit_blocks() -> np.ndarray:
     units = []
     for slot in range(6):
         j, mult = SPINS[slot % 3], MULTIPLICITIES[slot % 3]
-        for a, b in zip(*np.triu_indices(mult)):
+        for a, b in itertools.combinations_with_replacement(range(mult), 2):
             unit = np.zeros((6, 3, 3))
             unit[slot, a, b] = unit[slot, b, a] = 1.0 if a == b else np.sqrt(0.5)
             units.append(unit / np.sqrt(2 * j + 1))
@@ -343,8 +343,11 @@ class _BlockCoordinates:
 
     ``basis`` holds the 20 real operators B_k (32x32); ``affine`` (20x20) and
     ``offset`` (the coordinates of I * 4/32) are ``project_comb_affine`` in
-    these coordinates, read off one stacked call.  Built per solve, so that
-    importing the package builds nothing.
+    these coordinates.  As <B_k, t (x) I> = <tr_tail B_k, t>, each tail term of
+    the projection is a Gram matrix of the tail traces T_m of the basis, and
+    the trace fix removes the identity direction, with coordinates r = tr B_k:
+    affine = I_20 + sum_m (-1/2)^m T_m T_m^T - r r^T/32, offset = 4/32 r.
+    Built per solve, so that importing the package builds nothing.
     """
 
     def __init__(self) -> None:
@@ -352,17 +355,19 @@ class _BlockCoordinates:
         units = _unit_blocks()
         n = len(units)
         # on the gate wires, entry (a, b) of M_j is the operator sum_m |j, m, a><j, m, b|
-        entries = np.einsum("spma,sqmb->sabpq", q, q).reshape(27, 256)
+        entries = (q.transpose(0, 3, 1, 2)[:, :, None] @ q.transpose(0, 3, 2, 1)[:, None]).reshape(27, 256)
         gate_wires = (units.reshape(2 * n, 27) @ entries).reshape(n, 2, 16, 16)
         # B_k = sum_i (gate-wire operator of outcome i) (x) |i><i|
-        self.basis = np.einsum("nipq,ij->npiqj", gate_wires, np.eye(2)).reshape(n, DIM, DIM)
+        self.basis = (gate_wires.transpose(0, 2, 1, 3)[..., None] * np.eye(2)[:, None]).reshape(n, DIM, DIM)
         self.to_blocks = units.reshape(n, -1).T  # the 54 padded block entries of each B_k
         # <B_k, X> = (2j+1) <M_k, P> for X with blocks P, and <M_k, M_k> = 1/(2j+1)
         self.from_blocks = self.to_blocks.T / (self.to_blocks**2).sum(axis=0)[:, None]
-        zero_and_basis = np.concatenate([np.zeros((1, DIM, DIM)), self.basis])
-        projected = self.reduce(project_comb_affine(zero_and_basis))
-        self.offset = projected[0]
-        self.affine = (projected[1:] - self.offset).T
+        traces = self.reduce(np.eye(DIM))
+        self.offset = traces * (4.0 / DIM)
+        self.affine = np.eye(n) - np.outer(traces, traces) / DIM
+        for m, tails in enumerate(_tail_traces(self.basis)[1:], start=1):
+            tails = tails.reshape(n, -1)
+            self.affine += (-0.5) ** m * (tails @ tails.T)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Coordinates <B_k, x> of the symmetric part of a 32x32 operator or of
@@ -411,12 +416,12 @@ def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     """Maximize tr(W Omega) over valid combs by ADMM in the 20 block coordinates.
 
-    ``omega`` must lie in the span of the coordinates: invariant under
-    conj(V) (x) V (x) conj(V) (x) V (x) I, as the class-averaged objective
-    is, and with real blocks; ValueError otherwise.  Each iteration applies
-    the affine comb projection as a fixed 20x20 map plus an offset, read off
-    ``project_comb_affine`` (with the linear objective folded into the
-    proximal step at penalty ``RHO``), then projects onto the PSD cone with
+    ``omega`` must be finite and lie in the span of the coordinates: invariant
+    under conj(V) (x) V (x) conj(V) (x) V (x) I, as the class-averaged
+    objective is, and with real blocks; ValueError otherwise.  Each iteration
+    applies the affine comb projection as a fixed 20x20 map plus an offset,
+    both formed in the coordinates (with the linear objective folded into
+    the proximal step at penalty ``RHO``), then projects onto the PSD cone with
     one batched real eigh of the six padded 3x3 blocks.  The coordinates
     are orthonormal, so the primal residual and the objective are those of
     the 32x32 operators.  Every 10th iteration ``_certificate`` turns the
@@ -434,6 +439,8 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (DIM, DIM):
         raise ValueError(f"objective must be {DIM}x{DIM}, got shape {omega.shape}")
+    if not np.isfinite(omega).all():
+        raise ValueError("objective has non-finite entries")
     coords = _BlockCoordinates()
     target = coords.reduce(omega)
     off_subspace = float(np.linalg.norm(omega - coords.embed(target)))

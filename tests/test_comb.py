@@ -8,6 +8,7 @@ from qswitch.comb import (
     DIM,
     DIMS,
     _BlockCoordinates,
+    _schur_vectors,
     _tail_traces,
     build_comb_from_circuit,
     class_averaged_objective,
@@ -160,6 +161,18 @@ class TestExactObjective:
         rs = haar_random_unitaries(RandomSource(7), 20_000)
         assert np.linalg.norm(class_averaged_objective(rs) - objective_operator()) <= 0.05
 
+    def test_matches_kronecker_form(self):
+        # reference: each class average summed by einsum and placed on its outcome by np.kron
+        rs = icosahedral_design()
+        v = np.swapaxes(np.einsum("nak,nbk->knab", rs, rs.conj()), -2, -1).reshape(2, -1, 4)
+        c = np.einsum("kni,knj->nij", v, v.conj())
+        rs_dag = np.conj(np.swapaxes(rs, -2, -1))
+        a1, a2 = choi(rs @ SZ @ rs_dag), choi(rs @ SY @ rs_dag)
+        commuting = np.einsum("nab,ncd->acbd", c, c).reshape(16, 16) / len(rs)
+        anticommuting = np.einsum("nab,ncd->acbd", a1, a2).reshape(16, 16) / len(rs)
+        reference = (np.kron(commuting, np.diag([1.0, 0.0])) + np.kron(anticommuting, np.diag([0.0, 1.0]))) / 2
+        assert np.abs(objective_operator() - reference).max() <= 1e-15
+
 
 class TestTailTraces:
     def test_stack_matches_per_operator_calls(self):
@@ -234,6 +247,38 @@ class TestBlockCoordinates:
             g = gate_symmetry(v)
             assert np.abs(g @ coords.basis - coords.basis @ g).max() <= 1e-14
 
+    def test_affine_map_matches_read_off(self, coords):
+        # reference: project_comb_affine on the zero operator and each basis operator
+        stack = np.concatenate([np.zeros((1, DIM, DIM)), coords.basis])
+        projected = coords.reduce(project_comb_affine(stack))
+        assert np.abs(coords.affine - (projected[1:] - projected[0]).T).max() <= 1e-14
+        assert np.abs(coords.offset - projected[0]).max() <= 1e-14
+        assert np.array_equal(coords.offset, coords.reduce(np.eye(DIM) * 4.0 / DIM))
+        assert np.array_equal(coords.affine, coords.affine.T)
+        assert np.abs(coords.affine @ coords.affine - coords.affine).max() <= 1e-14
+        assert np.linalg.matrix_rank(coords.affine) == 12
+
+    def test_schur_vectors_match_kronecker_construction(self):
+        # reference: J- as a sum of np.kron terms, the tops as np.kron products, the frame as a matrix
+        flip = np.array([[0.0, 0.0], [1.0, 0.0]])
+        lowering = sum(np.kron(np.kron(np.eye(2**k), flip), np.eye(8 >> k)) for k in range(4))
+        up, down = np.eye(4)[[0, 3]]
+        singlet, t0 = np.array([[0.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+        tops = ([np.kron(up, up)],
+                [np.kron(up, singlet), np.kron(singlet, up), (np.kron(up, t0) - np.kron(t0, up)) / np.sqrt(2.0)],
+                [np.kron(singlet, singlet),
+                 (np.kron(up, down) - np.kron(t0, t0) + np.kron(down, up)) / np.sqrt(3.0)])
+        frame = tensor(SY, ID2, SY, ID2).real
+        reference = np.zeros((3, 16, 5, 3))
+        for s, (j, top) in enumerate(zip(comb.SPINS, tops)):
+            vecs = np.transpose(top)
+            for m in range(2 * j + 1):
+                if m:
+                    vecs = lowering @ vecs
+                    vecs /= np.linalg.norm(vecs, axis=0)
+                reference[s, :, m, :len(top)] = frame @ vecs
+        assert np.array_equal(_schur_vectors(), reference)
+
     def test_affine_map_matches_projection(self, coords):
         gen = np.random.default_rng(18)
         for c in gen.standard_normal((10, 20)):
@@ -268,6 +313,13 @@ class TestBlockCoordinates:
     def test_rejects_non_invariant_objective(self):
         omega = random_hermitian(np.random.default_rng(20), DIM)
         with pytest.raises(ValueError, match="not invariant"):
+            optimize_fixed_order(omega)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_objective(self, small_objective, bad):
+        omega = small_objective.copy()
+        omega[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
             optimize_fixed_order(omega)
 
     @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
