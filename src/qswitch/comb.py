@@ -34,7 +34,9 @@ from .gates import PairStack
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import SY, SZ, choi, choi_vector, require_state, require_unitary, require_unitary_pair
+from .linalg import (
+    choi, choi_vector, require_state, require_unitary, require_unitary_pair, times_sy, times_sz,
+)
 
 __all__ = [
     "CombResult",
@@ -89,8 +91,8 @@ def class_averaged_objective(rs: np.ndarray) -> np.ndarray:
     v = choi_vector(np.einsum("nak,nbk->knab", rs, rs.conj()))  # eigenprojector k of each R
     c = np.einsum("kni,knj->nij", v, v.conj())
     rs_dag = np.conjugate(np.swapaxes(rs, -2, -1))
-    a1 = choi(rs @ SZ @ rs_dag)
-    a2 = choi(rs @ SY @ rs_dag)
+    a1 = choi(times_sz(rs) @ rs_dag)
+    a2 = choi(times_sy(rs) @ rs_dag)
     # class averages of C (x) C' (commuting, anti-commuting) by (16 x n)(n x 16) products
     first, second = np.stack([c, a1]).reshape(2, n, 16), np.stack([c, a2]).reshape(2, n, 16)
     averages = (first.mT @ second).reshape(2, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(2, 16, 16)
@@ -455,7 +457,8 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     for it in range(1, MAX_ITER + 1):
         w = affine @ (z - u + pull) + offset
         lam, vec = np.linalg.eigh(coords.blocks(w + u))
-        z = coords.coordinates((vec * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(vec, -2, -1))
+        # V diag(lam+) V^T: entry (a, b) is row a of V diag(lam+) dotted into row b of V
+        z = coords.coordinates(np.vecdot((vec * np.maximum(lam, 0.0)[:, None, :])[:, :, None], vec[:, None]))
         u = u + w - z
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:

@@ -263,8 +263,8 @@ class SuiteReport:
 
     def csv_rows(self) -> list[list]:
         rows = [["setting", "label", "c0", "c1", "p0_corrected", "correct_port_probability"]]
-        for s in self.settings:
-            c0, c1 = s.counts.sum(axis=0)
+        totals = np.sum([s.counts for s in self.settings], axis=1).tolist() if self.settings else []
+        for s, (c0, c1) in zip(self.settings, totals):
             rows.append(
                 [s.setting_id, s.label, c0, c1, f"{s.p0_corrected:.6f}", f"{s.correct_prob:.6f}"]
             )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SY, SZ, frobenius_norm, require_unitary_pair
+from .linalg import det2, frobenius_norm, require_unitary_pair, times_sy, times_sz
 from .switch import PORT_VERDICTS, Verdict
 
 __all__ = [
@@ -114,12 +114,12 @@ def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
     gen = rng.generator
     g = gen.standard_normal((n, 2, 2)) + 1j * gen.standard_normal((n, 2, 2))
     # singular draws have probability zero; patch any numerically bad ones
-    bad = np.abs(np.linalg.det(g)) <= 1e-12
+    bad = np.abs(det2(g)) <= 1e-12
     while np.any(bad):
         g[bad] = gen.standard_normal((int(bad.sum()), 2, 2)) + 1j * gen.standard_normal(
             (int(bad.sum()), 2, 2)
         )
-        bad = np.abs(np.linalg.det(g)) <= 1e-12
+        bad = np.abs(det2(g)) <= 1e-12
     return _ginibre_to_unitary(g)
 
 
@@ -161,7 +161,7 @@ def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> P
     thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2))
     c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
     rs = haar_random_unitaries(rng, n_anticommuting)
-    a1, a2 = rs @ SZ @ rs.mT.conj(), rs @ SY @ rs.mT.conj()
+    a1, a2 = (times(rs) @ rs.mT.conj() for times in (times_sz, times_sy))
     port = np.repeat([0, 1], [n_commuting, n_anticommuting])
     return PairStack(np.concatenate([c1, a1]), np.concatenate([c2, a2]), port, seed=rng.seed)
 

@@ -18,6 +18,9 @@ __all__ = [
     "require_unitary",
     "require_unitary_pair",
     "both_orders",
+    "times_sz",
+    "times_sy",
+    "det2",
     "require_state",
     "tensor",
     "frobenius_norm",
@@ -53,14 +56,20 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     # no unitary has a larger entry; this rejects NaN and inf and keeps the residual finite
     if not _max(np.abs(u)) <= 1.0 + UNITARY_TOL:
         raise ValueError("matrix has an entry that is non-finite or above 1 in modulus")
-    n = u.shape[-1]
-    # U U^dag - I as rows of n*n entries; the subtraction touches only this fresh product
-    dev = (u @ u.mT.conj()).reshape(u.shape[:-2] + (n * n,))
-    dev[..., :: n + 1] -= 1.0
-    resid = np.sqrt(_max(np.vecdot(dev, dev).real))  # largest Frobenius norm of the stack
-    if not resid <= UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
+    sq = _unitary_residual_sq(u)
+    if not sq <= UNITARY_TOL**2:
+        raise ValueError(f"matrix is not unitary (residual {np.sqrt(sq):.3e})")
     return u
+
+
+def _unitary_residual_sq(u: np.ndarray) -> float:
+    """Largest ||U U^dag - I||_F^2 over a stack (..., n, n) of complex matrices; 0.0 if it is empty."""
+    n = u.shape[-1]
+    # U U^dag - I as rows of n*n entries: entry (i, j) is row j of U dotted into row i, one
+    # stack-wide vecdot rather than a BLAS call per matrix; the subtraction touches only this fresh array
+    dev = np.vecdot(u[..., None, :, :], u[..., :, None, :]).reshape(u.shape[:-2] + (n * n,))
+    dev[..., :: n + 1] -= 1.0
+    return _max(np.vecdot(dev, dev).real)
 
 
 def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -84,6 +93,21 @@ def both_orders(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> tuple[np.nda
     v = w @ psi[..., None]
     y = w @ v.reshape(v.shape[:-2] + (2, 2)).mT
     return y[..., :2, 1], y[..., 2:, 0]  # U1 (U2 psi), U2 (U1 psi)
+
+
+def times_sz(r: np.ndarray) -> np.ndarray:
+    """``r @ SZ`` exactly, for a stack (..., n, 2): the second column negated."""
+    return r * np.array([1.0, -1.0])
+
+
+def times_sy(r: np.ndarray) -> np.ndarray:
+    """``r @ SY`` exactly, for a stack (..., n, 2): the columns swapped and times (i, -i)."""
+    return r[..., ::-1] * np.array([1j, -1j])
+
+
+def det2(u: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix of a stack (..., 2, 2), from its entries: no LAPACK call per matrix."""
+    return u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
 
 
 def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -46,14 +46,17 @@ class SwitchOutcome:
 
     For a stack of pairs every field is an array over the stack (``verdict``
     an object array of ``Verdict``); for one pair they are numpy scalars and
-    the ``Verdict`` member itself.  ``degenerate`` flags p0 == p1, which cannot
-    happen for gates satisfying the commute/anti-commute promise.
+    the ``Verdict`` member itself.
     """
 
     p0: np.ndarray
     p1: np.ndarray
     verdict: np.ndarray | Verdict
-    degenerate: np.ndarray
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """p0 == p1 to 1e-12, which cannot happen for gates satisfying the commute/anti-commute promise."""
+        return abs(self.p0 - self.p1) <= 1e-12
 
 
 def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -86,7 +89,7 @@ def exit_probabilities(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray | None = 
     s, d = ab + ba, ab - ba
     p0, p1 = np.vecdot(s, s).real / 4.0, np.vecdot(d, d).real / 4.0
     verdict = PORT_VERDICTS[(p0 < p1).astype(np.intp)]
-    return SwitchOutcome(p0=p0, p1=p1, verdict=verdict, degenerate=abs(p0 - p1) <= 1e-12)
+    return SwitchOutcome(p0=p0, p1=p1, verdict=verdict)
 
 
 def fixed_order_apply(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray, order: int | str) -> np.ndarray:

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from . import gates  # looked up at call time, so a wrapper set on gates.classify_pair sees these calls
-from .linalg import require_unitary
+from .linalg import det2, require_unitary
 from .switch import PORT_VERDICTS
 
 __all__ = [
@@ -77,29 +77,40 @@ def hwp(theta_deg: float | np.ndarray) -> np.ndarray:
 
 
 def triple_to_unitary(angles: tuple[float, float, float] | np.ndarray) -> np.ndarray:
-    """QWP(q_last) HWP(h) QWP(q_first) for plate angles (..., 3), shape (..., 2, 2)."""
-    angles = np.asarray(angles, dtype=float)
-    quarters = qwp(angles[..., ::2])  # (..., 2, 2, 2): q_first, q_last
-    return quarters[..., 1, :, :] @ hwp(angles[..., 1]) @ quarters[..., 0, :, :]
+    """QWP(q_last) HWP(h) QWP(q_first) for plate angles (..., 3), shape (..., 2, 2).
+
+    Formed entrywise from the product's unit quaternion (see ``decompose``).
+    The plates' determinants i, -1 and i multiply to 1, so this is the plate
+    product itself, with no phase dropped.
+    """
+    a, h, c = np.moveaxis(np.deg2rad(np.asarray(angles, dtype=float)), -1, 0)
+    d, s = c - a, a + c
+    m = 2.0 * h - s
+    w, y = np.cos(m) * np.cos(d), np.cos(m) * np.sin(d)
+    x, z = -np.sin(m) * np.cos(s), np.sin(m) * np.sin(s)
+    # U = w I - i (x sx + y sy + z sz): the (re, im) parts of its entries, row-major
+    parts = np.stack([w, -z, -y, -x, y, -x, w, z], axis=-1)
+    return parts.view(complex).reshape(w.shape + (2, 2))
 
 
 def decompose(u: np.ndarray) -> np.ndarray:
     """Closed-form quarter-half-quarter angles (..., 3) realizing ``u`` (..., 2, 2) up to phase.
 
     Writing a = q_first, c = q_last, the product QWP(c) HWP(b) QWP(a) has
-    unit quaternion (w, x, y, z), with U = w I - i (x sx + y sy + z sz),
+    determinant 1 and unit quaternion (w, x, y, z), with U = w I - i (x sx + y sy + z sz),
 
-        ( -cos(M) cos(d),  sin(M) cos(s),  -cos(M) sin(d),  -sin(M) sin(s) )
+        ( cos(M) cos(d),  -sin(M) cos(s),  cos(M) sin(d),  sin(M) sin(s) )
 
-    with d = c - a, s = a + c and M = 2b - s.  Matching against the target
-    quaternion gives all three angles by inverse trigonometry; the two
-    coordinate singularities (cos M = 0 or sin M = 0) leave d or s free and
-    are resolved by setting the free angle to zero.
+    with d = c - a, s = a + c and M = 2b - s.  Its negation is the same gate
+    up to phase; matching it against the target quaternion gives all three
+    angles by inverse trigonometry; the two coordinate singularities (cos M = 0
+    or sin M = 0) leave d or s free and are resolved by setting the free angle
+    to zero.
     """
     if np.shape(u)[-2:] != (2, 2):
         raise ValueError(f"expected qubit gates (..., 2, 2), got shape {np.shape(u)}")
     u = require_unitary(u)
-    u = u / np.sqrt(np.linalg.det(u))[..., None, None]  # det 1
+    u = u / np.sqrt(det2(u))[..., None, None]  # det 1
     w = (u[..., 0, 0] + u[..., 1, 1]).real / 2.0
     x = -(u[..., 0, 1] + u[..., 1, 0]).imag / 2.0
     y = (u[..., 1, 0] - u[..., 0, 1]).real / 2.0

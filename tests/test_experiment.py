@@ -250,6 +250,14 @@ class TestSuites:
         assert labels == {"COMMUTE", "ANTICOMMUTE"}
         assert 0.95 <= report.mean_success <= 0.995
 
+    def test_csv_rows_sum_each_settings_repeats(self):
+        report = run_pauli_suite(NoiseParams(), RandomSource(2))
+        rows = report.csv_rows()
+        assert [row[2:4] for row in rows[1:]] == [s.counts.sum(axis=0).tolist() for s in report.settings]
+        assert all(type(c) is int for row in rows[1:] for c in row[2:4])
+        report.settings = []
+        assert report.csv_rows() == rows[:1]
+
     def test_random_suite_explicit_pairs(self):
         pairs = sample_pairs(RandomSource(15), 3, 3)
         report = run_random_suite(NoiseParams.noiseless(), RandomSource(16), pairs=pairs)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +62,41 @@ class TestHaarSampling:
         us = haar_random_unitaries(rng, 100_000)
         moment = np.mean(np.abs(np.trace(us, axis1=-2, axis2=-1)) ** 2)
         assert moment == pytest.approx(1.0, abs=0.02)
+
+    def test_singular_draws_are_redrawn(self):
+        class ZerosFirst:
+            """A stream whose first draws (one real and one imaginary part) are all zero."""
+
+            def __init__(self):
+                self.gen, self.calls = np.random.default_rng(0), 0
+
+            def standard_normal(self, shape):
+                self.calls += 1
+                return np.zeros(shape) if self.calls <= 2 else self.gen.standard_normal(shape)
+
+        rng = SimpleNamespace(generator=ZerosFirst())
+        us = haar_random_unitaries(rng, 3)
+        assert rng.generator.calls == 4
+        assert np.abs(us @ us.mT.conj() - np.eye(2)).max() <= 1e-12
+
+
+def matmul_sample_pairs(seed, n_commuting, n_anticommuting):
+    """``sample_pairs`` with the anti-commuting gates formed as R @ SZ @ R^dag and
+    R @ SY @ R^dag, as before the Pauli products became exact column operations."""
+    rng = RandomSource(seed)
+    rs = haar_random_unitaries(rng, n_commuting)
+    thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2))
+    c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
+    rs = haar_random_unitaries(rng, n_anticommuting)
+    a1, a2 = rs @ SZ @ rs.mT.conj(), rs @ SY @ rs.mT.conj()
+    return np.concatenate([c1, a1]), np.concatenate([c2, a2])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sample_pairs_equal_the_matmul_construction(seed):
+    pairs = sample_pairs(RandomSource(seed), 1000, 1000)
+    u1, u2 = matmul_sample_pairs(seed, 1000, 1000)
+    assert np.array_equal(pairs.u1, u1) and np.array_equal(pairs.u2, u2)
 
 
 class TestPairConstructors:

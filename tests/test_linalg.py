@@ -16,13 +16,17 @@ from qswitch.linalg import (
     UNITARY_TOL,
     both_orders,
     choi,
+    det2,
     frobenius_distance_up_to_phase,
     frobenius_norm,
     require_state,
     require_unitary,
     require_unitary_pair,
     tensor,
+    times_sy,
+    times_sz,
 )
+from qswitch.linalg import _unitary_residual_sq
 
 
 class TestTensor:
@@ -291,3 +295,51 @@ class TestBothOrders:
     def test_paulis(self):
         ab, ba = both_orders(SX, SY, np.array([1.0, 0.0]))
         assert np.allclose(ab, [1j, 0]) and np.allclose(ba, [-1j, 0])  # XY = iZ, YX = -iZ
+
+
+def matmul_unitary_residual(u):
+    """Largest ||U U^dag - I||_F over a stack, from the batched ``u @ u.mT.conj()`` Gram
+    product that ``require_unitary`` formed before it used one stack-wide vecdot."""
+    n = u.shape[-1]
+    dev = (u @ u.mT.conj()).reshape(u.shape[:-2] + (n * n,))
+    dev[..., :: n + 1] -= 1.0
+    return np.sqrt(np.maximum.reduce(np.vecdot(dev, dev).real, axis=None, initial=0.0))
+
+
+class TestVecdotGram:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-10, 1e-8])
+    def test_residual_matches_the_matmul_gram(self, dim, scale):
+        for seed, shape in enumerate([(1,), (7,), (3, 5)]):
+            u = perturbed_unitaries(seed, dim, int(np.prod(shape)), scale).reshape(shape + (dim, dim))
+            for x in layouts(u):
+                got = np.sqrt(_unitary_residual_sq(x))
+                assert abs(got - matmul_unitary_residual(x)) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3), (4, 0, 4, 4)])
+    def test_empty_stacks(self, shape):
+        u = np.empty(shape, dtype=complex)
+        assert _unitary_residual_sq(u) == matmul_unitary_residual(u) == 0.0
+        assert require_unitary(u) is u
+
+
+class TestEntrywiseDeterminant:
+    def test_matches_lapack(self):
+        gen = np.random.default_rng(9)
+        g = complex_normal(gen, (500, 2, 2))
+        g[::5] = g[::5, :, :1] * (gen.standard_normal((100, 1, 2)) + 1j)  # rank one
+        g[1::5] *= 1e-7  # |det| ~ 1e-14
+        assert np.abs(det2(g) - np.linalg.det(g)).max() <= 1e-14
+        assert det2(g).shape == (500,) and det2(g[0]).shape == ()
+        singular = np.abs(np.linalg.det(g)) <= 1e-12
+        assert 200 <= singular.sum() < 500
+        assert np.array_equal(np.abs(det2(g)) <= 1e-12, singular)
+
+
+class TestPauliColumns:
+    def test_match_the_products_bit_for_bit(self):
+        rs = haar_random_unitaries(RandomSource(12), 1000)
+        for times, pauli in ((times_sz, SZ), (times_sy, SY)):
+            assert np.array_equal(times(rs), rs @ pauli)
+            assert np.array_equal(times(rs[0]), rs[0] @ pauli)
+            assert np.array_equal(times(rs[:3, 0]), rs[:3, 0] @ pauli)  # a 3x2 matrix

@@ -63,6 +63,34 @@ class TestTripleToUnitary:
         assert fdist(base, shifted) <= 1e-12
 
 
+class TestClosedFormTriples:
+    """``triple_to_unitary`` is the plate product itself, not only up to phase."""
+
+    def plate_product(self, angles):
+        return qwp(angles[..., 2]) @ hwp(angles[..., 1]) @ qwp(angles[..., 0])
+
+    def test_equals_the_plate_product(self):
+        angles = np.random.default_rng(10).uniform(-360.0, 360.0, (20_000, 3))
+        u = triple_to_unitary(angles)
+        assert np.abs(u - self.plate_product(angles)).max() <= 1e-14
+        assert np.abs(np.linalg.det(u) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("triple", [(0, 0, 0), (0, 45, 0), (90, 45, 0), (10, 20, 30), (-360, 360, 180)])
+    def test_one_triple(self, triple):
+        u = triple_to_unitary(triple)
+        assert u.shape == (2, 2)
+        assert np.abs(u - self.plate_product(np.array(triple, dtype=float))).max() <= 1e-14
+
+    def test_quaternion_of_the_decompose_docstring(self):
+        a, b, c = np.deg2rad([10.0, 20.0, 30.0])
+        d, s, m = c - a, a + c, 2 * b - (a + c)
+        w, y = np.cos(m) * np.cos(d), np.cos(m) * np.sin(d)
+        x, z = -np.sin(m) * np.cos(s), np.sin(m) * np.sin(s)
+        u = w * ID2 - 1j * (x * SX + y * SY + z * SZ)
+        assert np.abs(self.plate_product(np.array([10.0, 20.0, 30.0])) - u).max() <= 1e-14
+        assert fdist(triple_to_unitary(decompose(u)), u) <= 1e-12
+
+
 class TestDecompose:
     def test_identity(self):
         t = decompose(ID2)
