@@ -41,6 +41,8 @@ PAULI_GATES = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 
 UNITARY_TOL = 1e-10
 
+_ENTRY_MESSAGE = "matrix has an entry that is non-finite or above 1 in modulus"
+
 
 def _max(x: np.ndarray) -> float:
     """Largest entry of ``x``; NaN if any entry is NaN, and 0.0 for an empty stack."""
@@ -53,32 +55,41 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
-    # no unitary has a larger entry; this rejects NaN and inf and keeps the residual finite
-    if not _max(np.abs(u)) <= 1.0 + UNITARY_TOL:
-        raise ValueError("matrix has an entry that is non-finite or above 1 in modulus")
-    sq = _unitary_residual_sq(u)
-    if not sq <= UNITARY_TOL**2:
-        raise ValueError(f"matrix is not unitary (residual {np.sqrt(sq):.3e})")
+    # A stack of unitaries has sum |u_ij|^2 = u.size / n, so this one BLAS sum, which raises no
+    # floating-point warning, admits every stack within the tolerance, rejects NaN and inf, and
+    # bounds every entry, so that the Gram product below stays finite
+    if not np.vdot(u, u).real <= 2 * u.size:
+        raise ValueError(_ENTRY_MESSAGE)
+    dev = _gram_deviation(u)
+    # the summed squared residual bounds each matrix's, so only a stack it fails is checked per matrix
+    if not np.vdot(dev, dev).real <= UNITARY_TOL**2:
+        sq = _max(np.vecdot(dev, dev).real)
+        if not sq <= UNITARY_TOL**2:
+            # no unitary has a larger entry: the message names the entry bound where it fails
+            if not _max(np.abs(u)) <= 1.0 + UNITARY_TOL:
+                raise ValueError(_ENTRY_MESSAGE)
+            raise ValueError(f"matrix is not unitary (residual {np.sqrt(sq):.3e})")
     return u
 
 
-def _unitary_residual_sq(u: np.ndarray) -> float:
-    """Largest ||U U^dag - I||_F^2 over a stack (..., n, n) of complex matrices; 0.0 if it is empty."""
+def _gram_deviation(u: np.ndarray) -> np.ndarray:
+    """U U^dag - I of each matrix of a stack (..., n, n), as rows (..., n*n) of a fresh array."""
     n = u.shape[-1]
-    # U U^dag - I as rows of n*n entries: entry (i, j) is row j of U dotted into row i, one
-    # stack-wide vecdot rather than a BLAS call per matrix; the subtraction touches only this fresh array
+    # entry (i, j) is row j of U dotted into row i: one stack-wide vecdot rather than a BLAS call
+    # per matrix; the subtraction touches only this fresh array
     dev = np.vecdot(u[..., None, :, :], u[..., :, None, :]).reshape(u.shape[:-2] + (n * n,))
     dev[..., :: n + 1] -= 1.0
-    return _max(np.vecdot(dev, dev).real)
+    return dev
 
 
 def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Two qubit gates or stacks (..., 2, 2) of them, broadcast against each other
     and checked by one ``require_unitary`` call, as one array (..., 4, 2): u1 over u2."""
     u1, u2 = np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)
-    for u in (u1, u2):
-        if u.shape[-2:] != (2, 2):  # a non-square or non-unitary u fails require_unitary with its message
-            raise ValueError(f"expected 2x2 gates, got shape {require_unitary(u).shape}")
+    if u1.shape[-2:] != (2, 2) or u2.shape[-2:] != (2, 2):
+        bad = u1 if u1.shape[-2:] != (2, 2) else u2
+        # a non-square or non-unitary gate fails require_unitary with its own message
+        raise ValueError(f"expected 2x2 gates, got shape {require_unitary(bad).shape}")
     if u1.shape != u2.shape:
         u1, u2 = np.broadcast_arrays(u1, u2)
     w = np.concatenate((u1, u2), axis=-2)

@@ -43,6 +43,9 @@ __all__ = [
 # classification tolerance for gates rebuilt from angles printed to 0.01 deg
 TABLE_ANGLE_TOL = 0.05
 
+# |Im det| of a unitary on the negative real axis, after rounding: det2 leaves about 2e-16
+_DET_AXIS_TOL = 1e-14
+
 
 @dataclass
 class AngleTable:
@@ -110,7 +113,12 @@ def decompose(u: np.ndarray) -> np.ndarray:
     if np.shape(u)[-2:] != (2, 2):
         raise ValueError(f"expected qubit gates (..., 2, 2), got shape {np.shape(u)}")
     u = require_unitary(u)
-    u = u / np.sqrt(det2(u))[..., None, None]  # det 1
+    det = det2(u)
+    # Every anti-commuting gate has det = -1 exactly, on the branch cut of sqrt. So that the branch
+    # does not follow the sign of Im det's rounding, a det within rounding of the negative real
+    # axis is put on its upper side, where exact gates such as X, Y and Z already lie.
+    on_axis = (det.real < 0.0) & (abs(det.imag) <= _DET_AXIS_TOL)
+    u = u / np.sqrt(np.where(on_axis, det.real + 0j, det))[..., None, None]  # det 1
     w = (u[..., 0, 0] + u[..., 1, 1]).real / 2.0
     x = -(u[..., 0, 1] + u[..., 1, 0]).imag / 2.0
     y = (u[..., 1, 0] - u[..., 0, 1]).real / 2.0

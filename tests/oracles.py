@@ -1,0 +1,75 @@
+"""Brute-force references that the tests compare the library against.
+
+Nothing in the package calls these: each builds by hand what a library
+routine forms in closed form, so a test can check one against the other.
+"""
+
+import numpy as np
+
+from qswitch.comb import DIM
+from qswitch.linalg import HAD, ID2, both_orders, require_state, require_unitary, require_unitary_pair, tensor
+from qswitch.switch import PLUS
+
+
+def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Brute-force construction: controlled gate orders, then Hadamard.
+
+    Starts from (|0>+|1>)/sqrt2 (x) psi, applies U1 U2 on the c=0 branch and
+    U2 U1 on the c=1 branch, then a Hadamard on the control.
+    """
+    u1, u2 = np.split(require_unitary_pair(u1, u2), 2, axis=-2)
+    joint = tensor(PLUS, require_state(psi, 2))[..., None]
+    controlled = tensor(np.diag([1.0, 0.0]), u1 @ u2) + tensor(np.diag([0.0, 1.0]), u2 @ u1)
+    return (tensor(HAD, ID2) @ controlled @ joint)[..., 0]
+
+
+def fixed_order_apply(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray, order: int | str) -> np.ndarray:
+    """Apply the gates in a definite order: '12' means U1 acts first (U2 U1 psi)."""
+    orders = dict(zip(("21", "12"), both_orders(u1, u2, require_state(psi, 2))))
+    if str(order) not in orders:
+        raise ValueError(f"order must be '12' or '21', got {order!r}")
+    return orders[str(order)]
+
+
+def build_comb_from_circuit(
+    prep: np.ndarray,
+    v2: np.ndarray,
+    v3: np.ndarray,
+    measured_wire: int = 0,
+) -> np.ndarray:
+    """Comb of the circuit: prepare, gate slot 1, V2, gate slot 2, V3, measure Z.
+
+    ``prep`` is a state on system (x) ancilla (system first, ancilla dimension
+    inferred); ``v2`` and ``v3`` act on system (x) ancilla.  ``measured_wire``
+    0 measures the system qubit, 1 measures the (two-dimensional) ancilla.
+
+    ``comb.probability_from_comb`` on this W must reproduce the circuit's
+    statevector simulation, which pins the transposition placement in the
+    comb pairing.
+    """
+    prep = require_state(np.ravel(prep))
+    if prep.size % 2 != 0:
+        raise ValueError("prep must live on system (x) ancilla with qubit system")
+    da = prep.size // 2
+    v2 = require_unitary(v2)
+    v3 = require_unitary(v3)
+    if v2.shape != (2 * da, 2 * da) or v3.shape != (2 * da, 2 * da):
+        raise ValueError("v2/v3 dimension does not match prep")
+    prep_r = prep.reshape(2, da)
+    v2_r = v2.reshape(2, da, 2, da)
+    v3_r = v3.reshape(2, da, 2, da)
+    # T[o, k, p1, p2, p3, p4]: amplitude of final component (o, k) when the
+    # slots are replaced by |p2><p1| and |p4><p3|
+    t = np.einsum("okrm,smpl,ql->okqpsr", v3_r, v2_r, prep_r)
+    if measured_wire == 0:
+        pass  # outcome index o is the system wire, k runs over the ancilla
+    elif measured_wire == 1:
+        if da != 2:
+            raise ValueError("ancilla must be a qubit to be measured")
+        t = np.swapaxes(t, 0, 1)
+    else:
+        raise ValueError("measured_wire must be 0 or 1")
+    t = t.reshape(2, da, 16)
+    w = np.zeros((16, 2, 16, 2), dtype=complex)
+    w[:, [0, 1], :, [0, 1]] = np.einsum("ikp,ikq->ipq", t.conj(), t)  # outcome i on P5
+    return w.reshape(DIM, DIM)

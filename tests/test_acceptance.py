@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qswitch.comb import (
-    build_comb_from_circuit,
     evaluate_comb,
     objective_operator,
     optimize_fixed_order,
@@ -23,17 +22,15 @@ from qswitch.comb import (
 from qswitch.experiment import NoiseParams, run_pauli_suite, run_random_suite, run_state_sweep
 from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
 from qswitch.linalg import frobenius_distance_up_to_phase, frobenius_norm
-from qswitch.switch import (
-    exit_probabilities,
-    two_switch_output,
-    two_switch_output_circuit,
-)
+from qswitch.switch import exit_probabilities, two_switch_output
 from qswitch.waveplates import (
     load_pauli_table,
     load_random_pairs_table,
     table_gate_pairs,
     triple_to_unitary,
 )
+
+from oracles import build_comb_from_circuit, two_switch_output_circuit
 
 PAULI_BY_NAME = {
     "I": np.eye(2, dtype=complex),

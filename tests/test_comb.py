@@ -10,7 +10,6 @@ from qswitch.comb import (
     _BlockCoordinates,
     _schur_vectors,
     _tail_traces,
-    build_comb_from_circuit,
     class_averaged_objective,
     comb_residuals,
     evaluate_comb,
@@ -23,6 +22,8 @@ from qswitch.comb import (
 from qswitch.gates import GatePair, PairStack, RandomSource, haar_random_unitaries, sample_pairs
 from qswitch.linalg import HAD, ID2, SX, SY, SZ, choi, tensor
 from qswitch.switch import Verdict, exit_probabilities
+
+from oracles import build_comb_from_circuit
 
 
 def random_hermitian(gen, dim):

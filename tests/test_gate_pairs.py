@@ -8,17 +8,13 @@ gate against a stack gives the per-pair results.
 import numpy as np
 import pytest
 
-from qswitch.comb import build_comb_from_circuit, probability_from_comb
+from qswitch.comb import probability_from_comb
 from qswitch.experiment import NoiseParams, ideal_port_probabilities_with_noise
 from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries, sample_pairs
 from qswitch.linalg import ID2, SX, SZ
-from qswitch.switch import (
-    PLUS,
-    exit_probabilities,
-    fixed_order_apply,
-    two_switch_output,
-    two_switch_output_circuit,
-)
+from qswitch.switch import PLUS, exit_probabilities, two_switch_output
+
+from oracles import build_comb_from_circuit, fixed_order_apply, two_switch_output_circuit
 
 
 def _comb():

@@ -26,7 +26,7 @@ from qswitch.linalg import (
     times_sy,
     times_sz,
 )
-from qswitch.linalg import _unitary_residual_sq
+from qswitch.linalg import _gram_deviation
 
 
 class TestTensor:
@@ -144,10 +144,18 @@ class TestRequireState:
 class TestHugeEntries:
     """Entries beyond any unitary's or normalized state's are rejected without a warning."""
 
-    @pytest.mark.parametrize("value", [1e200, 1.7e308, np.inf, np.nan, 1.5])
+    @pytest.mark.parametrize("value", [1e155, 1e200, 1.7e308, np.inf, np.nan, 1.5])
     def test_require_unitary(self, value):
         with pytest.raises(ValueError, match="above 1"):
             require_unitary(np.full((2, 2), value))
+
+    @pytest.mark.parametrize("value", [1e155, 1e200, np.inf, -np.inf, np.nan, complex(np.inf, np.nan)])
+    def test_require_unitary_stack(self, value):
+        # one entry of one matrix: its square overflows, or is not a number, in the stack's sum
+        u = haar_random_unitaries(RandomSource(2), 6).reshape(2, 3, 2, 2)
+        u[1, 2, 0, 1] = value
+        with pytest.raises(ValueError, match="above 1 in modulus"):
+            require_unitary(u)
 
     @pytest.mark.parametrize("value", [1e200, 1.7e308, np.inf, np.nan, 1.5])
     def test_require_state(self, value):
@@ -160,6 +168,11 @@ def test_gate_constants_are_read_only(gate):
     with pytest.raises(ValueError, match="read-only"):
         gate[0, 0] = 0.5
     assert require_unitary(gate) is gate  # handed back as is, so a write would reach every caller
+
+
+def max_row_norm_sq(dev):
+    """Largest squared norm over the rows (..., k) of a stack; 0.0 if it is empty."""
+    return np.maximum.reduce(np.vecdot(dev, dev).real, axis=None, initial=0.0)
 
 
 def reference_unitary_residual(u):
@@ -220,6 +233,34 @@ def check_validator(validate, reference, x):
 # Perturbations from 1e-12 to 1e-8 in size, on both sides of UNITARY_TOL
 SCALES = st.floats(-12.0, -8.0).map(lambda e: 10.0**e)
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestStackedResidual:
+    """``require_unitary`` first bounds the stack's summed squared residual; a stack
+    that fails that sum is decided matrix by matrix, as each matrix alone would be."""
+
+    def test_sum_above_the_tolerance_with_every_matrix_inside(self):
+        u = perturbed_unitaries(0, 2, 1000, 5e-12)
+        dev = _gram_deviation(u)
+        assert max_row_norm_sq(dev) <= (UNITARY_TOL / 4) ** 2 < UNITARY_TOL**2 < np.vdot(dev, dev).real
+        assert require_unitary(u) is u
+
+    def test_one_matrix_outside_the_tolerance(self):
+        u = perturbed_unitaries(0, 2, 1000, 5e-12)
+        u[500] = perturbed_unitaries(1, 2, 1, 1e-9)[0]
+        check_validator(require_unitary, reference_unitary_residual, u)
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(u)
+
+    @pytest.mark.parametrize("modulus, accepted", [(1.0 + 8e-12, True), (1.0 + 4e-11, True), (1.0 + 6e-11, False)])
+    def test_one_by_one(self, modulus, accepted):
+        # the stack's sum |u|^2 exceeds u.size here, yet the residual |u|^2 - 1 decides, as per matrix
+        u = np.array([[modulus * np.exp(0.7j)]])
+        if accepted:
+            assert require_unitary(u) is u
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                require_unitary(u)
 
 
 class TestValidatorsAgainstReference:
@@ -303,7 +344,7 @@ def matmul_unitary_residual(u):
     n = u.shape[-1]
     dev = (u @ u.mT.conj()).reshape(u.shape[:-2] + (n * n,))
     dev[..., :: n + 1] -= 1.0
-    return np.sqrt(np.maximum.reduce(np.vecdot(dev, dev).real, axis=None, initial=0.0))
+    return np.sqrt(max_row_norm_sq(dev))
 
 
 class TestVecdotGram:
@@ -313,13 +354,13 @@ class TestVecdotGram:
         for seed, shape in enumerate([(1,), (7,), (3, 5)]):
             u = perturbed_unitaries(seed, dim, int(np.prod(shape)), scale).reshape(shape + (dim, dim))
             for x in layouts(u):
-                got = np.sqrt(_unitary_residual_sq(x))
+                got = np.sqrt(max_row_norm_sq(_gram_deviation(x)))
                 assert abs(got - matmul_unitary_residual(x)) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3), (4, 0, 4, 4)])
     def test_empty_stacks(self, shape):
         u = np.empty(shape, dtype=complex)
-        assert _unitary_residual_sq(u) == matmul_unitary_residual(u) == 0.0
+        assert max_row_norm_sq(_gram_deviation(u)) == matmul_unitary_residual(u) == 0.0
         assert require_unitary(u) is u
 
 

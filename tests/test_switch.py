@@ -9,14 +9,9 @@ from qswitch.gates import (
     sample_pairs,
 )
 from qswitch.linalg import HAD, ID2, SX, SY, SZ
-from qswitch.switch import (
-    PLUS,
-    Verdict,
-    exit_probabilities,
-    fixed_order_apply,
-    two_switch_output,
-    two_switch_output_circuit,
-)
+from qswitch.switch import PLUS, Verdict, exit_probabilities, two_switch_output
+
+from oracles import fixed_order_apply, two_switch_output_circuit
 
 
 def random_states(rng, n):
@@ -155,6 +150,26 @@ class TestExitProbabilities:
             assert np.array_equal(default.p0, explicit.p0)
             assert np.array_equal(default.p1, explicit.p1)
             assert np.array_equal(default.verdict, explicit.verdict)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_the_written_out_formula_bit_for_bit(self, seed):
+        # both orders from the pair array [U1; U2] by two products, then p0 and p1 as the
+        # squared norms of the anti-commutator and commutator halves: every bit is pinned
+        pairs = sample_pairs(RandomSource(seed), 1000, 1000)
+        w = np.concatenate((pairs.u1, pairs.u2), axis=-2)
+        v = w @ PLUS[..., None]
+        y = w @ v.reshape(v.shape[:-2] + (2, 2)).mT
+        ab, ba = y[..., :2, 1], y[..., 2:, 0]
+        s, d = ab + ba, ab - ba
+        p0, p1 = np.vecdot(s, s).real / 4.0, np.vecdot(d, d).real / 4.0
+        verdicts = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)[(p0 < p1).astype(np.intp)]
+        stacked = exit_probabilities(pairs.u1, pairs.u2)
+        assert stacked.p0.tobytes() == p0.tobytes() and stacked.p1.tobytes() == p1.tobytes()
+        assert np.array_equal(stacked.verdict, verdicts)
+        for k, pair in enumerate(pairs):
+            one = exit_probabilities(pair.u1, pair.u2)
+            assert one.p0.tobytes() == p0[k].tobytes() and one.p1.tobytes() == p1[k].tobytes()
+            assert one.verdict is verdicts[k]
 
     def test_plus_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):

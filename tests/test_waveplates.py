@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries
-from qswitch.linalg import HAD, ID2, SX, SY, SZ, frobenius_distance_up_to_phase as fdist
+from qswitch import waveplates
+from qswitch.gates import RandomSource, classify_pair, haar_random_unitaries, sample_pairs
+from qswitch.linalg import HAD, ID2, SX, SY, SZ, det2, frobenius_distance_up_to_phase as fdist
 from qswitch.switch import Verdict, exit_probabilities
 from qswitch.waveplates import (
     TABLE_ANGLE_TOL,
@@ -108,6 +109,23 @@ class TestDecompose:
     def test_haar_round_trip(self):
         us = haar_random_unitaries(RandomSource(21), 10_000)
         assert fdist(triple_to_unitary(decompose(us)), us).max() <= 1e-8
+
+    @pytest.mark.parametrize("im_det", [1e-17, -1e-17, 0.0, -0.0])
+    def test_branch_on_the_negative_real_axis(self, monkeypatch, im_det):
+        # every anti-commuting gate has det = -1 exactly, so the sign of Im det is rounding;
+        # it must not pick the branch of sqrt(det), which moves h by 90 deg
+        pairs = sample_pairs(RandomSource(3), 1, 50)
+        us = np.concatenate([pairs.u1[1:], pairs.u2[1:], [SX, SY, SZ]])
+        expected = decompose(us)
+
+        def on_the_axis(u):
+            det = det2(u).real.astype(complex)
+            det.imag = im_det
+            return det
+
+        monkeypatch.setattr(waveplates, "det2", on_the_axis)
+        assert np.abs(decompose(us) - expected).max() <= 1e-9
+        assert fdist(triple_to_unitary(expected), us).max() <= 1e-12
 
     @pytest.mark.parametrize("u", [np.eye(4), np.kron(ID2, SX), np.eye(1), np.eye(3)[None], ID2[0], 1.0])
     def test_rejects_non_qubit_gates(self, u):
