@@ -97,6 +97,14 @@ def parse_state(spec: str) -> np.ndarray:
     raise UsageError(f"cannot parse state spec {spec!r}")
 
 
+def seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy's generators take only nonnegative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def _load_noise(path: str | None) -> NoiseParams:
     if path is None:
         return NoiseParams()
@@ -142,15 +150,15 @@ def cmd_discriminate(args) -> int:
 
 def cmd_suite(args) -> int:
     noise = _load_noise(args.noise)
-    rng = RandomSource(args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # fail on a bad path before the suite runs
+    # looked up per call, so that wrappers of these module attributes take effect
     runners = {
         "pauli": run_pauli_suite,
         "random100": run_random_suite,
         "statesweep": run_state_sweep,
     }
-    report = runners[args.which](noise, rng)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = runners[args.which](noise, RandomSource(args.seed))
     csv_path = out / f"{args.which}_settings.csv"
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh).writerows(report.csv_rows())
@@ -238,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="simulate an experiment suite")
     p.add_argument("which", choices=["pauli", "random100", "statesweep"])
-    p.add_argument("--seed", type=int, default=0, help="seed of the count stream")
+    p.add_argument("--seed", type=seed, default=0, help="seed of the count stream")
     p.add_argument("--noise", help="JSON file of noise parameter overrides")
     p.add_argument("--out", default="suite_out", help="output directory")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("bound", help="compute the fixed-order success bound")
     p.add_argument("--out", help="directory for the per-pair evaluation CSV")
-    p.add_argument("--seed", type=int, default=0, help="ignored: the bound is deterministic")
+    p.add_argument("--seed", type=seed, default=0, help="ignored: the bound is deterministic")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("compile", help="compile a gate to waveplate angles")
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commuting", type=int, default=50)
     p.add_argument("--anticommuting", type=int, default=50)
     p.add_argument("--out", default="pairs.csv")
-    p.add_argument("--seed", type=int, default=0, help="seed of the sampling stream")
+    p.add_argument("--seed", type=seed, default=0, help="seed of the sampling stream")
     p.set_defaults(func=cmd_sample_pairs)
 
     for sp in sub.choices.values():

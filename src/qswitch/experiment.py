@@ -42,7 +42,6 @@ from .waveplates import (
 
 __all__ = [
     "NoiseParams",
-    "SettingResult",
     "SuiteReport",
     "ideal_port_probabilities_with_noise",
     "simulate_counts",
@@ -232,43 +231,53 @@ class _Settings:
 
 
 @dataclass
-class SettingResult:
-    setting_id: str
-    label: str
-    counts: np.ndarray  # (repeat, port)
-    p0_corrected: float
-    p0_std: float
-    correct_prob: float
-
-
-@dataclass
 class SuiteReport:
-    """Per-setting corrected probabilities and the suite-level success rate.
+    """A suite's per-setting results as arrays over settings, in acquisition order.
 
-    ``success_std`` follows the apparatus convention: the largest per-setting
-    standard deviation over repeats is used as the uniform error bar.
-    ``setting_spread`` is the standard deviation of the per-setting success
-    values across the suite.
+    ``counts`` is (repeat, setting, port); ``p0`` and ``p0_std`` are the mean
+    and standard deviation over repeats of the corrected port-0 probability,
+    and ``success`` is the probability of the correct port.  The summary
+    numbers are derived from these arrays.  ``success_std`` follows the
+    apparatus convention: the largest per-setting standard deviation over
+    repeats is used as the uniform error bar.  ``setting_spread`` is the
+    standard deviation of the per-setting success values across the suite.
     """
 
     suite: str
     seed: int
-    repeats: int
     noise: NoiseParams
-    settings: list[SettingResult]
-    mean_success: float
-    success_std: float
-    setting_spread: float
+    ids: list[str]
+    labels: np.ndarray  # object array of Verdict
+    counts: np.ndarray
+    p0: np.ndarray
+    p0_std: np.ndarray
+    success: np.ndarray
     extras: dict = field(default_factory=dict)
 
+    @property
+    def repeats(self) -> int:
+        return len(self.counts)
+
+    @property
+    def mean_success(self) -> float:
+        return float(np.mean(self.success))
+
+    @property
+    def success_std(self) -> float:
+        return float(np.max(self.p0_std))
+
+    @property
+    def setting_spread(self) -> float:
+        return float(np.std(self.success))
+
     def csv_rows(self) -> list[list]:
-        rows = [["setting", "label", "c0", "c1", "p0_corrected", "correct_port_probability"]]
-        totals = np.sum([s.counts for s in self.settings], axis=1).tolist() if self.settings else []
-        for s, (c0, c1) in zip(self.settings, totals):
-            rows.append(
-                [s.setting_id, s.label, c0, c1, f"{s.p0_corrected:.6f}", f"{s.correct_prob:.6f}"]
+        totals = self.counts.sum(axis=0).tolist()
+        return [["setting", "label", "c0", "c1", "p0_corrected", "correct_port_probability"]] + [
+            [setting_id, label.value, c0, c1, f"{p0:.6f}", f"{ok:.6f}"]
+            for setting_id, label, (c0, c1), p0, ok in zip(
+                self.ids, self.labels, totals, self.p0.tolist(), self.success.tolist()
             )
-        return rows
+        ]
 
     def summary(self) -> dict:
         return {
@@ -276,7 +285,7 @@ class SuiteReport:
             "seed": self.seed,
             "repeats": self.repeats,
             "noise": asdict(self.noise),
-            "n_settings": len(self.settings),
+            "n_settings": len(self.ids),
             "mean_success": round(self.mean_success, 10),
             "success_std": round(self.success_std, 10),
             "setting_spread": round(self.setting_spread, 10),
@@ -301,26 +310,12 @@ def _run_groups(
         size=(REPEATS,),
     )  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
-    p0, p0_std = p0s.mean(axis=0), p0s.std(axis=0)
+    p0 = p0s.mean(axis=0)
     # wrapped: numpy would read a bare Verdict member as a str and match nothing
     commute = settings.labels == np.array(Verdict.COMMUTE, dtype=object)
-    success = np.where(commute, p0, 1.0 - p0)
-    results = [
-        SettingResult(setting_id, label.value, c, p, sd, ok)
-        for setting_id, label, c, p, sd, ok in zip(
-            settings.ids, settings.labels, np.swapaxes(counts, 0, 1),
-            p0.tolist(), p0_std.tolist(), success.tolist(),
-        )
-    ]
     return SuiteReport(
-        suite=suite,
-        seed=rng.seed,
-        repeats=REPEATS,
-        noise=noise,
-        settings=results,
-        mean_success=float(np.mean(success)),
-        success_std=float(np.max(p0_std)),
-        setting_spread=float(np.std(success)),
+        suite, rng.seed, noise, settings.ids, settings.labels,
+        counts, p0, p0s.std(axis=0), np.where(commute, p0, 1.0 - p0),
     )
 
 
@@ -385,7 +380,7 @@ def run_state_sweep(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     psi = hwp(np.array(PREP_ANGLES)) @ np.array([1.0, 0.0], dtype=complex)
     settings = _pauli_settings(psi, [f"hwp{angle:g}:" for angle in PREP_ANGLES])
     report = _run_groups("statesweep", settings, noise, rng)
-    success = np.array([s.correct_prob for s in report.settings]).reshape(len(PREP_ANGLES), -1)
+    success = report.success.reshape(len(PREP_ANGLES), -1)
     report.extras["per_state_success"] = {
         f"hwp{angle:g}": round(float(mean), 10) for angle, mean in zip(PREP_ANGLES, success.mean(1))
     }

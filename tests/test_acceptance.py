@@ -150,7 +150,8 @@ def test_criterion_05_fixed_order_bound(bound):
 
 def test_fixed_order_bound_is_certified(bound):
     # a feasible comb gives the lower end and a dual witness the upper end;
-    # the optimum is conjectured to be (17 + 2 sqrt 7)/24 (ROADMAP item 2)
+    # the optimum is (17 + 2 sqrt 7)/24 by an exact primal-dual pair over Q(sqrt 7)
+    # that no test checks yet (ROADMAP item 1)
     closed_form = (17 + 2 * np.sqrt(7)) / 24
     ok = (bound.lower <= bound.p_succ <= bound.upper and bound.gap <= 1e-8
           and bound.lower <= closed_form <= bound.upper)

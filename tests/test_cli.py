@@ -220,7 +220,11 @@ class TestSuite:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_out_is_a_file(self, tmp_path, capsys):
+    def test_out_is_a_file(self, tmp_path, capsys, monkeypatch):
+        def run(*args):
+            raise AssertionError("suite ran before the output directory was made")
+
+        monkeypatch.setattr(qswitch.cli, "run_pauli_suite", run)
         out = tmp_path / "taken"
         out.write_text("keep\n")
         assert main(["suite", "pauli", "--out", str(out)]) == 1
@@ -288,3 +292,16 @@ class TestBound:
         assert main(["bound", "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv, out_name", [
+    (["suite", "pauli", "--seed", "-1"], "out"),
+    (["bound", "--seed", "-2"], "out"),
+    (["sample-pairs", "--seed", "-3"], "pairs.csv"),
+    (["suite", "pauli", "--seed", "1.5"], "out"),
+])
+def test_bad_seed_is_usage_error(tmp_path, capsys, argv, out_name):
+    out = tmp_path / out_name
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -227,7 +227,7 @@ class TestSuites:
     def test_noiseless_pauli_perfect(self):
         report = run_pauli_suite(NoiseParams.noiseless(), RandomSource(10))
         assert report.mean_success == 1.0
-        assert len(report.settings) == 16
+        assert len(report.ids) == len(report.success) == 16
 
     def test_calibrated_pauli_in_band(self):
         report = run_pauli_suite(NoiseParams(), RandomSource(11))
@@ -245,18 +245,21 @@ class TestSuites:
 
     def test_random_suite_structure(self):
         report = run_random_suite(NoiseParams(), RandomSource(14))
-        assert len(report.settings) == 100
-        labels = {s.label for s in report.settings}
+        assert len(report.ids) == len(report.success) == 100
+        labels = {label.value for label in report.labels}
         assert labels == {"COMMUTE", "ANTICOMMUTE"}
         assert 0.95 <= report.mean_success <= 0.995
 
     def test_csv_rows_sum_each_settings_repeats(self):
         report = run_pauli_suite(NoiseParams(), RandomSource(2))
         rows = report.csv_rows()
-        assert [row[2:4] for row in rows[1:]] == [s.counts.sum(axis=0).tolist() for s in report.settings]
+        assert [row[2:4] for row in rows[1:]] == [report.counts[:, k].sum(axis=0).tolist() for k in range(16)]
         assert all(type(c) is int for row in rows[1:] for c in row[2:4])
-        report.settings = []
-        assert report.csv_rows() == rows[:1]
+        empty = dataclasses.replace(
+            report, ids=report.ids[:0], labels=report.labels[:0], counts=report.counts[:, :0],
+            p0=report.p0[:0], p0_std=report.p0_std[:0], success=report.success[:0],
+        )
+        assert empty.csv_rows() == rows[:1]
 
     def test_random_suite_explicit_pairs(self):
         pairs = sample_pairs(RandomSource(15), 3, 3)
@@ -269,10 +272,28 @@ class TestSuites:
 
     def test_state_sweep_reports_per_state(self):
         report = run_state_sweep(NoiseParams(), RandomSource(17))
-        assert len(report.settings) == 80
+        assert len(report.ids) == len(report.success) == 80
         per_state = report.extras["per_state_success"]
         assert set(per_state) == {"hwp0", "hwp10", "hwp20", "hwp30", "hwp40"}
         assert 0.94 <= report.mean_success <= 0.995
+
+    def test_per_state_success_is_each_states_block_mean(self):
+        report = run_state_sweep(NoiseParams(), RandomSource(17))
+        per_state = report.extras["per_state_success"]
+        for k, angle in enumerate((0, 10, 20, 30, 40)):
+            block = slice(16 * k, 16 * (k + 1))
+            assert all(i.startswith(f"hwp{angle}:") for i in report.ids[block])
+            assert per_state[f"hwp{angle}"] == round(float(np.mean(report.success[block])), 10)
+        assert abs(np.mean(list(per_state.values())) - report.mean_success) <= 1e-10
+
+    def test_summary_numbers_follow_the_arrays(self):
+        report = run_pauli_suite(NoiseParams(), RandomSource(19))
+        assert report.counts.shape == (report.repeats, 16, 2)
+        report.success = report.success[:8]
+        report.p0_std = report.p0_std[8:]
+        assert report.mean_success == float(np.mean(report.success))
+        assert report.success_std == float(np.max(report.p0_std))
+        assert report.setting_spread == float(np.std(report.success))
 
     @pytest.mark.parametrize("runner, reference", [
         (run_pauli_suite, 0.983944),

@@ -1,9 +1,12 @@
-"""Deterministic CLI outputs, compared byte for byte with ``tests/golden/``.
+"""Deterministic outputs, compared byte for byte with ``tests/golden/``.
 
 The golden files hold the written files of ``qswitch suite {pauli,random100,
 statesweep} --seed 0``, ``bound_evaluation.csv`` with the solver-independent
 fields of ``bound --json``, the rounded angles of ``compile --json``, and the
 payloads of ``discriminate --json`` for a few gate pairs and input states.
+``explicit_pairs_suite.txt`` holds the settings CSV and the summary JSON of
+``run_random_suite`` on 50 + 50 explicitly sampled pairs, the library path
+that no CLI suite takes.
 Raw residual floats are left out because they depend on the numpy build.
 
 Regenerate them, only when an output is meant to change, with
@@ -11,6 +14,7 @@ Regenerate them, only when an output is meant to change, with
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -19,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from qswitch.cli import main
+from qswitch.experiment import NoiseParams, run_random_suite
+from qswitch.gates import RandomSource, sample_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
 SUITES = ("pauli", "random100", "statesweep")
@@ -33,7 +39,8 @@ DISCRIMINATE_CASES = (
     ("wp:10,20,30", "wp:1,2,3", "0.6,0,0,0.8"),
 )
 NAMES = [f"{which}_{kind}" for which in SUITES for kind in ("settings.csv", "summary.json")] + [
-    "bound_evaluation.csv", "bound.json", "compile.json", "discriminate.json"]
+    "bound_evaluation.csv", "bound.json", "compile.json", "discriminate.json",
+    "explicit_pairs_suite.txt"]
 
 
 def _stdout(argv: list[str]) -> str:
@@ -68,6 +75,10 @@ def golden_outputs(out: Path) -> dict[str, bytes]:
         argv = ["discriminate", "--u1", u1, "--u2", u2, "--state", state, "--json"]
         verdicts[f"{u1} {u2} {state}"] = json.loads(_stdout(argv))
     files["discriminate.json"] = _dump(verdicts)
+    report = run_random_suite(NoiseParams(), RandomSource(3), pairs=sample_pairs(RandomSource(2), 50, 50))
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(report.csv_rows())
+    files["explicit_pairs_suite.txt"] = (text.getvalue() + report.to_json() + "\n").encode()
     return files
 
 
