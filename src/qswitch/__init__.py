@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-linalg      dense complex linear algebra, Choi operators
+linalg      dense complex linear algebra, Choi vectors
 switch      the 2-SWITCH protocol and exit probabilities
 gates       Haar sampling, commuting / anti-commuting pair constructors
 waveplates  Jones calculus, quarter-half-quarter compilation, angle tables

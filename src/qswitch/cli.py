@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -231,7 +232,9 @@ def cmd_sample_pairs(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``main``, built once per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="qswitch",
         description="Gate-order-superposition commutation testing toolkit",

@@ -24,6 +24,7 @@ around the optimum and the valid 32x32 comb that attains its lower end.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ from .gates import PairStack
 # unused here since the objective stopped sampling; perfbench still traces
 # Haar sampling under the name qswitch.comb.haar_random_unitaries
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import choi_vector, require_unitary_pair, times_sy, times_sz
+from .linalg import choi_vector, read_only, require_unitary_pair, times_sy, times_sz
 
 __all__ = [
     "CombResult",
@@ -59,11 +60,24 @@ MAX_ITER = 100_000
 
 @dataclass
 class CombResult:
+    """The outcome of ``optimize_fixed_order``.
+
+    ``comb`` is the certified comb: a valid real 32x32 comb, feasible to
+    rounding, whose objective is ``lower``, and ``p_succ`` equals ``lower``.
+    ``[lower, upper]`` is the certified interval around the optimum, of width
+    ``gap``.  ``iterations`` counts the ADMM iterations run, and
+    ``primal_residual`` is the distance of the last iterate from the comb
+    subspace.  ``residuals`` are the comb's constraint residuals and least
+    eigenvalue (``comb_residuals``), and ``history`` holds one row per
+    certificate check: iteration, objective of the iterate, primal residual,
+    lower and upper.
+    """
+
     p_succ: float
     comb: np.ndarray
     iterations: int
     primal_residual: float
-    lower: float  # certified interval around the optimum
+    lower: float
     upper: float
     residuals: dict = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
@@ -122,14 +136,17 @@ def icosahedral_design() -> np.ndarray:
                      np.stack([-c + 1j * d, a - 1j * b], -1)], -2)
 
 
+@functools.cache
 def objective_operator() -> np.ndarray:
     """The exact class-averaged objective Omega of the fixed-order SDP.
 
     Omega is of degree (4, 4) in each eigenbasis R and invariant under its
     global phase, so averaging over the icosahedral 5-design gives the Haar
-    average exactly.
+    average exactly.  Built once per process, on first use, and read-only.
     """
-    return class_averaged_objective(icosahedral_design())
+    omega = class_averaged_objective(icosahedral_design())
+    read_only(omega)
+    return omega
 
 
 # --------------------------------------------------------------------------
@@ -306,7 +323,9 @@ class _BlockCoordinates:
     the projection is a Gram matrix of the tail traces T_m of the basis, and
     the trace fix removes the identity direction, with coordinates r = tr B_k:
     affine = I_20 + sum_m (-1/2)^m T_m T_m^T - r r^T/32, offset = 4/32 r.
-    Built per solve, so that importing the package builds nothing.
+    The solver shares one read-only instance (``_block_coordinates``), built
+    on the first solve rather than at import, so that importing the package
+    builds nothing.
     """
 
     def __init__(self) -> None:
@@ -327,6 +346,7 @@ class _BlockCoordinates:
         for m, tails in enumerate(_tail_traces(self.basis)[1:], start=1):
             tails = tails.reshape(n, -1)
             self.affine += (-0.5) ** m * (tails @ tails.T)
+        read_only(self.basis, self.to_blocks, self.from_blocks, self.offset, self.affine)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Coordinates <B_k, x> of the symmetric part of a 32x32 operator or of
@@ -349,6 +369,12 @@ class _BlockCoordinates:
     def min_eigenvalue(self, c: np.ndarray) -> float:
         """Smallest eigenvalue of the six padded blocks, the padding's zeros included."""
         return float(np.linalg.eigvalsh(self.blocks(c)).min())
+
+
+@functools.cache
+def _block_coordinates() -> _BlockCoordinates:
+    """The one ``_BlockCoordinates`` of the process, built on first use."""
+    return _BlockCoordinates()
 
 
 def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
@@ -400,7 +426,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         raise ValueError(f"objective must be {DIM}x{DIM}, got shape {omega.shape}")
     if not np.isfinite(omega).all():
         raise ValueError("objective has non-finite entries")
-    coords = _BlockCoordinates()
+    coords = _block_coordinates()
     target = coords.reduce(omega)
     off_subspace = float(np.linalg.norm(omega - coords.embed(target)))
     if not off_subspace <= 1e-10 * (1.0 + float(np.linalg.norm(omega))):

@@ -21,6 +21,7 @@ offset resets whenever the interferometer phase is re-zeroed on identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from .gates import PairStack, RandomSource, classify_pair
-from .linalg import ID2, both_orders, require_state
+from .linalg import ID2, both_orders, read_only, require_state
 from .switch import PLUS, PORT_VERDICTS, Verdict
 from .waveplates import (
     decompose,
@@ -218,10 +219,11 @@ class _Settings:
     """A suite's gate settings in acquisition order, stacked over settings.
 
     ``slot`` is each setting's position in its group; the interferometer
-    phase is re-zeroed at the start of every group.
+    phase is re-zeroed at the start of every group.  A packaged suite's
+    settings are built once per process, on first use, and read-only.
     """
 
-    ids: list[str]
+    ids: tuple[str, ...]
     labels: np.ndarray  # object array of Verdict
     u1: np.ndarray
     u2: np.ndarray
@@ -246,7 +248,7 @@ class SuiteReport:
     suite: str
     seed: int
     noise: NoiseParams
-    ids: list[str]
+    ids: tuple[str, ...]
     labels: np.ndarray  # object array of Verdict
     counts: np.ndarray
     p0: np.ndarray
@@ -319,6 +321,11 @@ def _run_groups(
     )
 
 
+def _read_only(settings: _Settings) -> _Settings:
+    read_only(settings.labels, settings.u1, settings.u2, settings.angles, settings.psi, settings.slot)
+    return settings
+
+
 def _pauli_settings(psi: np.ndarray, prefixes: list[str]) -> _Settings:
     """The 16 Pauli pairs in IXYZ x IXYZ order, repeated in one group for each
     state of a stack (k, 2) and named with that state's prefix."""
@@ -330,7 +337,7 @@ def _pauli_settings(psi: np.ndarray, prefixes: list[str]) -> _Settings:
     labels = classify_pair(gates[:, 0], gates[:, 1], tol=1e-6)
     k = len(psi)
     return _Settings(
-        ids=[prefix + g1 + g2 for prefix in prefixes for g1, g2 in itertools.product("IXYZ", repeat=2)],
+        ids=tuple(prefix + g1 + g2 for prefix in prefixes for g1, g2 in itertools.product("IXYZ", repeat=2)),
         labels=np.tile(labels, k),
         u1=np.tile(gates[:, 0], (k, 1, 1)),
         u2=np.tile(gates[:, 1], (k, 1, 1)),
@@ -340,9 +347,14 @@ def _pauli_settings(psi: np.ndarray, prefixes: list[str]) -> _Settings:
     )
 
 
+@functools.cache
+def _plus_pauli_settings() -> _Settings:
+    return _read_only(_pauli_settings(PLUS[None], [""]))
+
+
 def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     """All 16 Pauli-gate combinations on |+>, one group, phase re-zeroed at the start."""
-    return _run_groups("pauli", _pauli_settings(PLUS[None], [""]), noise, rng)
+    return _run_groups("pauli", _plus_pauli_settings(), noise, rng)
 
 
 def _random_settings(pairs: PairStack | None) -> _Settings:
@@ -350,7 +362,7 @@ def _random_settings(pairs: PairStack | None) -> _Settings:
         if len(pairs) == 0:
             raise ValueError("no pairs were given")
         u1, u2, port = pairs.u1, pairs.u2, pairs.port
-        ids = [f"P{k}" for k in range(len(pairs))]
+        ids = tuple(f"P{k}" for k in range(len(pairs)))
         angles = decompose(np.stack([u1, u2], axis=1)).reshape(-1, 6)
     else:
         table = load_random_pairs_table()
@@ -359,9 +371,14 @@ def _random_settings(pairs: PairStack | None) -> _Settings:
         gates = triple_to_unitary(triples)
         u1, u2 = gates[:, 0], gates[:, 1]
         port = np.repeat([0, 1], len(table))
-        ids = [prefix + row for prefix in "CA" for row in table.index]
+        ids = tuple(prefix + row for prefix in "CA" for row in table.index)
         angles = triples.reshape(-1, 6)
     return _Settings(ids, PORT_VERDICTS[port], u1, u2, angles, PLUS, np.arange(len(ids)) % RANDOM_GROUP_SIZE)
+
+
+@functools.cache
+def _table_settings() -> _Settings:
+    return _read_only(_random_settings(None))
 
 
 def run_random_suite(
@@ -372,14 +389,19 @@ def run_random_suite(
     With ``pairs`` omitted the bundled angle table supplies both the gates and
     the plate angles; explicit pairs are compiled to angles on the fly.
     """
-    return _run_groups("random100", _random_settings(pairs), noise, rng)
+    settings = _table_settings() if pairs is None else _random_settings(pairs)
+    return _run_groups("random100", settings, noise, rng)
+
+
+@functools.cache
+def _sweep_settings() -> _Settings:
+    psi = hwp(np.array(PREP_ANGLES)) @ np.array([1.0, 0.0], dtype=complex)
+    return _read_only(_pauli_settings(psi, [f"hwp{angle:g}:" for angle in PREP_ANGLES]))
 
 
 def run_state_sweep(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     """Pauli suite repeated for input states prepared by a half-wave plate at ``PREP_ANGLES``."""
-    psi = hwp(np.array(PREP_ANGLES)) @ np.array([1.0, 0.0], dtype=complex)
-    settings = _pauli_settings(psi, [f"hwp{angle:g}:" for angle in PREP_ANGLES])
-    report = _run_groups("statesweep", settings, noise, rng)
+    report = _run_groups("statesweep", _sweep_settings(), noise, rng)
     success = report.success.reshape(len(PREP_ANGLES), -1)
     report.extras["per_state_success"] = {
         f"hwp{angle:g}": round(float(mean), 10) for angle, mean in zip(PREP_ANGLES, success.mean(1))

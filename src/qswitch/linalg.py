@@ -6,6 +6,8 @@ at 32x32 or below, so all routines are dense and allocation-happy on purpose.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -22,10 +24,9 @@ __all__ = [
     "times_sy",
     "det2",
     "require_state",
-    "tensor",
+    "read_only",
     "frobenius_norm",
     "frobenius_distance_up_to_phase",
-    "choi",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -34,8 +35,14 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-for _const in (ID2, SX, SY, SZ, HAD):
-    _const.flags.writeable = False  # require_unitary hands back these very objects
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that every caller shares read-only, so that no caller can change them."""
+    for x in arrays:
+        x.flags.writeable = False
+
+
+read_only(ID2, SX, SY, SZ, HAD)  # require_unitary hands back these very objects
 
 PAULI_GATES = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 
@@ -76,10 +83,17 @@ def _gram_deviation(u: np.ndarray) -> np.ndarray:
     """U U^dag - I of each matrix of a stack (..., n, n), as rows (..., n*n) of a fresh array."""
     n = u.shape[-1]
     # entry (i, j) is row j of U dotted into row i: one stack-wide vecdot rather than a BLAS call
-    # per matrix; the subtraction touches only this fresh array
-    dev = np.vecdot(u[..., None, :, :], u[..., :, None, :]).reshape(u.shape[:-2] + (n * n,))
-    dev[..., :: n + 1] -= 1.0
-    return dev
+    # per matrix; x - 0 is x to the bit, so subtracting the whole identity changes only the diagonal
+    gram = np.vecdot(u[..., None, :, :], u[..., :, None, :])
+    return (gram - _identity(n)).reshape(u.shape[:-2] + (n * n,))
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The complex n x n identity, built once per size and read-only."""
+    eye = np.eye(n, dtype=complex)
+    read_only(eye)
+    return eye
 
 
 def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -135,14 +149,6 @@ def require_state(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     return psi
 
 
-def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices (or vectors), left to right."""
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
 def frobenius_norm(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack (..., m, n).
 
@@ -181,12 +187,3 @@ def choi_vector(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     n = u.shape[-1]
     return np.swapaxes(u, -2, -1).reshape(u.shape[:-2] + (n * n,))  # not -1: stacks may be empty
-
-
-def choi(u: np.ndarray) -> np.ndarray:
-    """Choi operator sum_ij |i><j| (x) U |i><j| U^dag of a 2x2 unitary or a stack of them.
-
-    Unnormalized convention: rank 1, trace 2, positive semidefinite.
-    """
-    v = choi_vector(require_unitary(u))
-    return np.einsum("...i,...j->...ij", v, v.conj())

@@ -16,6 +16,7 @@ x-z plane, by pi/2 (QWP) and pi (HWP).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import gates  # looked up at call time, so a wrapper set on gates.classify_pair sees these calls
-from .linalg import det2, require_unitary
+from .linalg import det2, read_only, require_unitary
 from .switch import PORT_VERDICTS
 
 __all__ = [
@@ -199,9 +200,11 @@ def table_gate_pairs(table: AngleTable | None = None) -> gates.PairStack:
 
     Returns 50 commuting pairs followed by 50 anti-commuting pairs, named by
     table row, with labels asserted by ``classify_pair`` at the rounded-angle tolerance.
+    With no ``table``, the pairs of the packaged table, built once per process
+    and read-only.
     """
     if table is None:
-        table = load_random_pairs_table()
+        return _packaged_table_pairs()
     if table.angles.shape[1] != 4:
         raise ValueError(f"expected 4 triples per row, got {table.angles.shape[1]}")
     unitaries = triple_to_unitary(table.angles)  # (row, triple, 2, 2)
@@ -212,3 +215,10 @@ def table_gate_pairs(table: AngleTable | None = None) -> gates.PairStack:
         k, name = wrong[0], ("commuting", "anti-commuting")[port[wrong[0]]]
         raise ValueError(f"row {table.index[k % len(table)]}: {name} pair fails classification")
     return gates.PairStack(u1, u2, port, rows=table.index * 2)
+
+
+@functools.cache
+def _packaged_table_pairs() -> gates.PairStack:
+    pairs = table_gate_pairs(load_random_pairs_table())
+    read_only(pairs.u1, pairs.u2, pairs.port)  # so setting a pair raises too
+    return pairs

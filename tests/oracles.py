@@ -7,8 +7,27 @@ routine forms in closed form, so a test can check one against the other.
 import numpy as np
 
 from qswitch.comb import DIM
-from qswitch.linalg import HAD, ID2, both_orders, require_state, require_unitary, require_unitary_pair, tensor
+from qswitch.linalg import (
+    HAD, ID2, both_orders, choi_vector, require_state, require_unitary, require_unitary_pair,
+)
 from qswitch.switch import PLUS
+
+
+def tensor(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of one or more matrices (or vectors), left to right."""
+    out = np.asarray(ops[0], dtype=complex)
+    for op in ops[1:]:
+        out = np.kron(out, np.asarray(op, dtype=complex))
+    return out
+
+
+def choi(u: np.ndarray) -> np.ndarray:
+    """Choi operator sum_ij |i><j| (x) U |i><j| U^dag of a 2x2 unitary or a stack of them.
+
+    Unnormalized convention: rank 1, trace 2, positive semidefinite.
+    """
+    v = choi_vector(require_unitary(u))
+    return np.einsum("...i,...j->...ij", v, v.conj())
 
 
 def two_switch_output_circuit(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:

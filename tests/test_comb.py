@@ -20,10 +20,10 @@ from qswitch.comb import (
     project_comb_affine,
 )
 from qswitch.gates import GatePair, PairStack, RandomSource, haar_random_unitaries, sample_pairs
-from qswitch.linalg import HAD, ID2, SX, SY, SZ, choi, tensor
+from qswitch.linalg import HAD, ID2, SX, SY, SZ
 from qswitch.switch import Verdict, exit_probabilities
 
-from oracles import build_comb_from_circuit
+from oracles import build_comb_from_circuit, choi, tensor
 
 
 def random_hermitian(gen, dim):

@@ -15,18 +15,18 @@ from qswitch.linalg import (
     SZ,
     UNITARY_TOL,
     both_orders,
-    choi,
     det2,
     frobenius_distance_up_to_phase,
     frobenius_norm,
     require_state,
     require_unitary,
     require_unitary_pair,
-    tensor,
     times_sy,
     times_sz,
 )
 from qswitch.linalg import _gram_deviation
+
+from oracles import choi, tensor
 
 
 class TestTensor:
@@ -347,7 +347,32 @@ def matmul_unitary_residual(u):
     return np.sqrt(max_row_norm_sq(dev))
 
 
+def strided_gram_deviation(u):
+    """``_gram_deviation`` as it lowered the diagonal in place through a strided view,
+    before it subtracted a cached identity."""
+    n = u.shape[-1]
+    dev = np.vecdot(u[..., None, :, :], u[..., :, None, :]).reshape(u.shape[:-2] + (n * n,))
+    dev[..., :: n + 1] -= 1.0
+    return dev
+
+
 class TestVecdotGram:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-10, 1e-8, 0.5])
+    def test_residual_bytes_match_the_strided_subtraction(self, dim, scale):
+        for seed, shape in enumerate([(), (1,), (7,), (3, 5), (0,)]):
+            u = perturbed_unitaries(seed, dim, int(np.prod(shape)), scale).reshape(shape + (dim, dim))
+            for x in layouts(u) + [-u, u.real + 0j]:
+                assert _gram_deviation(x).tobytes() == strided_gram_deviation(x).tobytes()
+
+    def test_residual_bytes_match_on_a_failing_stack(self):
+        # signed zeros, exact Paulis and one matrix far from unitary; the message is the one the
+        # strided subtraction gave
+        u = np.stack([-ID2, SX, -SY, SZ, HAD, np.array([[0.5, -0.0], [0.25j, -0.75]])])
+        assert _gram_deviation(u).tobytes() == strided_gram_deviation(u).tobytes()
+        with pytest.raises(ValueError, match=r"not unitary \(residual 8.570e-01\)"):
+            require_unitary(u)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-10, 1e-8])
     def test_residual_matches_the_matmul_gram(self, dim, scale):
