@@ -260,57 +260,51 @@ MULTIPLICITIES = (1, 3, 2)  # copies of each spin in four qubits: the size of M_
 
 
 def _schur_vectors() -> np.ndarray:
-    """The vectors |j, m, a> of the gate wires in the comb's frame, shape (3, 16, 5, 3).
+    """Unnormalised integer vectors |j, m, a> of the gate wires in the comb's frame, shape (3, 16, 5, 3).
 
     Index 0 runs over j = 2, 1, 0; m over the 2j+1 spin states (zero-padded
     to 5) and a over the copies of spin j (zero-padded to 3).  Each copy
     couples the pairs (P1 P2) and (P3 P4): its top vector, at m = j, is built
-    from |00>, |11>, the singlet and the m = 0 triplet t0 of each pair.
-    Lowering the tops step by step gives every copy the same phases, so
-    V^(x)4 acts alike on all.  The frame sigma_y (x) I (x) sigma_y (x) I is
-    real, and so are the vectors.
+    from |00>, |11>, s' = |01> - |10> and t' = |01> + |10> of each pair.
+    Each J- step scales the squared norm of every copy of a spin alike, so
+    normalising once (``_BlockCoordinates``) gives every copy the same phases
+    and V^(x)4 acts alike on all.  The frame sigma_y (x) I (x) sigma_y (x) I
+    is a signed permutation, so the vectors stay integer.
     """
     idx = np.arange(16)
     # J-: each qubit in turn from |0> (up) to |1>, P1 the high bit
-    lowering = np.zeros((16, 16))
+    lowering = np.zeros((16, 16), dtype=int)
     for bit in (8, 4, 2, 1):
         low = idx[idx & bit == 0]
-        lowering[low | bit, low] = 1.0
+        lowering[low | bit, low] = 1
     # the frame flips P1 and P3 (bits 3 and 1), with sign -1 where they agree
     perm = idx ^ 0b1010
-    sign = np.where((idx >> 3 & 1) != (idx >> 1 & 1), 1.0, -1.0)[:, None]
-    up, down = np.eye(4)[[0, 3]]
-    singlet, t0 = np.array([[0.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+    sign = np.where((idx >> 3 & 1) != (idx >> 1 & 1), 1, -1)[:, None]
+    up, down = np.eye(4, dtype=int)[[0, 3]]
+    singlet, triplet = np.array([[0, 1, -1, 0], [0, 1, 1, 0]])
     # np.outer(x, y) is x on (P1 P2) times y on (P3 P4), flattened below
     tops = ([np.outer(up, up)],
-            [np.outer(up, singlet), np.outer(singlet, up), (np.outer(up, t0) - np.outer(t0, up)) / np.sqrt(2.0)],
+            [np.outer(up, singlet), np.outer(singlet, up), np.outer(up, triplet) - np.outer(triplet, up)],
             [np.outer(singlet, singlet),
-             (np.outer(up, down) - np.outer(t0, t0) + np.outer(down, up)) / np.sqrt(3.0)])
-    q = np.zeros((3, 16, 5, 3))
+             2 * np.outer(up, down) - np.outer(triplet, triplet) + 2 * np.outer(down, up)])
+    q = np.zeros((3, 16, 5, 3), dtype=int)
     for s, (j, top) in enumerate(zip(SPINS, tops)):
         vecs = np.reshape(top, (-1, 16)).T
         for m in range(2 * j + 1):
-            if m:
-                vecs = lowering @ vecs
-                vecs /= np.linalg.norm(vecs, axis=0)
             q[s, :, m, :len(top)] = sign * vecs[perm]
+            vecs = lowering @ vecs
     return q
 
 
 def _unit_blocks() -> np.ndarray:
-    """The blocks M[i, j] of the 20 unit coordinates, shape (20, 6, 3, 3), zero-padded.
-
-    Per block: the diagonal entries and, for each entry above it, the
-    symmetric pair of entries times sqrt(1/2); all divided by sqrt(2j+1), the
-    norm of I_{2j+1}, so that the coordinates are Frobenius-orthonormal.
-    """
+    """The 0/1 symmetric patterns M[i, j] of the 20 unit coordinates, shape
+    (20, 6, 3, 3), zero-padded: one per diagonal entry or mirrored pair."""
     units = []
     for slot in range(6):
-        j, mult = SPINS[slot % 3], MULTIPLICITIES[slot % 3]
-        for a, b in itertools.combinations_with_replacement(range(mult), 2):
-            unit = np.zeros((6, 3, 3))
-            unit[slot, a, b] = unit[slot, b, a] = 1.0 if a == b else np.sqrt(0.5)
-            units.append(unit / np.sqrt(2 * j + 1))
+        for a, b in itertools.combinations_with_replacement(range(MULTIPLICITIES[slot % 3]), 2):
+            unit = np.zeros((6, 3, 3), dtype=int)
+            unit[slot, a, b] = unit[slot, b, a] = 1
+            units.append(unit)
     return np.array(units)
 
 
@@ -323,22 +317,26 @@ class _BlockCoordinates:
     the projection is a Gram matrix of the tail traces T_m of the basis, and
     the trace fix removes the identity direction, with coordinates r = tr B_k:
     affine = I_20 + sum_m (-1/2)^m T_m T_m^T - r r^T/32, offset = 4/32 r.
-    The solver shares one read-only instance (``_block_coordinates``), built
-    on the first solve rather than at import, so that importing the package
-    builds nothing.
+    It is the one place that normalises: each Schur vector by its norm, each
+    basis operator and its ``to_blocks`` column by their Frobenius norm.  The
+    solver shares one read-only instance (``_block_coordinates``), built on
+    first use, not at import.
     """
 
     def __init__(self) -> None:
         q = _schur_vectors()
+        q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1.0)  # nonzero norms >= 1, padding stays 0
         units = _unit_blocks()
         n = len(units)
         # on the gate wires, entry (a, b) of M_j is the operator sum_m |j, m, a><j, m, b|
         entries = (q.transpose(0, 3, 1, 2)[:, :, None] @ q.transpose(0, 3, 2, 1)[:, None]).reshape(27, 256)
         gate_wires = (units.reshape(2 * n, 27) @ entries).reshape(n, 2, 16, 16)
         # B_k = sum_i (gate-wire operator of outcome i) (x) |i><i|
-        self.basis = (gate_wires.transpose(0, 2, 1, 3)[..., None] * np.eye(2)[:, None]).reshape(n, DIM, DIM)
-        self.to_blocks = units.reshape(n, -1).T  # the 54 padded block entries of each B_k
-        # <B_k, X> = (2j+1) <M_k, P> for X with blocks P, and <M_k, M_k> = 1/(2j+1)
+        basis = (gate_wires.transpose(0, 2, 1, 3)[..., None] * np.eye(2)[:, None]).reshape(n, DIM, DIM)
+        norms = np.linalg.norm(basis, axis=(1, 2))
+        self.basis = basis / norms[:, None, None]
+        self.to_blocks = units.reshape(n, -1).T / norms  # the 54 padded block entries of each B_k
+        # to_blocks' columns have disjoint supports: its left inverse divides each by its squared norm
         self.from_blocks = self.to_blocks.T / (self.to_blocks**2).sum(axis=0)[:, None]
         traces = self.reduce(np.eye(DIM))
         self.offset = traces * (4.0 / DIM)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import both_orders, require_state
+from .linalg import both_orders, read_only, require_state
 
 __all__ = [
     "Verdict",
@@ -24,7 +24,6 @@ __all__ = [
 ]
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-PLUS.flags.writeable = False
 
 
 class Verdict(str, enum.Enum):
@@ -35,7 +34,7 @@ class Verdict(str, enum.Enum):
 
 # the verdict each exit port signals: a label's port is its index here
 PORT_VERDICTS = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE], dtype=object)
-PORT_VERDICTS.flags.writeable = False
+read_only(PLUS, PORT_VERDICTS)
 
 
 @dataclass(frozen=True)

@@ -260,25 +260,49 @@ class TestBlockCoordinates:
         assert np.linalg.matrix_rank(coords.affine) == 12
 
     def test_schur_vectors_match_kronecker_construction(self):
-        # reference: J- as a sum of np.kron terms, the tops as np.kron products, the frame as a matrix
-        flip = np.array([[0.0, 0.0], [1.0, 0.0]])
-        lowering = sum(np.kron(np.kron(np.eye(2**k), flip), np.eye(8 >> k)) for k in range(4))
-        up, down = np.eye(4)[[0, 3]]
-        singlet, t0 = np.array([[0.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+        # reference, in integers: J- as a sum of np.kron terms, the tops as
+        # np.kron products, the frame as a matrix
+        flip = np.array([[0, 0], [1, 0]])
+        lowering = sum(np.kron(np.kron(np.eye(2**k, dtype=int), flip), np.eye(8 >> k, dtype=int)) for k in range(4))
+        up, down = np.eye(4, dtype=int)[[0, 3]]
+        singlet, triplet = np.array([[0, 1, -1, 0], [0, 1, 1, 0]])
         tops = ([np.kron(up, up)],
-                [np.kron(up, singlet), np.kron(singlet, up), (np.kron(up, t0) - np.kron(t0, up)) / np.sqrt(2.0)],
+                [np.kron(up, singlet), np.kron(singlet, up), np.kron(up, triplet) - np.kron(triplet, up)],
                 [np.kron(singlet, singlet),
-                 (np.kron(up, down) - np.kron(t0, t0) + np.kron(down, up)) / np.sqrt(3.0)])
-        frame = tensor(SY, ID2, SY, ID2).real
-        reference = np.zeros((3, 16, 5, 3))
+                 2 * np.kron(up, down) - np.kron(triplet, triplet) + 2 * np.kron(down, up)])
+        frame = tensor(SY, ID2, SY, ID2).real.astype(int)
+        assert np.array_equal(frame, tensor(SY, ID2, SY, ID2))
+        reference = np.zeros((3, 16, 5, 3), dtype=int)
         for s, (j, top) in enumerate(zip(comb.SPINS, tops)):
             vecs = np.transpose(top)
             for m in range(2 * j + 1):
-                if m:
-                    vecs = lowering @ vecs
-                    vecs /= np.linalg.norm(vecs, axis=0)
                 reference[s, :, m, :len(top)] = frame @ vecs
-        assert np.array_equal(_schur_vectors(), reference)
+                vecs = lowering @ vecs
+        q = _schur_vectors()
+        assert np.issubdtype(q.dtype, np.integer)
+        assert np.array_equal(q, reference)
+
+    def test_schur_vectors_are_an_orthogonal_basis(self):
+        # exact in int64: the 16 nonzero columns are pairwise orthogonal, so
+        # they are a complete orthogonal basis of the four gate wires
+        q = _schur_vectors().astype(np.int64)
+        columns = q.transpose(1, 0, 2, 3).reshape(16, -1)
+        columns = columns[:, columns.any(axis=0)]
+        assert columns.shape == (16, 16)
+        gram = columns.T @ columns
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+        assert (np.diag(gram) > 0).all()
+
+    def test_schur_vectors_lower_every_copy_alike(self):
+        # exact in int64: within a spin, every copy's squared norm changes by
+        # the same factor from m to m + 1, so one normalisation per vector
+        # gives V^(x)4 the same action on every copy
+        norms = (_schur_vectors().astype(np.int64) ** 2).sum(axis=1)
+        for s, (j, mult) in enumerate(zip(comb.SPINS, comb.MULTIPLICITIES)):
+            sq = norms[s, :2 * j + 1, :mult]
+            assert (sq > 0).all()
+            # sq[m + 1, a] / sq[m, a] == sq[m + 1, b] / sq[m, b], cross-multiplied
+            assert np.array_equal(sq[1:, :, None] * sq[:-1, None, :], sq[1:, None, :] * sq[:-1, :, None])
 
     def test_affine_map_matches_projection(self, coords):
         gen = np.random.default_rng(18)

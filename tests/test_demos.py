@@ -18,8 +18,9 @@ def _run(args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # as pyproject.toml's filterwarnings does for in-process tests
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
 
