@@ -2,7 +2,8 @@
 
 Gate specs accept named gates (I, X, Y, Z, H), eight comma-separated numbers
 (re/im pairs, row-major), or waveplate triples written ``wp:q,h,q`` in
-degrees.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
+degrees.  State specs accept + - 0 1 H V, or four numbers (re/im pairs),
+normalised.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,83 +27,58 @@ from .experiment import (
     run_state_sweep,
 )
 from .gates import RandomSource, classify_pair, pairs_to_csv, sample_pairs
-from .linalg import PAULI_GATES, HAD, UNITARY_TOL, frobenius_distance_up_to_phase, require_unitary
-from .switch import Verdict, exit_probabilities
+from .linalg import ID2, PAULI_GATES, HAD, frobenius_distance_up_to_phase, require_unitary
+from .switch import PLUS, Verdict, exit_probabilities
 from .waveplates import decompose, table_gate_pairs, triple_to_unitary
 
 NAMED_GATES = dict(PAULI_GATES, H=HAD)
+NAMED_STATES = {"+": PLUS, "-": HAD[:, 1], "0": ID2[0], "1": ID2[1], "H": ID2[0], "V": ID2[1]}
 
 
 class UsageError(ValueError):
     pass
 
 
+def _numbers(text: str, count: int) -> np.ndarray:
+    """The ``count`` comma-separated floats of ``text``, raising ValueError for any other text."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} comma-separated numbers, got {len(parts)}")
+    return np.array([float(p) for p in parts])
+
+
 def parse_gate(spec: str) -> np.ndarray:
     spec = spec.strip()
     if spec in NAMED_GATES:
         return NAMED_GATES[spec].copy()
-    if spec.startswith("wp:"):
-        parts = spec[3:].split(",")
-        if len(parts) != 3:
-            raise UsageError(f"waveplate spec needs three angles: {spec!r}")
-        try:
-            angles = [float(p) for p in parts]
-        except ValueError as exc:
-            raise UsageError(f"bad waveplate angle in {spec!r}") from exc
-        if not np.all(np.isfinite(angles)):
-            raise UsageError(f"non-finite waveplate angle in {spec!r}")
-        return triple_to_unitary(angles)
-    parts = spec.split(",")
-    if len(parts) == 8:
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise UsageError(f"bad matrix entry in {spec!r}") from exc
-        # a unitary's entries lie in [-1, 1]; this also rejects NaN and keeps
-        # the unitarity check from overflowing
-        if not all(abs(v) <= 1.0 + UNITARY_TOL for v in vals):
-            raise UsageError(f"matrix entry outside [-1, 1] in {spec!r}")
-        m = (np.array(vals[0::2]) + 1j * np.array(vals[1::2])).reshape(2, 2)
-        try:
-            return require_unitary(m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(f"cannot parse gate spec {spec!r}")
+    try:
+        if spec.startswith("wp:"):
+            return triple_to_unitary(_numbers(spec[3:], 3))
+        # the entries as re/im pairs, with no arithmetic; require_unitary rejects NaN, inf and overflow
+        return require_unitary(_numbers(spec, 8).view(complex).reshape(2, 2))
+    except ValueError as exc:
+        raise UsageError(f"cannot parse gate spec {spec!r}: {exc}") from exc
 
 
 def parse_state(spec: str) -> np.ndarray:
-    named = {
-        "+": np.array([1.0, 1.0]) / np.sqrt(2),
-        "-": np.array([1.0, -1.0]) / np.sqrt(2),
-        "0": np.array([1.0, 0.0]),
-        "1": np.array([0.0, 1.0]),
-        "H": np.array([1.0, 0.0]),
-        "V": np.array([0.0, 1.0]),
-    }
-    if spec in named:
-        return named[spec].astype(complex)
-    parts = spec.split(",")
-    if len(parts) == 4:
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise UsageError(f"bad state entry in {spec!r}") from exc
-        if not np.all(np.isfinite(vals)):
-            raise UsageError(f"non-finite state entry in {spec!r}")
-        scale = max(abs(v) for v in vals)
-        if scale == 0.0:
-            raise UsageError("state has zero norm")
-        vals = [v / scale for v in vals]  # entries in [-1, 1], so the norm cannot overflow
-        psi = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
+    if spec in NAMED_STATES:
+        return NAMED_STATES[spec].copy()
+    try:
+        vals = _numbers(spec, 4)
+        scale = np.max(np.abs(vals))
+        if not 0.0 < scale < np.inf:
+            raise ValueError("entries must be finite and not all zero")
+        psi = (vals / scale).view(complex)  # entries in [-1, 1], so the norm cannot overflow
         return psi / np.linalg.norm(psi)
-    raise UsageError(f"cannot parse state spec {spec!r}")
+    except ValueError as exc:
+        raise UsageError(f"cannot parse state spec {spec!r}: {exc}") from exc
 
 
-def seed(text: str) -> int:
-    """argparse type of ``--seed``: numpy's generators take only nonnegative integers."""
+def nonnegative(text: str) -> int:
+    """argparse type of ``--seed`` and the pair counts, which numpy takes only as nonnegative integers."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
@@ -111,18 +87,9 @@ def _load_noise(path: str | None) -> NoiseParams:
         return NoiseParams()
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read noise file {path!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"noise file {path!r} must hold a JSON object")
-    unknown = set(data) - set(NoiseParams.__dataclass_fields__)
-    if unknown:
-        raise UsageError(f"unknown noise keys: {sorted(unknown)}")
-    try:
-        return NoiseParams(**data)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+            return NoiseParams(**json.load(fh))
+    except (OSError, ValueError, TypeError) as exc:
+        raise UsageError(f"bad noise file {path!r}: {exc}") from exc
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -221,8 +188,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sample_pairs(args) -> int:
-    if args.commuting < 0 or args.anticommuting < 0:
-        raise UsageError("pair counts must be nonnegative")
     rng = RandomSource(args.seed)
     pairs = sample_pairs(rng, args.commuting, args.anticommuting)
     out = Path(args.out)
@@ -249,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="simulate an experiment suite")
     p.add_argument("which", choices=["pauli", "random100", "statesweep"])
-    p.add_argument("--seed", type=seed, default=0, help="seed of the count stream")
+    p.add_argument("--seed", type=nonnegative, default=0, help="seed of the count stream")
     p.add_argument("--noise", help="JSON file of noise parameter overrides")
     p.add_argument("--out", default="suite_out", help="output directory")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("bound", help="compute the fixed-order success bound")
     p.add_argument("--out", help="directory for the per-pair evaluation CSV")
-    p.add_argument("--seed", type=seed, default=0, help="ignored: the bound is deterministic")
+    p.add_argument("--seed", type=nonnegative, default=0, help="ignored: the bound is deterministic")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("compile", help="compile a gate to waveplate angles")
@@ -264,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("sample-pairs", help="export random labeled gate pairs")
-    p.add_argument("--commuting", type=int, default=50)
-    p.add_argument("--anticommuting", type=int, default=50)
+    p.add_argument("--commuting", type=nonnegative, default=50)
+    p.add_argument("--anticommuting", type=nonnegative, default=50)
     p.add_argument("--out", default="pairs.csv")
-    p.add_argument("--seed", type=seed, default=0, help="seed of the sampling stream")
+    p.add_argument("--seed", type=nonnegative, default=0, help="seed of the sampling stream")
     p.set_defaults(func=cmd_sample_pairs)
 
     for sp in sub.choices.values():

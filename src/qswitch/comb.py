@@ -160,8 +160,10 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     The score operator S_i = choi(U1) (x) choi(U2) (x) |i><i| is the outer
     square of x = v1 (x) v2 (x) |i>, with v the Choi vectors, so tr(S_i W)
     is the rank-one contraction <x|W|x>.  Results are clamped to [0, 1]
-    within a 1e-8 guard band; outcomes must be integers.
+    within a 1e-8 guard band; ``w`` must be 32x32 and outcomes integers.
     """
+    if np.shape(w) != (DIM, DIM):
+        raise ValueError(f"expected a {DIM}x{DIM} comb, got shape {np.shape(w)}")
     i = np.asarray(i)
     if not (np.issubdtype(i.dtype, np.integer) and np.isin(i, (0, 1)).all()):
         raise ValueError("outcome must be 0 or 1")

@@ -61,9 +61,17 @@ class AngleTable:
         return len(self.index)
 
 
+def _radians(degrees: float | np.ndarray) -> np.ndarray:
+    """Plate angles in degrees as radians, raising ValueError for a NaN or infinite angle."""
+    degrees = np.asarray(degrees, dtype=float)
+    if not np.isfinite(degrees).all():
+        raise ValueError("plate angles must be finite")
+    return np.deg2rad(degrees)
+
+
 def _plate(theta_deg: float | np.ndarray, retardance: np.ndarray) -> np.ndarray:
     """R(t) diag(retardance) R(-t) for each angle of a stack, shape (..., 2, 2)."""
-    t = np.deg2rad(np.asarray(theta_deg, dtype=float))
+    t = _radians(theta_deg)
     c, s = np.cos(t), np.sin(t)
     r = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2).astype(complex)
     # one product over all rows of the stack: each entry is summed as in r @ retardance
@@ -87,7 +95,10 @@ def triple_to_unitary(angles: tuple[float, float, float] | np.ndarray) -> np.nda
     The plates' determinants i, -1 and i multiply to 1, so this is the plate
     product itself, with no phase dropped.
     """
-    a, h, c = np.moveaxis(np.deg2rad(np.asarray(angles, dtype=float)), -1, 0)
+    t = _radians(angles)
+    if t.shape[-1:] != (3,):
+        raise ValueError(f"expected plate triples (..., 3), got shape {t.shape}")
+    a, h, c = np.moveaxis(t, -1, 0)
     d, s = c - a, a + c
     m = 2.0 * h - s
     w, y = np.cos(m) * np.cos(d), np.cos(m) * np.sin(d)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import qswitch.cli
 from qswitch.cli import UsageError, main, parse_gate, parse_state
 from qswitch.linalg import HAD, SX, frobenius_distance_up_to_phase, require_state, require_unitary
+from qswitch.waveplates import triple_to_unitary
 
 NUMBER_TEXT = st.one_of(
     st.floats().map(repr),
@@ -29,6 +30,13 @@ class TestParsers:
         u = parse_gate("0,0,1,0,1,0,0,0")
         assert np.allclose(u, SX)
 
+    @pytest.mark.parametrize("spec, expected", [
+        ("wp:10,20,30", triple_to_unitary([10, 20, 30])),
+        ("0.6,0.8,0,0,0,0,0.6,-0.8", np.array([[0.6 + 0.8j, 0], [0, 0.6 - 0.8j]])),
+    ], ids=["waveplates", "literal"])
+    def test_spec_decodes_exactly(self, spec, expected):
+        assert np.array_equal(parse_gate(spec), expected)
+
     def test_rejects_non_unitary_literal(self):
         with pytest.raises(ValueError):
             parse_gate("1,0,0,0,0,0,2,0")
@@ -39,6 +47,8 @@ class TestParsers:
 
     def test_state_named_and_literal(self):
         assert np.allclose(parse_state("0"), [1, 0])
+        assert np.array_equal(parse_state("-"), np.array([1, -1]) / np.sqrt(2))
+        assert parse_state("+").flags.writeable  # a copy: the named states are shared
         psi = parse_state("1,0,1,0")
         assert np.allclose(psi, np.array([1, 1]) / np.sqrt(2))
 
@@ -138,6 +148,7 @@ class TestDiscriminate:
         ["--u1", "X", "--u2", "Z", "--state", "nan,0,0,0"],
         ["--u1", "X", "--u2", "Z", "--state", "inf,0,0,0"],
         ["--u1", "wp:nan,0,0", "--u2", "Z"],
+        ["--u1", "nan,0,0,0,0,0,1,0", "--u2", "Z"],
     ])
     def test_non_finite_input_exit_code(self, capsys, argv):
         assert main(["discriminate", *argv]) == 1
@@ -201,7 +212,11 @@ class TestSuite:
     def test_unknown_noise_key(self, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
         noise_file.write_text(json.dumps({"visibilty": 0.9}))
-        assert main(["suite", "pauli", "--noise", str(noise_file)]) == 1
+        out = tmp_path / "out"
+        assert main(["suite", "pauli", "--noise", str(noise_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'visibilty'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"pairs_per_setting": NaN}',
@@ -261,8 +276,10 @@ class TestSamplePairs:
 
     def test_negative_count_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "pairs.csv"
-        assert main(["sample-pairs", "--commuting", "-1", "--out", str(out)]) == 1
-        assert not out.exists()
+        for flag in ("--commuting", "--anticommuting"):
+            assert main(["sample-pairs", flag, "-1", "--out", str(out)]) == 1
+            assert f"argument {flag}: must be nonnegative" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestBound:

@@ -65,6 +65,16 @@ class TestProbabilityFromComb:
             with pytest.raises(ValueError, match="outcome must be 0 or 1"):
                 probability_from_comb(np.eye(DIM) / 8.0, np.stack([SX, SY]), np.stack([SX, SY]), i)
 
+    @pytest.mark.parametrize("reshape", [np.ravel, lambda w: w.reshape(4, 256), lambda w: np.stack([w, w])],
+                             ids=["flat", "4x256", "stack"])
+    def test_rejects_a_comb_not_32x32(self, reshape):
+        # a valid comb's 1,024 entries in another shape, or a stack of valid combs, are not one comb
+        w = reshape(np.eye(DIM) * 4.0 / DIM)
+        with pytest.raises(ValueError, match="expected a 32x32 comb"):
+            probability_from_comb(w, SX, SX, 0)
+        with pytest.raises(ValueError, match="expected a 32x32 comb"):
+            evaluate_comb(w, sample_pairs(RandomSource(22), 1, 1))
+
     def test_empty_stack(self):
         w = np.eye(DIM) * 4.0 / DIM
         p = probability_from_comb(w, np.empty((0, 2, 2)), np.empty((0, 2, 2)), np.array([], dtype=int))
@@ -421,6 +431,16 @@ class TestOptimization:
         prob = cp.Problem(cp.Maximize(cp.real(cp.trace(omega @ w))), constraints)
         prob.solve(solver=cp.SCS, eps=1e-8)
         assert optimum.p_succ == pytest.approx(prob.value, abs=1e-4)
+
+    def test_comb_block_ranks(self, optimum):
+        # the primal half of strict complementarity: ranks of the six blocks (outcome 0 then 1,
+        # spin 2, 1, 0), with every eigenvalue far from both thresholds (measured: zeros at most
+        # 1.7e-11, nonzeros at least 0.172)
+        coords = comb._block_coordinates()
+        eigenvalues = np.linalg.eigvalsh(coords.blocks(coords.reduce(optimum.comb)))
+        nonzero = eigenvalues >= 0.05
+        assert (nonzero | (np.abs(eigenvalues) <= 1e-6)).all()
+        assert nonzero.sum(axis=1).tolist() == [0, 2, 2, 1, 1, 0]
 
     def test_comb_is_symmetric(self, optimum):
         # the iterate stays in the symmetric subspace, so the comb it maps back to does too

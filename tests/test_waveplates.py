@@ -63,6 +63,24 @@ class TestTripleToUnitary:
         shifted = triple_to_unitary((t[0] + 180, t[1] + 180, t[2] - 180))
         assert fdist(base, shifted) <= 1e-12
 
+    def test_rejects_a_last_axis_other_than_three(self):
+        for angles in ([1.0, 2.0], np.zeros((5, 4))):
+            with pytest.raises(ValueError, match=r"plate triples \(\.\.\., 3\)"):
+                triple_to_unitary(angles)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("plate, angles", [
+    (qwp, lambda t: t),
+    (hwp, lambda t: [0.0, t]),
+    (triple_to_unitary, lambda t: [t, 0.0, 0.0]),
+    (triple_to_unitary, lambda t: [[0.0, 0.0, 0.0], [0.0, t, 0.0]]),
+], ids=["qwp", "hwp-stack", "triple", "triple-stack"])
+def test_non_finite_angle_raises(plate, angles, bad):
+    # pyproject turns a RuntimeWarning into an error, so the check must come before any arithmetic
+    with pytest.raises(ValueError, match="plate angles must be finite"):
+        plate(angles(bad))
+
 
 class TestClosedFormTriples:
     """``triple_to_unitary`` is the plate product itself, not only up to phase."""
