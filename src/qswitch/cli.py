@@ -61,6 +61,7 @@ def parse_gate(spec: str) -> np.ndarray:
 
 
 def parse_state(spec: str) -> np.ndarray:
+    spec = spec.strip()
     if spec in NAMED_STATES:
         return NAMED_STATES[spec].copy()
     try:

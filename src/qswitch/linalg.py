@@ -62,30 +62,29 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
+    _check_unitary(u, _identity(u.shape[-1]))
+    return u
+
+
+def _check_unitary(u: np.ndarray, eye: np.ndarray) -> None:
+    """Raise ValueError unless each matrix of the complex stack ``u`` (..., n, n) is unitary; ``eye`` is I_n."""
     # A stack of unitaries has sum |u_ij|^2 = u.size / n, so this one BLAS sum, which raises no
     # floating-point warning, admits every stack within the tolerance, rejects NaN and inf, and
     # bounds every entry, so that the Gram product below stays finite
     if not np.vdot(u, u).real <= 2 * u.size:
         raise ValueError(_ENTRY_MESSAGE)
-    dev = _gram_deviation(u)
+    # U U^dag - I: entry (i, j) is row j of U dotted into row i, one stack-wide vecdot rather than a
+    # BLAS call per matrix; x - 0 is x to the bit, so subtracting I changes only the diagonal
+    dev = np.vecdot(u[..., None, :, :], u[..., :, None, :]) - eye
     # the summed squared residual bounds each matrix's, so only a stack it fails is checked per matrix
     if not np.vdot(dev, dev).real <= UNITARY_TOL**2:
-        sq = _max(np.vecdot(dev, dev).real)
+        rows = dev.reshape(dev.shape[:-2] + (-1,))  # a failing stack is not empty
+        sq = _max(np.vecdot(rows, rows).real)
         if not sq <= UNITARY_TOL**2:
             # no unitary has a larger entry: the message names the entry bound where it fails
             if not _max(np.abs(u)) <= 1.0 + UNITARY_TOL:
                 raise ValueError(_ENTRY_MESSAGE)
             raise ValueError(f"matrix is not unitary (residual {np.sqrt(sq):.3e})")
-    return u
-
-
-def _gram_deviation(u: np.ndarray) -> np.ndarray:
-    """U U^dag - I of each matrix of a stack (..., n, n), as rows (..., n*n) of a fresh array."""
-    n = u.shape[-1]
-    # entry (i, j) is row j of U dotted into row i: one stack-wide vecdot rather than a BLAS call
-    # per matrix; x - 0 is x to the bit, so subtracting the whole identity changes only the diagonal
-    gram = np.vecdot(u[..., None, :, :], u[..., :, None, :])
-    return (gram - _identity(n)).reshape(u.shape[:-2] + (n * n,))
 
 
 @functools.cache
@@ -98,7 +97,7 @@ def _identity(n: int) -> np.ndarray:
 
 def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Two qubit gates or stacks (..., 2, 2) of them, broadcast against each other
-    and checked by one ``require_unitary`` call, as one array (..., 4, 2): u1 over u2."""
+    and checked in one pass, as one array (..., 4, 2): u1 over u2."""
     u1, u2 = np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)
     if u1.shape[-2:] != (2, 2) or u2.shape[-2:] != (2, 2):
         bad = u1 if u1.shape[-2:] != (2, 2) else u2
@@ -107,7 +106,7 @@ def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     if u1.shape != u2.shape:
         u1, u2 = np.broadcast_arrays(u1, u2)
     w = np.concatenate((u1, u2), axis=-2)
-    require_unitary(w.reshape(w.shape[:-2] + (2, 2, 2)))
+    _check_unitary(w.reshape(w.shape[:-2] + (2, 2, 2)), ID2)
     return w
 
 

@@ -73,6 +73,5 @@ def exit_probabilities(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray | None = 
     ab, ba = both_orders(u1, u2, PLUS if psi is None else require_state(psi, 2))
     s, d = ab + ba, ab - ba
     p0, p1 = np.vecdot(s, s).real / 4.0, np.vecdot(d, d).real / 4.0
-    verdict = PORT_VERDICTS.take(p0 < p1)
-    return SwitchOutcome(p0=p0, p1=p1, verdict=verdict)
+    return SwitchOutcome(p0, p1, PORT_VERDICTS.take(p0 < p1))
 

@@ -52,6 +52,11 @@ class TestParsers:
         psi = parse_state("1,0,1,0")
         assert np.allclose(psi, np.array([1, 1]) / np.sqrt(2))
 
+    @pytest.mark.parametrize("name", list(qswitch.cli.NAMED_STATES))
+    def test_padded_named_state(self, name):
+        for spec in (f" {name}", f"{name} ", f"\t{name}\n"):
+            assert np.array_equal(parse_state(spec), parse_state(name))
+
     def test_state_zero_norm(self):
         with pytest.raises(ValueError):
             parse_state("0,0,0,0")
@@ -140,6 +145,12 @@ class TestDiscriminate:
         )
         assert code == 0
         assert json.loads(out)["p1"] == 1.0
+
+    def test_padded_named_state(self, capsys):
+        expected = self.run(capsys, "discriminate", "--u1", "X", "--u2", "Y", "--state", "+", "--json")
+        assert expected[0] == 0
+        for state in (" +", "+ "):
+            assert self.run(capsys, "discriminate", "--u1", "X", "--u2", "Y", "--state", state, "--json") == expected
 
     def test_bad_gate_spec_exit_code(self, capsys):
         assert main(["discriminate", "--u1", "nope", "--u2", "X"]) == 1

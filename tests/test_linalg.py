@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from qswitch.linalg import (
     times_sy,
     times_sz,
 )
-from qswitch.linalg import _gram_deviation
 
 from oracles import choi, tensor
 
@@ -170,6 +170,28 @@ def test_gate_constants_are_read_only(gate):
     assert require_unitary(gate) is gate  # handed back as is, so a write would reach every caller
 
 
+def formed_deviation(check, *gates):
+    """The deviation U U^dag - I that ``check`` forms on its stack (..., n, n), as rows
+    (..., n*n): the array of its second whole-stack sum, recorded whether or not the check
+    passes; None when its entry bound rejects the stack before any Gram product."""
+    with mock.patch.object(np, "vdot", wraps=np.vdot) as vdot:
+        rejection(check, *gates)
+    if vdot.call_count < 2:
+        return None
+    dev, other = vdot.call_args_list[1].args
+    assert other is dev and vdot.call_count == 2
+    return dev.reshape(dev.shape[:-2] + (dev.shape[-1] ** 2,))  # C order: the same bytes
+
+
+def rejection(check, *args):
+    """The message of the ValueError that ``check`` raises on ``args``; None if it passes."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def max_row_norm_sq(dev):
     """Largest squared norm over the rows (..., k) of a stack; 0.0 if it is empty."""
     return np.maximum.reduce(np.vecdot(dev, dev).real, axis=None, initial=0.0)
@@ -241,7 +263,7 @@ class TestStackedResidual:
 
     def test_sum_above_the_tolerance_with_every_matrix_inside(self):
         u = perturbed_unitaries(0, 2, 1000, 5e-12)
-        dev = _gram_deviation(u)
+        dev = formed_deviation(require_unitary, u)
         assert max_row_norm_sq(dev) <= (UNITARY_TOL / 4) ** 2 < UNITARY_TOL**2 < np.vdot(dev, dev).real
         assert require_unitary(u) is u
 
@@ -321,6 +343,36 @@ class TestRequireUnitaryPair:
             with pytest.raises(ValueError, match=match):
                 require_unitary_pair(*pair)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry, value, match", [
+        ((0, 1), np.nan, "above 1"),
+        ((0, 1), 1e200, "above 1"),
+        ((1, 0), 1.5, "above 1"),
+        ((1, 1), 0.5, "not unitary"),
+        (None, 1.0 + 1e-10, r"not unitary \(residual 2\.828e-10\)"),  # None: the whole gate scaled
+        (None, 1.0 + 1e-11, None),
+    ])
+    @pytest.mark.parametrize("stack", [False, True])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_decides_as_require_unitary_on_the_stacked_view(self, entry, value, match, stack, slot):
+        # one gate spoilt, alone or as matrix 3 of a stack of 5; the other slot stays unitary
+        gates = haar_random_unitaries(RandomSource(13), 10).reshape(2, 5, 2, 2)
+        pair = [g if stack else g[3] for g in gates]
+        spoilt = pair[slot][3] if stack else pair[slot]
+        if entry is None:
+            spoilt *= value
+        else:
+            spoilt[entry] = value
+        view = np.concatenate(pair, axis=-2).reshape(pair[0].shape[:-2] + (2, 2, 2))
+        got, expected = rejection(require_unitary_pair, *pair), rejection(require_unitary, view)
+        assert got == expected
+        assert got is None if match is None else re.search(match, got)
+        pair_dev = formed_deviation(require_unitary_pair, *pair)
+        view_dev = formed_deviation(require_unitary, view)
+        assert (pair_dev is None) == (view_dev is None)
+        if pair_dev is not None:
+            assert pair_dev.tobytes() == view_dev.tobytes()
+
 
 class TestBothOrders:
     def test_matches_explicit_products(self):
@@ -348,8 +400,8 @@ def matmul_unitary_residual(u):
 
 
 def strided_gram_deviation(u):
-    """``_gram_deviation`` as it lowered the diagonal in place through a strided view,
-    before it subtracted a cached identity."""
+    """U U^dag - I as rows (..., n*n), formed as the check once formed it: the diagonal
+    lowered in place through a strided view, before it subtracted a whole identity."""
     n = u.shape[-1]
     dev = np.vecdot(u[..., None, :, :], u[..., :, None, :]).reshape(u.shape[:-2] + (n * n,))
     dev[..., :: n + 1] -= 1.0
@@ -363,13 +415,18 @@ class TestVecdotGram:
         for seed, shape in enumerate([(), (1,), (7,), (3, 5), (0,)]):
             u = perturbed_unitaries(seed, dim, int(np.prod(shape)), scale).reshape(shape + (dim, dim))
             for x in layouts(u) + [-u, u.real + 0j]:
-                assert _gram_deviation(x).tobytes() == strided_gram_deviation(x).tobytes()
+                dev = formed_deviation(require_unitary, x)
+                if dev is None:  # the entry bound rejects x before any Gram product
+                    with pytest.raises(ValueError, match="above 1"):
+                        require_unitary(x)
+                else:
+                    assert dev.tobytes() == strided_gram_deviation(x).tobytes()
 
     def test_residual_bytes_match_on_a_failing_stack(self):
         # signed zeros, exact Paulis and one matrix far from unitary; the message is the one the
         # strided subtraction gave
         u = np.stack([-ID2, SX, -SY, SZ, HAD, np.array([[0.5, -0.0], [0.25j, -0.75]])])
-        assert _gram_deviation(u).tobytes() == strided_gram_deviation(u).tobytes()
+        assert formed_deviation(require_unitary, u).tobytes() == strided_gram_deviation(u).tobytes()
         with pytest.raises(ValueError, match=r"not unitary \(residual 8.570e-01\)"):
             require_unitary(u)
 
@@ -379,13 +436,13 @@ class TestVecdotGram:
         for seed, shape in enumerate([(1,), (7,), (3, 5)]):
             u = perturbed_unitaries(seed, dim, int(np.prod(shape)), scale).reshape(shape + (dim, dim))
             for x in layouts(u):
-                got = np.sqrt(max_row_norm_sq(_gram_deviation(x)))
+                got = np.sqrt(max_row_norm_sq(formed_deviation(require_unitary, x)))
                 assert abs(got - matmul_unitary_residual(x)) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3), (4, 0, 4, 4)])
     def test_empty_stacks(self, shape):
         u = np.empty(shape, dtype=complex)
-        assert max_row_norm_sq(_gram_deviation(u)) == matmul_unitary_residual(u) == 0.0
+        assert max_row_norm_sq(formed_deviation(require_unitary, u)) == matmul_unitary_residual(u) == 0.0
         assert require_unitary(u) is u
 
 

@@ -171,6 +171,17 @@ class TestExitProbabilities:
             assert one.p0.tobytes() == p0[k].tobytes() and one.p1.tobytes() == p1[k].tobytes()
             assert one.verdict is verdicts[k]
 
+    def test_lists_and_real_gates_give_the_bits_of_complex_arrays(self):
+        pairs = sample_pairs(RandomSource(4), 3, 3)
+        real = [np.eye(2), SX.real, SZ.real, HAD.real]
+        cases = [(a, b) for a in real for b in real] + [(p.u1, p.u2) for p in pairs] + [(pairs.u1, pairs.u2)]
+        for u1, u2 in cases:
+            expected = exit_probabilities(u1.astype(complex), u2.astype(complex))
+            for args in [(u1.tolist(), u2.tolist()), (u1.tolist(), u2), (u1, u2.tolist()), (u1, u2)]:
+                got = exit_probabilities(*args)
+                assert got.p0.tobytes() == expected.p0.tobytes() and got.p1.tobytes() == expected.p1.tobytes()
+                assert np.array_equal(got.verdict, expected.verdict)
+
     def test_plus_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
             PLUS[:] = [1.0, 0.0]
