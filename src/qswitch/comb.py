@@ -71,6 +71,13 @@ class CombResult:
     eigenvalue (``comb_residuals``), and ``history`` holds one row per
     certificate check: iteration, objective of the iterate, primal residual,
     lower and upper.
+
+    ``bound`` reports ``comb``'s mean success on the packaged table's 100 pairs
+    as ``table_pairs_success``, 0.93826.  Twirling over common frame rotations V
+    and complex conjugation maps every comb to a symmetric real comb with the
+    same value, and every optimal comb twirls to the unique symmetric optimum,
+    ``comb``.  So 0.93826 is the frame-averaged table score of every optimal
+    comb, and it does not depend on the solver's path.
     """
 
     p_succ: float

@@ -32,12 +32,13 @@ import numpy as np
 
 from .gates import PairStack, RandomSource, classify_pair
 from .linalg import ID2, both_orders, read_only, require_state
-from .switch import PLUS, PORT_VERDICTS, Verdict
+from .switch import PLUS, PORT_VERDICTS
 from .waveplates import (
     decompose,
     hwp,
     load_pauli_table,
     load_random_pairs_table,
+    table_gate_pairs,
     triple_to_unitary,
 )
 
@@ -216,20 +217,19 @@ def rotation_offset(angles: tuple[float, ...] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Settings:
-    """A suite's gate settings in acquisition order, stacked over settings.
+    """A suite's settings in acquisition order: the labelled gate ``pairs``, and
+    each setting's plate ``angles`` and input state ``psi``, stacked over settings.
 
-    ``slot`` is each setting's position in its group; the interferometer
-    phase is re-zeroed at the start of every group.  A packaged suite's
-    settings are built once per process, on first use, and read-only.
+    The interferometer phase is re-zeroed at the start of every ``group``
+    consecutive settings.  A packaged suite's settings are built once per
+    process, on first use, and read-only.
     """
 
     ids: tuple[str, ...]
-    labels: np.ndarray  # object array of Verdict
-    u1: np.ndarray
-    u2: np.ndarray
+    pairs: PairStack
     angles: np.ndarray  # (setting, 6): the plate triples of u1, then of u2
     psi: np.ndarray
-    slot: np.ndarray
+    group: int
 
 
 @dataclass
@@ -298,31 +298,26 @@ class SuiteReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
-def _run_groups(
-    suite: str,
-    settings: _Settings,
-    noise: NoiseParams,
-    rng: RandomSource,
-) -> SuiteReport:
+def _run_groups(suite: str, settings: _Settings, noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     """Simulate ``REPEATS`` runs over the settings, re-zeroing the phase per group."""
+    pairs = settings.pairs
+    slot = np.arange(len(pairs)) % settings.group
     counts = simulate_counts(
-        settings.u1, settings.u2, settings.psi, noise, rng,
+        pairs.u1, pairs.u2, settings.psi, noise, rng,
         accumulated_rotation=rotation_offset(settings.angles),
-        elapsed_minutes=(settings.slot + 1) * SECONDS_PER_SETTING / 60.0,
+        elapsed_minutes=(slot + 1) * SECONDS_PER_SETTING / 60.0,
         size=(REPEATS,),
     )  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
     p0 = p0s.mean(axis=0)
-    # wrapped: numpy would read a bare Verdict member as a str and match nothing
-    commute = settings.labels == np.array(Verdict.COMMUTE, dtype=object)
     return SuiteReport(
-        suite, rng.seed, noise, settings.ids, settings.labels,
-        counts, p0, p0s.std(axis=0), np.where(commute, p0, 1.0 - p0),
+        suite, rng.seed, noise, settings.ids, pairs.labels,
+        counts, p0, p0s.std(axis=0), np.where(pairs.port == 0, p0, 1.0 - p0),
     )
 
 
 def _read_only(settings: _Settings) -> _Settings:
-    read_only(settings.labels, settings.u1, settings.u2, settings.angles, settings.psi, settings.slot)
+    read_only(settings.pairs.u1, settings.pairs.u2, settings.pairs.port, settings.angles, settings.psi)
     return settings
 
 
@@ -334,16 +329,20 @@ def _pauli_settings(psi: np.ndarray, prefixes: list[str]) -> _Settings:
     # the first gate's first-slot triple and the second gate's second-slot one
     triples = np.stack([table.angles[np.repeat(rows, 4), 0], table.angles[np.tile(rows, 4), 1]], axis=1)
     gates = triple_to_unitary(triples)
-    labels = classify_pair(gates[:, 0], gates[:, 1], tol=1e-6)
+    ids = tuple(prefix + g1 + g2 for prefix in prefixes for g1, g2 in itertools.product("IXYZ", repeat=2))
+    # row p marks the pairs labelled PORT_VERDICTS[p]; a NEITHER pair is marked in no row
+    ports = classify_pair(gates[:, 0], gates[:, 1], tol=1e-6) == PORT_VERDICTS[:, None]
+    unlabelled = np.flatnonzero(~ports.any(axis=0))
+    if unlabelled.size:
+        raise ValueError(f"setting {ids[unlabelled[0]]}: the pair neither commutes nor anti-commutes")
     k = len(psi)
     return _Settings(
-        ids=tuple(prefix + g1 + g2 for prefix in prefixes for g1, g2 in itertools.product("IXYZ", repeat=2)),
-        labels=np.tile(labels, k),
-        u1=np.tile(gates[:, 0], (k, 1, 1)),
-        u2=np.tile(gates[:, 1], (k, 1, 1)),
+        ids=ids,
+        pairs=PairStack(np.tile(gates[:, 0], (k, 1, 1)), np.tile(gates[:, 1], (k, 1, 1)),
+                        np.tile(ports.argmax(axis=0), k)),
         angles=np.tile(triples.reshape(16, 6), (k, 1)),
         psi=np.repeat(psi, 16, axis=0),
-        slot=np.tile(np.arange(16), k),
+        group=16,
     )
 
 
@@ -357,39 +356,28 @@ def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
     return _run_groups("pauli", _plus_pauli_settings(), noise, rng)
 
 
-def _random_settings(pairs: PairStack | None) -> _Settings:
-    if pairs is not None:
-        if len(pairs) == 0:
-            raise ValueError("no pairs were given")
-        u1, u2, port = pairs.u1, pairs.u2, pairs.port
-        ids = tuple(f"P{k}" for k in range(len(pairs)))
-        angles = decompose(np.stack([u1, u2], axis=1)).reshape(-1, 6)
-    else:
-        table = load_random_pairs_table()
-        # commuting cases first, then the anti-commuting ones, as acquired
-        triples = np.concatenate([table.angles[:, 0:2], table.angles[:, 2:4]])
-        gates = triple_to_unitary(triples)
-        u1, u2 = gates[:, 0], gates[:, 1]
-        port = np.repeat([0, 1], len(table))
-        ids = tuple(prefix + row for prefix in "CA" for row in table.index)
-        angles = triples.reshape(-1, 6)
-    return _Settings(ids, PORT_VERDICTS[port], u1, u2, angles, PLUS, np.arange(len(ids)) % RANDOM_GROUP_SIZE)
-
-
 @functools.cache
 def _table_settings() -> _Settings:
-    return _read_only(_random_settings(None))
+    pairs = table_gate_pairs()  # classification-checked, and the one cached stack
+    table = load_random_pairs_table()
+    # commuting cases first, then the anti-commuting ones, as acquired and as in ``pairs``
+    angles = np.concatenate([table.angles[:, 0:2], table.angles[:, 2:4]]).reshape(-1, 6)
+    ids = tuple("CA"[port] + row for port, row in zip(pairs.port.tolist(), pairs.rows))
+    return _read_only(_Settings(ids, pairs, angles, PLUS, RANDOM_GROUP_SIZE))
 
 
-def run_random_suite(
-    noise: NoiseParams, rng: RandomSource, pairs: PairStack | None = None
-) -> SuiteReport:
+def run_random_suite(noise: NoiseParams, rng: RandomSource, pairs: PairStack | None = None) -> SuiteReport:
     """The 100 random commuting / anti-commuting pairs, in re-zeroed groups of ten.
 
     With ``pairs`` omitted the bundled angle table supplies both the gates and
     the plate angles; explicit pairs are compiled to angles on the fly.
     """
-    settings = _table_settings() if pairs is None else _random_settings(pairs)
+    if pairs is None:
+        return _run_groups("random100", _table_settings(), noise, rng)
+    if len(pairs) == 0:
+        raise ValueError("no pairs were given")
+    angles = decompose(np.stack([pairs.u1, pairs.u2], axis=1)).reshape(-1, 6)
+    settings = _Settings(tuple(f"P{k}" for k in range(len(pairs))), pairs, angles, PLUS, RANDOM_GROUP_SIZE)
     return _run_groups("random100", settings, noise, rng)
 
 

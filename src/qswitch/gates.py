@@ -79,6 +79,8 @@ class PairStack:
             raise ValueError(f"expected (n, 2, 2) gates and (n,) ports, got shapes {shapes}")
         if not (np.issubdtype(self.port.dtype, np.integer) and np.isin(self.port, (0, 1)).all()):
             raise ValueError("port must be 0 (COMMUTE) or 1 (ANTICOMMUTE)")
+        if rows is not None and len(rows) != len(self.port):
+            raise ValueError(f"expected one row name per pair, got {len(rows)} for {len(self.port)} pairs")
         self.seed, self.rows = seed, rows
 
     @property

@@ -8,6 +8,7 @@ importing the package must build none of them.
 """
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -37,12 +38,13 @@ CACHES = {
 }
 SETTINGS = ("_plus_pauli_settings", "_sweep_settings", "_table_settings")
 
-# every array that a cache hands out: the cache and the attribute that holds it
+# every array that a cache hands out: the cache and the attribute path that holds it
 CACHED_ARRAYS = (
     [("comb.objective_operator", None), ("linalg._identity", None)]
     + [("waveplates._packaged_table_pairs", k) for k in ("u1", "u2", "port")]
     + [("comb._block_coordinates", k) for k in ("basis", "to_blocks", "from_blocks", "offset", "affine")]
-    + [(f"experiment.{name}", k) for name in SETTINGS for k in ("labels", "u1", "u2", "angles", "psi", "slot")]
+    + [(f"experiment.{name}", k) for name in SETTINGS
+       for k in ("pairs.u1", "pairs.u2", "pairs.port", "angles", "psi")]
 )
 
 
@@ -60,7 +62,7 @@ def run_fresh(code: str, *args: str) -> str:
 
 def cached_array(name: str, attr: str | None) -> np.ndarray:
     value = CACHES[name](2) if name == "linalg._identity" else CACHES[name]()
-    return value if attr is None else getattr(value, attr)
+    return value if attr is None else operator.attrgetter(attr)(value)
 
 
 def test_fresh_interpreter_builds_nothing_at_import_and_matches_golden(tmp_path):
@@ -103,6 +105,12 @@ def test_table_pairs_of_a_given_table_are_built_per_call():
     assert pairs is not table_gate_pairs(table) and pairs.u1.flags.writeable
     shared = table_gate_pairs()
     assert np.array_equal(pairs.u1, shared.u1) and np.array_equal(pairs.port, shared.port)
+
+
+def test_table_settings_hold_the_one_cached_table_pairs():
+    settings = experiment._table_settings()
+    assert settings.pairs is table_gate_pairs()
+    assert settings.ids[:2] == ("C1", "C2") and settings.ids[50:52] == ("A1", "A2")
 
 
 @pytest.mark.parametrize("name, attr", CACHED_ARRAYS)

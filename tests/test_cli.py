@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,4 +336,17 @@ def test_bad_seed_is_usage_error(tmp_path, capsys, argv, out_name):
     out = tmp_path / out_name
     assert main(argv + ["--out", str(out)]) == 1
     assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["discriminate", "--u1", "wp:nan,0,0", "--u2", "X"],
+    ["compile", "1e308,0,0,0,0,0,1e308,0"],
+    ["sample-pairs", "--commuting", "-1", "--out", "x.csv"],
+], ids=["nan-plate", "overflowing-matrix", "negative-count"])
+def test_malformed_input_in_a_fresh_process_exits_1_and_writes_nothing(tmp_path, args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "qswitch.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr
     assert list(tmp_path.iterdir()) == []

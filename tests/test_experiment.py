@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qswitch import experiment
 from qswitch.experiment import (
     NoiseParams,
     calibrate_eta,
@@ -306,6 +307,14 @@ class TestSuites:
         means = np.array([runner(NoiseParams(), RandomSource(s)).mean_success for s in range(20)])
         combined_stderr = np.sqrt(2.0) * means.std(ddof=1) / np.sqrt(20)
         assert abs(means.mean() - reference) <= 5 * combined_stderr
+
+    def test_pauli_settings_reject_a_pair_of_neither_class(self, monkeypatch):
+        table = experiment.load_pauli_table()
+        angles = table.angles.copy()
+        angles[table.index.index("X"), 0] = (10.0, 20.0, 30.0)  # no Pauli gate: it commutes with I only
+        monkeypatch.setattr(experiment, "load_pauli_table", lambda: dataclasses.replace(table, angles=angles))
+        with pytest.raises(ValueError, match="setting XX: the pair neither commutes nor anti-commutes"):
+            experiment._pauli_settings(PLUS[None], [""])
 
     def test_noiseless_state_sweep_perfect(self):
         report = run_state_sweep(NoiseParams.noiseless(), RandomSource(18))

@@ -220,6 +220,12 @@ class TestPairStack:
         with pytest.raises(ValueError):
             PairStack(u1, u2, port)
 
+    @pytest.mark.parametrize("rows", [("1",), ("1", "2", "3"), ()])
+    def test_rejects_rows_of_another_length(self, rows):
+        with pytest.raises(ValueError, match=f"got {len(rows)} for 2 pairs"):
+            PairStack(np.stack([SX, SX]), np.stack([SX, SY]), [0, 1], rows=rows)
+        assert PairStack(np.stack([SX, SX]), np.stack([SX, SY]), [0, 1], rows=("1", "2")).rows == ("1", "2")
+
     def test_views_and_write_back(self):
         pairs = sample_pairs(RandomSource(3), 2, 1)
         assert [pair.label for pair in pairs] == [Verdict.COMMUTE] * 2 + [Verdict.ANTICOMMUTE]
