@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
@@ -79,7 +79,8 @@ class NoiseParams:
         for f in fields(self):
             value = getattr(self, f.name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
+            # exact for ints, so one beyond float range fails here, as do NaN and inf
+            if not (real and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")

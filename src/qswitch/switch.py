@@ -50,17 +50,13 @@ class SwitchOutcome:
     p1: np.ndarray
     verdict: np.ndarray | Verdict
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        """p0 == p1 to 1e-12, which cannot happen for gates satisfying the commute/anti-commute promise."""
-        return abs(self.p0 - self.p1) <= 1e-12
-
 
 def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Joint output state (1/2)|0>{U1,U2}psi + (1/2)|1>[U1,U2]psi.
 
     Gates (..., 2, 2), checked in one pass, and states (..., 2) broadcast to a
     result (..., 4); both orders come from one product (``both_orders``).
+    Kept as the closed form that acceptance criterion 1 compares with the circuit oracle.
     """
     ab, ba = both_orders(u1, u2, require_state(psi, 2))
     return np.concatenate((ab + ba, ab - ba), axis=-1) / 2.0

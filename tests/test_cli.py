@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,15 +11,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qswitch.cli
-from qswitch.cli import UsageError, main, parse_gate, parse_state
-from qswitch.linalg import HAD, SX, frobenius_distance_up_to_phase, require_state, require_unitary
+from qswitch.cli import UsageError, _load_noise, main, parse_gate, parse_state
+from qswitch.experiment import NoiseParams
+from qswitch.linalg import HAD, SX, SY, frobenius_distance_up_to_phase, require_state, require_unitary
 from qswitch.waveplates import triple_to_unitary
+
+from test_golden import GOLDEN, _dump
 
 NUMBER_TEXT = st.one_of(
     st.floats().map(repr),
     st.integers().map(str),
     st.sampled_from(["", " ", "1e308", "-1e308", "1e-320", "nan", "inf", "0x1", "1_0"]),
 )
+# JSON values of a noise file's fields: floats with NaN and inf, and integers beyond float range
+NOISE_VALUES = st.one_of(
+    st.floats(), st.booleans(), st.text(), st.none(), st.lists(st.floats()),
+    st.integers(), st.integers(min_value=2**1024), st.integers(max_value=-2**1024),
+)
+DISCRIMINATE_GOLDEN = json.loads((GOLDEN / "discriminate.json").read_text())
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python -m qswitch.cli args`` in a fresh interpreter, run in ``cwd``; output as bytes."""
+    return subprocess.run([sys.executable, "-m", "qswitch.cli", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, timeout=120)
 
 
 class TestParsers:
@@ -172,15 +189,12 @@ class TestDiscriminate:
 
 class TestCompile:
     def test_round_trip(self, capsys):
-        code = main(["compile", "Y", "--json"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        from qswitch.waveplates import triple_to_unitary
-        from qswitch.linalg import SY
-
-        u = triple_to_unitary((data["q_first"], data["h"], data["q_last"]))
-        assert frobenius_distance_up_to_phase(u, SY) <= 1e-6
-        assert data["roundtrip_residual"] <= 1e-8
+        for spec, gate, residual in [("Y", SY, 1e-8), ("wp:10,20,30", triple_to_unitary((10, 20, 30)), 1e-12)]:
+            assert main(["compile", spec, "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            u = triple_to_unitary((data["q_first"], data["h"], data["q_last"]))
+            assert frobenius_distance_up_to_phase(u, gate) <= 1e-6, spec
+            assert data["roundtrip_residual"] <= residual, spec
 
     def test_rejects_non_unitary(self, capsys):
         assert main(["compile", "1,0,0,0,0,0,2,0"]) == 1
@@ -241,6 +255,7 @@ class TestSuite:
         '{"visibility": 2.0}',
         '{"visibility": ',
         '[0.9]',
+        pytest.param('{"pairs_per_setting": 1' + "0" * 400 + "}", id="pairs_per_setting-beyond-float-range"),
     ])
     def test_bad_noise_file(self, tmp_path, capsys, text):
         noise_file = tmp_path / "noise.json"
@@ -260,6 +275,16 @@ class TestSuite:
         assert main(["suite", "pauli", "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert out.read_text() == "keep\n"
+
+    @given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(NoiseParams)]), NOISE_VALUES))
+    def test_any_noise_file_is_noise_params_or_usage_error(self, tmp_path_factory, overrides):
+        path = tmp_path_factory.getbasetemp() / "noise.json"
+        path.write_text(json.dumps(overrides))
+        try:
+            noise = _load_noise(str(path))
+        except UsageError:
+            return
+        assert isinstance(noise, NoiseParams)
 
     def test_missing_noise_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -308,6 +333,7 @@ class TestBound:
         assert data["table_pairs_success"] == pytest.approx(0.939, abs=0.01)
         assert data["switch_success_same_pairs"] >= 0.999
         assert data["lower"] <= data["upper"] and data["gap"] == data["upper"] - data["lower"]
+        assert data["gap"] <= 1e-10
         last = {key: data[key] for key in ("primal_residual", "lower", "upper")}
         last.update(iteration=data["iterations"], objective=pytest.approx(data["lower"]))
         assert data["trace"][-1] == last
@@ -345,8 +371,14 @@ def test_bad_seed_is_usage_error(tmp_path, capsys, argv, out_name):
     ["sample-pairs", "--commuting", "-1", "--out", "x.csv"],
 ], ids=["nan-plate", "overflowing-matrix", "negative-count"])
 def test_malformed_input_in_a_fresh_process_exits_1_and_writes_nothing(tmp_path, args):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-m", "qswitch.cli", *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout) == (1, ""), done.stderr
+    done = run_cli(tmp_path, *args)
+    assert (done.returncode, done.stdout) == (1, b""), done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", DISCRIMINATE_GOLDEN)
+def test_discriminate_in_a_fresh_process_prints_the_golden_payload(tmp_path, case):
+    # the printed bytes, which test_golden compares only after parsing and re-dumping them
+    u1, u2, state = case.split()
+    done = run_cli(tmp_path, "discriminate", "--u1", u1, "--u2", u2, "--state", state, "--json")
+    assert (done.returncode, done.stdout) == (0, _dump(DISCRIMINATE_GOLDEN[case])), done.stderr

@@ -37,7 +37,7 @@ class TestNoiseParams:
 
     @given(
         name=st.sampled_from([f.name for f in dataclasses.fields(NoiseParams)]),
-        value=st.sampled_from([np.nan, np.inf, -np.inf, "0.9", None, True, 1j]),
+        value=st.sampled_from([np.nan, np.inf, -np.inf, 10**400, "0.9", None, True, 1j]),
     )
     def test_rejects_non_finite_or_non_real(self, name, value):
         with pytest.raises(ValueError):

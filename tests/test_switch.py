@@ -96,7 +96,6 @@ class TestExitProbabilities:
     def test_neither_pair_degenerate_flag(self):
         out = exit_probabilities(SX, HAD)
         assert out.p0 == pytest.approx(0.5, abs=1e-12)
-        assert out.degenerate
 
     def test_probabilities_sum_to_one(self):
         rng = RandomSource(2)
@@ -141,7 +140,6 @@ class TestExitProbabilities:
                 assert stacked.verdict[k] is one.verdict
                 assert stacked.p0[k] == pytest.approx(one.p0, abs=1e-15)
                 assert stacked.p1[k] == pytest.approx(one.p1, abs=1e-15)
-                assert stacked.degenerate[k] == one.degenerate
 
     def test_default_state_is_plus_bit_for_bit(self):
         pairs = sample_pairs(RandomSource(8), 50, 50)
@@ -190,7 +188,7 @@ class TestExitProbabilities:
     def test_empty_stack(self):
         empty = np.empty((0, 2, 2))
         out = exit_probabilities(empty, empty)
-        assert out.p0.shape == out.p1.shape == out.verdict.shape == out.degenerate.shape == (0,)
+        assert out.p0.shape == out.p1.shape == out.verdict.shape == (0,)
 
     def test_state_independence_on_promise(self):
         rng = RandomSource(5)
