@@ -80,7 +80,6 @@ class CombResult:
     comb, and it does not depend on the solver's path.
     """
 
-    p_succ: float
     comb: np.ndarray
     iterations: int
     primal_residual: float
@@ -88,6 +87,10 @@ class CombResult:
     upper: float
     residuals: dict = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
+
+    @property
+    def p_succ(self) -> float:
+        return self.lower
 
     @property
     def gap(self) -> float:
@@ -459,7 +462,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
                             "primal_residual": resid, "lower": lower, "upper": upper})
             if upper - lower <= GAP_TOL:
                 comb = coords.embed(certified)
-                return CombResult(p_succ=lower, comb=comb, iterations=it, primal_residual=resid,
+                return CombResult(comb=comb, iterations=it, primal_residual=resid,
                                   lower=lower, upper=upper, residuals=comb_residuals(comb),
                                   history=history)
     raise RuntimeError(f"ADMM did not reach a certified gap of {GAP_TOL} in {MAX_ITER} "

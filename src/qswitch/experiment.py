@@ -26,7 +26,7 @@ import itertools
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -106,24 +106,19 @@ def ideal_port_probabilities_with_noise(
     u2: np.ndarray,
     psi: np.ndarray,
     noise: NoiseParams,
-    accumulated_rotation: float | np.ndarray = 0.0,
-    elapsed_minutes: float | np.ndarray = 0.0,
+    phase: float | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-path interference of the order branches with visibility and drift.
+    """Two-path interference of the order branches with visibility and phase.
 
-    The branches are U1 U2 psi / sqrt2 and U2 U1 psi / sqrt2; at unit
-    visibility and phase pi this reduces exactly to the ideal switch.  Gates
-    (..., 2, 2), states (..., 2), rotations and times broadcast as stacks.
+    The branches are U1 U2 psi / sqrt2 and U2 U1 psi / sqrt2, and they meet at
+    the interferometer ``phase`` in radians, ``noise.phase_setpoint`` if
+    omitted; at unit visibility and phase pi this reduces exactly to the ideal
+    switch.  Gates (..., 2, 2), states (..., 2) and phases broadcast as stacks.
     """
     branch_a, branch_b = (x / np.sqrt(2.0) for x in both_orders(u1, u2, require_state(psi, 2)))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase is rejected below
-        phi = (
-            noise.phase_setpoint
-            + noise.phase_drift_per_degree * np.asarray(accumulated_rotation)
-            + noise.phase_drift_per_minute * np.asarray(elapsed_minutes)
-        )
+    phi = np.asarray(noise.phase_setpoint if phase is None else phase)
     if not np.all(np.isfinite(phi)):
-        raise ValueError("accumulated_rotation and elapsed_minutes must give a finite phase")
+        raise ValueError("non-finite phase: the interferometer phase must be finite")
     overlap = np.sum(branch_a.conj() * branch_b, axis=-1)
     p1 = (np.sum(np.abs(branch_a) ** 2, axis=-1) + np.sum(np.abs(branch_b) ** 2, axis=-1)) / 2.0
     p1 = np.clip(p1 + noise.visibility * (np.exp(1j * phi) * overlap).real, 0.0, 1.0)
@@ -136,8 +131,7 @@ def simulate_counts(
     psi: np.ndarray,
     noise: NoiseParams,
     rng: RandomSource,
-    accumulated_rotation: float | np.ndarray = 0.0,
-    elapsed_minutes: float | np.ndarray = 0.0,
+    phase: float | np.ndarray | None = None,
     size: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Counts (..., 2) of C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta).
@@ -145,9 +139,7 @@ def simulate_counts(
     Arguments broadcast as in ``ideal_port_probabilities_with_noise``; ``size``
     prepends axes of independent repeats.  All counts come from one draw.
     """
-    _, p1 = ideal_port_probabilities_with_noise(
-        u1, u2, psi, noise, accumulated_rotation, elapsed_minutes
-    )
+    _, p1 = ideal_port_probabilities_with_noise(u1, u2, psi, noise, phase)
     lam = noise.pairs_per_setting * np.stack([1.0 - p1, noise.eta * p1], axis=-1)
     return rng.generator.poisson(lam, size=size + lam.shape)
 
@@ -184,13 +176,9 @@ def calibrate_eta(counts: np.ndarray) -> float:
 
 def simulate_phase_sweep(noise: NoiseParams, rng: RandomSource) -> np.ndarray:
     """Counts (``SWEEP_POINTS``, 2) with identity gates over a full turn of the
-    interferometer phase, drawn in one call: the phases enter as plate rotation
-    at 1 rad per degree, with the setpoint at 0 and no wall-clock drift."""
-    point = replace(
-        noise, phase_setpoint=0.0, phase_drift_per_degree=1.0, phase_drift_per_minute=0.0
-    )
+    interferometer phase, drawn in one call."""
     phases = np.linspace(0.0, 2.0 * np.pi, SWEEP_POINTS, endpoint=False)
-    return simulate_counts(ID2, ID2, PLUS, point, rng, accumulated_rotation=phases)
+    return simulate_counts(ID2, ID2, PLUS, noise, rng, phase=phases)
 
 
 # --------------------------------------------------------------------------
@@ -218,8 +206,8 @@ def rotation_offset(angles: tuple[float, ...] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Settings:
-    """A suite's settings in acquisition order: the labelled gate ``pairs``, and
-    each setting's plate ``angles`` and input state ``psi``, stacked over settings.
+    """A suite's settings in acquisition order: the labelled gate ``pairs``, each
+    setting's plate ``angles``, and the input state ``psi``, one for all or a stack.
 
     The interferometer phase is re-zeroed at the start of every ``group``
     consecutive settings.  A packaged suite's settings are built once per
@@ -300,15 +288,15 @@ class SuiteReport:
 
 
 def _run_groups(suite: str, settings: _Settings, noise: NoiseParams, rng: RandomSource) -> SuiteReport:
-    """Simulate ``REPEATS`` runs over the settings, re-zeroing the phase per group."""
+    """Simulate ``REPEATS`` runs over the settings, re-zeroing the phase per group:
+    it drifts with each setting's plate offset and the minutes since re-zeroing."""
     pairs = settings.pairs
-    slot = np.arange(len(pairs)) % settings.group
-    counts = simulate_counts(
-        pairs.u1, pairs.u2, settings.psi, noise, rng,
-        accumulated_rotation=rotation_offset(settings.angles),
-        elapsed_minutes=(slot + 1) * SECONDS_PER_SETTING / 60.0,
-        size=(REPEATS,),
-    )  # (repeat, setting, port)
+    minutes = (np.arange(len(pairs)) % settings.group + 1) * SECONDS_PER_SETTING / 60.0
+    with np.errstate(over="ignore", invalid="ignore"):  # simulate_counts rejects a non-finite phase
+        phase = (noise.phase_setpoint + noise.phase_drift_per_degree * rotation_offset(settings.angles)
+                 + noise.phase_drift_per_minute * minutes)
+    counts = simulate_counts(pairs.u1, pairs.u2, settings.psi, noise, rng, phase,
+                             size=(REPEATS,))  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
     p0 = p0s.mean(axis=0)
     return SuiteReport(
@@ -322,34 +310,22 @@ def _read_only(settings: _Settings) -> _Settings:
     return settings
 
 
-def _pauli_settings(psi: np.ndarray, prefixes: list[str]) -> _Settings:
-    """The 16 Pauli pairs in IXYZ x IXYZ order, repeated in one group for each
-    state of a stack (k, 2) and named with that state's prefix."""
+@functools.cache
+def _plus_pauli_settings() -> _Settings:
+    """The 16 Pauli pairs on |+> in IXYZ x IXYZ order, in one group."""
     table = load_pauli_table()
     rows = [table.index.index(gate) for gate in "IXYZ"]
     # the first gate's first-slot triple and the second gate's second-slot one
     triples = np.stack([table.angles[np.repeat(rows, 4), 0], table.angles[np.tile(rows, 4), 1]], axis=1)
     gates = triple_to_unitary(triples)
-    ids = tuple(prefix + g1 + g2 for prefix in prefixes for g1, g2 in itertools.product("IXYZ", repeat=2))
+    ids = tuple(g1 + g2 for g1, g2 in itertools.product("IXYZ", repeat=2))
     # row p marks the pairs labelled PORT_VERDICTS[p]; a NEITHER pair is marked in no row
     ports = classify_pair(gates[:, 0], gates[:, 1], tol=1e-6) == PORT_VERDICTS[:, None]
     unlabelled = np.flatnonzero(~ports.any(axis=0))
     if unlabelled.size:
         raise ValueError(f"setting {ids[unlabelled[0]]}: the pair neither commutes nor anti-commutes")
-    k = len(psi)
-    return _Settings(
-        ids=ids,
-        pairs=PairStack(np.tile(gates[:, 0], (k, 1, 1)), np.tile(gates[:, 1], (k, 1, 1)),
-                        np.tile(ports.argmax(axis=0), k)),
-        angles=np.tile(triples.reshape(16, 6), (k, 1)),
-        psi=np.repeat(psi, 16, axis=0),
-        group=16,
-    )
-
-
-@functools.cache
-def _plus_pauli_settings() -> _Settings:
-    return _read_only(_pauli_settings(PLUS[None], [""]))
+    pairs = PairStack(gates[:, 0], gates[:, 1], ports.argmax(axis=0))
+    return _read_only(_Settings(ids, pairs, triples.reshape(16, 6), PLUS, 16))
 
 
 def run_pauli_suite(noise: NoiseParams, rng: RandomSource) -> SuiteReport:
@@ -384,8 +360,14 @@ def run_random_suite(noise: NoiseParams, rng: RandomSource, pairs: PairStack | N
 
 @functools.cache
 def _sweep_settings() -> _Settings:
+    """The Pauli settings repeated, one group each, for every ``PREP_ANGLES`` state."""
+    pauli = _plus_pauli_settings()
     psi = hwp(np.array(PREP_ANGLES)) @ np.array([1.0, 0.0], dtype=complex)
-    return _read_only(_pauli_settings(psi, [f"hwp{angle:g}:" for angle in PREP_ANGLES]))
+    every = np.tile(np.arange(len(pauli.ids)), len(PREP_ANGLES))  # the Pauli settings once per state
+    pairs = PairStack(pauli.pairs.u1[every], pauli.pairs.u2[every], pauli.pairs.port[every])
+    ids = tuple(f"hwp{angle:g}:{pair}" for angle in PREP_ANGLES for pair in pauli.ids)
+    return _read_only(_Settings(ids, pairs, pauli.angles[every], np.repeat(psi, len(pauli.ids), axis=0),
+                                pauli.group))
 
 
 def run_state_sweep(noise: NoiseParams, rng: RandomSource) -> SuiteReport:

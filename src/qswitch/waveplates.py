@@ -19,7 +19,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -55,7 +55,6 @@ class AngleTable:
 
     index: tuple[str, ...]
     angles: np.ndarray
-    diagnostics: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -175,13 +174,7 @@ def load_angle_table(source: str) -> AngleTable:
         index.append(record[0])
         values.append(row)
     angles = np.array(values, dtype=float).reshape(len(values), len(values[0]) // 3 if values else 0, 3)
-    # e.g. half-wave angles printed above 180 deg: equivalent mod 180
-    h = angles[..., 1]
-    diagnostics = [
-        f"row {index[k]}: half-wave angle {h[k, j]} outside principal range (equivalent mod 180)"
-        for k, j in zip(*np.nonzero((h < -90.0) | (h >= 180.0)))
-    ]
-    return AngleTable(index=tuple(index), angles=angles, diagnostics=diagnostics)
+    return AngleTable(index=tuple(index), angles=angles)
 
 
 def _is_numeric(token: str) -> bool:

@@ -9,10 +9,6 @@ importing the package must build none of them.
 
 import json
 import operator
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +16,7 @@ import pytest
 from qswitch import cli, comb, experiment, linalg, waveplates
 from qswitch.waveplates import load_random_pairs_table, table_gate_pairs
 
-from test_golden import GOLDEN, golden_outputs
-
-ROOT = Path(__file__).resolve().parent.parent
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+from test_golden import GOLDEN, golden_outputs, run_python
 
 # every functools.cache of the package; all take no argument but _identity, which takes a size
 CACHES = {
@@ -52,21 +45,14 @@ def cache_sizes() -> dict[str, int]:
     return {name: f.cache_info().currsize for name, f in CACHES.items()}
 
 
-def run_fresh(code: str, *args: str) -> str:
-    """Run ``code`` in a fresh interpreter, with the package and the tests importable."""
-    done = subprocess.run([sys.executable, "-c", code, *args], env=ENV, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def cached_array(name: str, attr: str | None) -> np.ndarray:
     value = CACHES[name](2) if name == "linalg._identity" else CACHES[name]()
     return value if attr is None else operator.attrgetter(attr)(value)
 
 
 def test_fresh_interpreter_builds_nothing_at_import_and_matches_golden(tmp_path):
-    sizes = run_fresh(
+    done = run_python(
+        tmp_path, "-c",
         "import json, sys, qswitch.cli, test_caches, test_golden\n"
         "from pathlib import Path\n"
         "print(json.dumps(test_caches.cache_sizes()))\n"
@@ -75,7 +61,8 @@ def test_fresh_interpreter_builds_nothing_at_import_and_matches_golden(tmp_path)
         "    (out / name).write_bytes(data)\n",
         str(tmp_path),
     )
-    assert json.loads(sizes) == dict.fromkeys(CACHES, 0)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == dict.fromkeys(CACHES, 0)
     for path in GOLDEN.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
@@ -105,6 +92,19 @@ def test_table_pairs_of_a_given_table_are_built_per_call():
     assert pairs is not table_gate_pairs(table) and pairs.u1.flags.writeable
     shared = table_gate_pairs()
     assert np.array_equal(pairs.u1, shared.u1) and np.array_equal(pairs.port, shared.port)
+
+
+def test_pauli_table_is_read_once_for_both_pauli_suites(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "load_pauli_table",
+                        lambda: calls.append(1) or waveplates.load_pauli_table())
+    experiment._plus_pauli_settings.cache_clear()
+    experiment._sweep_settings.cache_clear()
+    sweep, pauli = experiment._sweep_settings(), experiment._plus_pauli_settings()
+    assert len(calls) == 1
+    # the sweep's second state repeats the 16 Pauli settings
+    assert np.array_equal(sweep.pairs.u1[16:32], pauli.pairs.u1)
+    assert sweep.ids[16:18] == ("hwp10:II", "hwp10:IX")
 
 
 def test_table_settings_hold_the_one_cached_table_pairs():

@@ -1,9 +1,5 @@
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +12,7 @@ from qswitch.experiment import NoiseParams
 from qswitch.linalg import HAD, SX, SY, frobenius_distance_up_to_phase, require_state, require_unitary
 from qswitch.waveplates import triple_to_unitary
 
-from test_golden import GOLDEN, _dump
+from test_golden import GOLDEN, _dump, run_python
 
 NUMBER_TEXT = st.one_of(
     st.floats().map(repr),
@@ -29,13 +25,6 @@ NOISE_VALUES = st.one_of(
     st.integers(), st.integers(min_value=2**1024), st.integers(max_value=-2**1024),
 )
 DISCRIMINATE_GOLDEN = json.loads((GOLDEN / "discriminate.json").read_text())
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def run_cli(cwd: Path, *args: str) -> subprocess.CompletedProcess:
-    """``python -m qswitch.cli args`` in a fresh interpreter, run in ``cwd``; output as bytes."""
-    return subprocess.run([sys.executable, "-m", "qswitch.cli", *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, timeout=120)
 
 
 class TestParsers:
@@ -371,14 +360,26 @@ def test_bad_seed_is_usage_error(tmp_path, capsys, argv, out_name):
     ["sample-pairs", "--commuting", "-1", "--out", "x.csv"],
 ], ids=["nan-plate", "overflowing-matrix", "negative-count"])
 def test_malformed_input_in_a_fresh_process_exits_1_and_writes_nothing(tmp_path, args):
-    done = run_cli(tmp_path, *args)
+    done = run_python(tmp_path, "-m", "qswitch.cli", *args)
     assert (done.returncode, done.stdout) == (1, b""), done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_file_whose_drift_overflows_the_phase_is_a_numerical_failure(tmp_path):
+    # a valid NoiseParams whose drift times a plate offset overflows to an infinite phase
+    (tmp_path / "noise.json").write_text(json.dumps({"phase_drift_per_degree": 1e308}))
+    done = run_python(tmp_path, "-m", "qswitch.cli", "suite", "pauli", "--noise", "noise.json",
+                      "--out", "out")
+    assert (done.returncode, done.stdout) == (2, b""), done.stderr
+    assert done.stderr.startswith(b"numerical failure: non-finite phase"), done.stderr
+    assert b"RuntimeWarning" not in done.stderr
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["noise.json", "out"]
 
 
 @pytest.mark.parametrize("case", DISCRIMINATE_GOLDEN)
 def test_discriminate_in_a_fresh_process_prints_the_golden_payload(tmp_path, case):
     # the printed bytes, which test_golden compares only after parsing and re-dumping them
     u1, u2, state = case.split()
-    done = run_cli(tmp_path, "discriminate", "--u1", u1, "--u2", u2, "--state", state, "--json")
+    done = run_python(tmp_path, "-m", "qswitch.cli", "discriminate", "--u1", u1, "--u2", u2,
+                      "--state", state, "--json")
     assert (done.returncode, done.stdout) == (0, _dump(DISCRIMINATE_GOLDEN[case])), done.stderr

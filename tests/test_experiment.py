@@ -127,17 +127,17 @@ class TestSimulateCounts:
             simulate_counts(u1, ID2, psi, NoiseParams(), RandomSource(7))
 
     @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams.noiseless()], ids=["drift", "no-drift"])
-    @pytest.mark.parametrize("when", [
-        {"accumulated_rotation": np.nan},
-        {"accumulated_rotation": np.array([0.0, np.inf])},
-        {"elapsed_minutes": -np.inf},
-        {"elapsed_minutes": np.nan},
-    ], ids=["rotation-nan", "rotation-inf", "minutes-neg-inf", "minutes-nan"])
-    def test_rejects_non_finite_rotation_or_time(self, noise, when):
+    @pytest.mark.parametrize("phase", [
+        np.nan,
+        np.array([0.0, np.inf]),
+        -np.inf,
+        np.array([np.pi, np.nan]),
+    ], ids=["nan", "inf-in-stack", "neg-inf", "nan-in-stack"])
+    def test_rejects_non_finite_phase(self, noise, phase):
         with pytest.raises(ValueError, match="finite phase"):
-            ideal_port_probabilities_with_noise(ID2, ID2, PLUS, noise, **when)
+            ideal_port_probabilities_with_noise(ID2, ID2, PLUS, noise, phase)
         with pytest.raises(ValueError, match="finite phase"):
-            simulate_counts(ID2, ID2, PLUS, noise, RandomSource(7), **when)
+            simulate_counts(ID2, ID2, PLUS, noise, RandomSource(7), phase)
 
 
 class TestCorrectedProbability:
@@ -314,7 +314,7 @@ class TestSuites:
         angles[table.index.index("X"), 0] = (10.0, 20.0, 30.0)  # no Pauli gate: it commutes with I only
         monkeypatch.setattr(experiment, "load_pauli_table", lambda: dataclasses.replace(table, angles=angles))
         with pytest.raises(ValueError, match="setting XX: the pair neither commutes nor anti-commutes"):
-            experiment._pauli_settings(PLUS[None], [""])
+            experiment._plus_pauli_settings.__wrapped__()
 
     def test_noiseless_state_sweep_perfect(self):
         report = run_state_sweep(NoiseParams.noiseless(), RandomSource(18))

@@ -17,6 +17,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,7 +29,9 @@ from qswitch.cli import main
 from qswitch.experiment import NoiseParams, run_random_suite
 from qswitch.gates import RandomSource, sample_pairs
 
-GOLDEN = Path(__file__).parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
 SUITES = ("pauli", "random100", "statesweep")
 BOUND_KEYS = ("p_succ", "iterations", "table_pairs_success", "switch_success_same_pairs")
 COMPILE_SPECS = ("I", "X", "Y", "Z", "H", "wp:10,20,30")
@@ -49,6 +54,14 @@ def _stdout(argv: list[str]) -> str:
         code = main(argv)
     assert code == 0, argv
     return buf.getvalue()
+
+
+def run_python(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter run in ``cwd``, with the package and
+    the tests importable; output as bytes.  A RuntimeWarning is an error, as
+    pyproject.toml's filterwarnings makes it for in-process tests."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd, env=ENV,
+                          capture_output=True, timeout=120)
 
 
 def _dump(payload) -> bytes:

@@ -214,12 +214,6 @@ class TestRandomPairsTable:
         assert len(table) == 50
         assert table.angles.shape == (50, 4, 3)
 
-    def test_half_wave_angle_diagnostics(self):
-        table = load_random_pairs_table()
-        flagged = "\n".join(table.diagnostics)
-        assert "row 6" in flagged and "182.2" in flagged
-        assert "row 21" in flagged and "187.37" in flagged
-
     def test_classification_at_loose_tolerance(self):
         gates = triple_to_unitary(load_random_pairs_table().angles)
         commuting = classify_pair(gates[:, 0], gates[:, 1], tol=TABLE_ANGLE_TOL)
@@ -254,7 +248,6 @@ class TestLoadAngleTable:
         table = load_angle_table("")
         assert len(table) == 0
         assert table.angles.shape == (0, 0, 3)
-        assert table.diagnostics == []
 
     def test_header_skipped(self):
         table = load_angle_table("gate,q1,h1,q2,q3,h2,q4\nI,0,0,0,0,0,0\n")
