@@ -17,9 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comb import objective_operator, optimize_fixed_order, probability_from_comb
-# unused since cmd_bound scores the pairs itself; perfbench traces this name
-from .comb import evaluate_comb  # noqa: F401
+from .comb import evaluate_comb, objective_operator, optimize_fixed_order
 from .experiment import (
     NoiseParams,
     run_pauli_suite,
@@ -89,7 +87,8 @@ def _load_noise(path: str | None) -> NoiseParams:
     try:
         with open(path) as fh:
             return NoiseParams(**json.load(fh))
-    except (OSError, ValueError, TypeError) as exc:
+    # RecursionError: JSON nested deeper than the decoder's recursion limit
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"bad noise file {path!r}: {exc}") from exc
 
 
@@ -152,7 +151,7 @@ def cmd_bound(args) -> int:
         out.mkdir(parents=True, exist_ok=True)  # fail on a bad path before the solve
     result = optimize_fixed_order(objective_operator())
     pairs = table_gate_pairs()
-    correct = probability_from_comb(result.comb, pairs.u1, pairs.u2, pairs.port)
+    correct = evaluate_comb(result.comb, pairs)
     switch = exit_probabilities(pairs.u1, pairs.u2)
     ideal = np.where(pairs.port == 0, switch.p0, switch.p1)
     payload = {

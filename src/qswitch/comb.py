@@ -469,8 +469,8 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
                        f"iterations (primal residual {np.linalg.norm(w - z):.3e})")
 
 
-def evaluate_comb(w: np.ndarray, pairs: PairStack) -> float:
-    """Mean probability of the correct verdict over labeled gate pairs."""
+def evaluate_comb(w: np.ndarray, pairs: PairStack) -> np.ndarray:
+    """The (n,) probabilities of the correct verdict on n labeled gate pairs."""
     if len(pairs) == 0:
         raise ValueError("no pairs were given")
-    return float(np.mean(probability_from_comb(w, pairs.u1, pairs.u2, pairs.port)))
+    return probability_from_comb(w, pairs.u1, pairs.u2, pairs.port)

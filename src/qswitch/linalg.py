@@ -6,8 +6,6 @@ at 32x32 or below, so all routines are dense and allocation-happy on purpose.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = [
@@ -62,7 +60,7 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {u.shape}")
-    _check_unitary(u, _identity(u.shape[-1]))
+    _check_unitary(u, np.eye(u.shape[-1], dtype=complex))
     return u
 
 
@@ -85,14 +83,6 @@ def _check_unitary(u: np.ndarray, eye: np.ndarray) -> None:
             if not _max(np.abs(u)) <= 1.0 + UNITARY_TOL:
                 raise ValueError(_ENTRY_MESSAGE)
             raise ValueError(f"matrix is not unitary (residual {np.sqrt(sq):.3e})")
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The complex n x n identity, built once per size and read-only."""
-    eye = np.eye(n, dtype=complex)
-    read_only(eye)
-    return eye
 
 
 def require_unitary_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -199,16 +199,15 @@ def load_random_pairs_table() -> AngleTable:
     return load_angle_table(_read_data("random_pairs_table.csv"))
 
 
-def table_gate_pairs(table: AngleTable | None = None) -> gates.PairStack:
-    """Reconstruct the 100 labeled gate pairs from the random-pairs table.
+@functools.cache
+def table_gate_pairs() -> gates.PairStack:
+    """Reconstruct the 100 labeled gate pairs from the packaged random-pairs table.
 
     Returns 50 commuting pairs followed by 50 anti-commuting pairs, named by
     table row, with labels asserted by ``classify_pair`` at the rounded-angle tolerance.
-    With no ``table``, the pairs of the packaged table, built once per process
-    and read-only.
+    Built once per process, and read-only.
     """
-    if table is None:
-        return _packaged_table_pairs()
+    table = load_random_pairs_table()
     if table.angles.shape[1] != 4:
         raise ValueError(f"expected 4 triples per row, got {table.angles.shape[1]}")
     unitaries = triple_to_unitary(table.angles)  # (row, triple, 2, 2)
@@ -218,11 +217,5 @@ def table_gate_pairs(table: AngleTable | None = None) -> gates.PairStack:
     if wrong.size:
         k, name = wrong[0], ("commuting", "anti-commuting")[port[wrong[0]]]
         raise ValueError(f"row {table.index[k % len(table)]}: {name} pair fails classification")
+    read_only(u1, u2, port)  # so setting a pair raises too
     return gates.PairStack(u1, u2, port, rows=table.index * 2)
-
-
-@functools.cache
-def _packaged_table_pairs() -> gates.PairStack:
-    pairs = table_gate_pairs(load_random_pairs_table())
-    read_only(pairs.u1, pairs.u2, pairs.port)  # so setting a pair raises too
-    return pairs

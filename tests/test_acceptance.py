@@ -164,7 +164,7 @@ def test_fixed_order_bound_is_certified(bound):
 
 
 def test_criterion_06_bound_on_table_pairs(bound, table_pairs):
-    value = evaluate_comb(bound.comb, table_pairs)
+    value = evaluate_comb(bound.comb, table_pairs).mean()
     report(
         "criterion 6 (optimal comb scored on the 100 table pairs)",
         abs(value - 0.9390) <= 0.005,

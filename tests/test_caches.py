@@ -1,6 +1,6 @@
 """Values built once per process, on first use: the CLI parser, the settings of
-the three packaged suites, the table pairs, Omega, the solver's block
-coordinates and the identities of the unitarity check.
+the three packaged suites, the table pairs, Omega and the solver's block
+coordinates.
 
 A cold cache (a fresh interpreter) and a warm one (a second call in this
 process) must give the same bytes, no caller may change a cached value, and
@@ -13,28 +13,27 @@ import operator
 import numpy as np
 import pytest
 
-from qswitch import cli, comb, experiment, linalg, waveplates
-from qswitch.waveplates import load_random_pairs_table, table_gate_pairs
+from qswitch import cli, comb, experiment, waveplates
+from qswitch.waveplates import table_gate_pairs
 
 from test_golden import GOLDEN, golden_outputs, run_python
 
-# every functools.cache of the package; all take no argument but _identity, which takes a size
+# every functools.cache of the package; none takes an argument
 CACHES = {
     "cli.build_parser": cli.build_parser,
     "experiment._plus_pauli_settings": experiment._plus_pauli_settings,
     "experiment._sweep_settings": experiment._sweep_settings,
     "experiment._table_settings": experiment._table_settings,
-    "waveplates._packaged_table_pairs": waveplates._packaged_table_pairs,
+    "waveplates.table_gate_pairs": waveplates.table_gate_pairs,
     "comb.objective_operator": comb.objective_operator,
     "comb._block_coordinates": comb._block_coordinates,
-    "linalg._identity": linalg._identity,
 }
 SETTINGS = ("_plus_pauli_settings", "_sweep_settings", "_table_settings")
 
 # every array that a cache hands out: the cache and the attribute path that holds it
 CACHED_ARRAYS = (
-    [("comb.objective_operator", None), ("linalg._identity", None)]
-    + [("waveplates._packaged_table_pairs", k) for k in ("u1", "u2", "port")]
+    [("comb.objective_operator", None)]
+    + [("waveplates.table_gate_pairs", k) for k in ("u1", "u2", "port")]
     + [("comb._block_coordinates", k) for k in ("basis", "to_blocks", "from_blocks", "offset", "affine")]
     + [(f"experiment.{name}", k) for name in SETTINGS
        for k in ("pairs.u1", "pairs.u2", "pairs.port", "angles", "psi")]
@@ -46,7 +45,7 @@ def cache_sizes() -> dict[str, int]:
 
 
 def cached_array(name: str, attr: str | None) -> np.ndarray:
-    value = CACHES[name](2) if name == "linalg._identity" else CACHES[name]()
+    value = CACHES[name]()
     return value if attr is None else operator.attrgetter(attr)(value)
 
 
@@ -75,23 +74,9 @@ def test_golden_outputs_with_warm_caches(tmp_path):
             assert data == (GOLDEN / name).read_bytes(), (run, name)
 
 
-@pytest.mark.parametrize("name", [name for name in CACHES if name != "linalg._identity"])
+@pytest.mark.parametrize("name", CACHES)
 def test_second_call_returns_the_same_object(name):
     assert CACHES[name]() is CACHES[name]()
-
-
-def test_identity_is_cached_per_size():
-    assert linalg._identity(2) is linalg._identity(2)
-    assert linalg._identity(3).shape == (3, 3)
-    assert np.array_equal(linalg._identity(2), np.eye(2))
-
-
-def test_table_pairs_of_a_given_table_are_built_per_call():
-    table = load_random_pairs_table()
-    pairs = table_gate_pairs(table)
-    assert pairs is not table_gate_pairs(table) and pairs.u1.flags.writeable
-    shared = table_gate_pairs()
-    assert np.array_equal(pairs.u1, shared.u1) and np.array_equal(pairs.port, shared.port)
 
 
 def test_pauli_table_is_read_once_for_both_pauli_suites(monkeypatch):

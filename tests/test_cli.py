@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qswitch.cli
+import qswitch.comb
 from qswitch.cli import UsageError, _load_noise, main, parse_gate, parse_state
 from qswitch.experiment import NoiseParams
 from qswitch.linalg import HAD, SX, SY, frobenius_distance_up_to_phase, require_state, require_unitary
@@ -245,13 +246,15 @@ class TestSuite:
         '{"visibility": ',
         '[0.9]',
         pytest.param('{"pairs_per_setting": 1' + "0" * 400 + "}", id="pairs_per_setting-beyond-float-range"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-beyond-the-recursion-limit"),
+        pytest.param('{"visibility": ' + "[" * 100000 + "]" * 100000 + "}", id="field-nested-beyond-the-recursion-limit"),
     ])
     def test_bad_noise_file(self, tmp_path, capsys, text):
         noise_file = tmp_path / "noise.json"
         noise_file.write_text(text)
         out = tmp_path / "out"
         assert main(["suite", "pauli", "--noise", str(noise_file), "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: bad noise file")
         assert not out.exists()
 
     def test_out_is_a_file(self, tmp_path, capsys, monkeypatch):
@@ -328,6 +331,27 @@ class TestBound:
         assert data["trace"][-1] == last
         rows = (tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()
         assert len(rows) == 101
+
+    def test_scores_the_table_pairs_through_evaluate_comb(self, capsys, monkeypatch):
+        # counting wrappers on the module attributes the benchmark's tracer wraps
+        assert main(["bound", "--json"]) == 0
+        plain = capsys.readouterr().out
+        calls = {"evaluate": [], "probability": []}
+        evaluate, probability = qswitch.cli.evaluate_comb, qswitch.comb.probability_from_comb
+
+        def counted_evaluate(w, pairs):
+            calls["evaluate"].append(len(pairs))
+            return evaluate(w, pairs)
+
+        def counted_probability(w, u1, u2, i):
+            calls["probability"].append(len(u1))
+            return probability(w, u1, u2, i)
+
+        monkeypatch.setattr(qswitch.cli, "evaluate_comb", counted_evaluate)
+        monkeypatch.setattr(qswitch.comb, "probability_from_comb", counted_probability)
+        assert main(["bound", "--json"]) == 0
+        assert calls == {"evaluate": [100], "probability": [100]}
+        assert capsys.readouterr().out == plain
 
     def test_out_is_a_file_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def solve(*args):

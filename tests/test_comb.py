@@ -454,8 +454,8 @@ class TestOptimization:
 
     def test_evaluate_comb_on_labeled_pairs(self, optimum):
         pairs = sample_pairs(RandomSource(15), 50, 50)
-        score = evaluate_comb(optimum.comb, pairs)
-        assert 0.85 <= score <= 1.0
+        p = evaluate_comb(optimum.comb, pairs)
+        assert p.shape == (100,) and 0.85 <= p.mean() <= 1.0
 
     def test_evaluate_comb_rejects_unlabeled(self, optimum):
         # an unlabeled pair cannot reach evaluate_comb: no stack holds one
@@ -465,7 +465,8 @@ class TestOptimization:
         with pytest.raises(ValueError, match="port must be 0"):
             PairStack(pairs.u1, pairs.u2, np.array([0, 2]))
         assert pairs.port.tolist() == [0, 1]
-        assert 0.0 <= evaluate_comb(optimum.comb, pairs) <= 1.0
+        p = evaluate_comb(optimum.comb, pairs)
+        assert p.shape == (2,) and ((0.0 <= p) & (p <= 1.0)).all()
 
 
     def test_evaluate_comb_rejects_no_pairs(self, optimum):
