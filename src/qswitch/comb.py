@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .linalg import choi_vector, read_only, require_unitary_pair, times_sy, time
 
 __all__ = [
     "CombResult",
-    "DIMS",
     "class_averaged_objective",
     "icosahedral_design",
     "objective_operator",
@@ -49,7 +48,6 @@ __all__ = [
     "evaluate_comb",
 ]
 
-DIMS = [2, 2, 2, 2, 2]
 DIM = 32
 
 # ADMM settings: penalty and the stopping rule's certified gap
@@ -85,8 +83,8 @@ class CombResult:
     primal_residual: float
     lower: float
     upper: float
-    residuals: dict = field(default_factory=dict)
-    history: list[dict] = field(default_factory=list)
+    residuals: dict
+    history: list[dict]
 
     @property
     def p_succ(self) -> float:
@@ -381,10 +379,7 @@ class _BlockCoordinates:
         return float(np.linalg.eigvalsh(self.blocks(c)).min())
 
 
-@functools.cache
-def _block_coordinates() -> _BlockCoordinates:
-    """The one ``_BlockCoordinates`` of the process, built on first use."""
-    return _BlockCoordinates()
+_block_coordinates = functools.cache(_BlockCoordinates)
 
 
 def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,

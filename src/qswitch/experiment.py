@@ -185,23 +185,19 @@ def simulate_phase_sweep(noise: NoiseParams, rng: RandomSource) -> np.ndarray:
 # suite machinery
 
 
-def _wrap(angle: float, period: float) -> float:
-    """Map an angle to the centered principal range [-period/2, period/2)."""
-    return (angle + period / 2.0) % period - period / 2.0
-
-
 def rotation_offset(angles: tuple[float, ...] | np.ndarray) -> np.ndarray:
     """Signed plate offset (degrees) of a six-plate setting from all-zero.
 
     Plates alternate quarter, half, quarter for each of the two gates;
-    quarter-wave plates are wrapped mod 180 deg and half-wave plates mod 90.
+    quarter-wave plates are wrapped mod 180 deg and half-wave plates mod 90,
+    each to its centered range [-period/2, period/2).
     ``angles`` may be a stack (..., 6) of settings.
     """
     periods = np.array([180.0, 90.0, 180.0, 180.0, 90.0, 180.0])
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1:] != periods.shape:
         raise ValueError(f"expected six plate angles, got shape {angles.shape}")
-    return _wrap(angles, periods).sum(axis=-1)
+    return ((angles + periods / 2.0) % periods - periods / 2.0).sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ R sigma_y R^dag for the same Haar R.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +31,12 @@ DEFAULT_CLASSIFY_TOL = 1e-8
 _VERDICTS = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE, Verdict.NEITHER], dtype=object)
 
 
-@dataclass
 class RandomSource:
     """Seeded PCG64 stream whose exact state can be recorded and replayed."""
 
-    seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.generator = np.random.Generator(np.random.PCG64(seed))
 
     def record(self) -> dict:
         """The seed and the exact bit-generator state.
@@ -51,7 +44,7 @@ class RandomSource:
         Assigning ``state`` to the ``state`` of a fresh ``np.random.PCG64``
         replays the stream from this point.
         """
-        return {"seed": self.seed, "state": self._gen.bit_generator.state}
+        return {"seed": self.seed, "state": self.generator.bit_generator.state}
 
 
 @dataclass(frozen=True)
@@ -104,13 +97,6 @@ class PairStack:
         self.u1[k], self.u2[k], self.port[k] = pair.u1, pair.u2, verdicts.index(pair.label)
 
 
-def _ginibre_to_unitary(g: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = d / np.abs(d)
-    return q * phase[..., None, :]
-
-
 def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
     """Stack of n Haar-random 2x2 unitaries (Ginibre + phase-fixed QR), shape (n, 2, 2)."""
     gen = rng.generator
@@ -122,7 +108,9 @@ def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
             (int(bad.sum()), 2, 2)
         )
         bad = np.abs(det2(g)) <= 1e-12
-    return _ginibre_to_unitary(g)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _eigenphase_gates(rs: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -48,10 +48,10 @@ TABLE_ANGLE_TOL = 0.05
 _DET_AXIS_TOL = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class AngleTable:
     """Rows of plate triples: ``angles`` is (rows, triples, 3) in degrees, each
-    triple ordered (q_first, h, q_last) as the photon meets the plates."""
+    triple ordered (q_first, h, q_last) as the photon meets the plates; read-only."""
 
     index: tuple[str, ...]
     angles: np.ndarray
@@ -174,6 +174,7 @@ def load_angle_table(source: str) -> AngleTable:
         index.append(record[0])
         values.append(row)
     angles = np.array(values, dtype=float).reshape(len(values), len(values[0]) // 3 if values else 0, 3)
+    read_only(angles)
     return AngleTable(index=tuple(index), angles=angles)
 
 
@@ -194,8 +195,9 @@ def load_pauli_table() -> AngleTable:
     return load_angle_table(_read_data("pauli_table.csv"))
 
 
+@functools.cache
 def load_random_pairs_table() -> AngleTable:
-    """The bundled 50-row table of commuting / anti-commuting pair angles."""
+    """The bundled 50-row table of commuting / anti-commuting pair angles, parsed once per process."""
     return load_angle_table(_read_data("random_pairs_table.csv"))
 
 

@@ -1,18 +1,21 @@
 """Values built once per process, on first use: the CLI parser, the settings of
-the three packaged suites, the table pairs, Omega and the solver's block
-coordinates.
+the three packaged suites, the random-pairs table and its gate pairs, Omega
+and the solver's block coordinates.
 
 A cold cache (a fresh interpreter) and a warm one (a second call in this
 process) must give the same bytes, no caller may change a cached value, and
 importing the package must build none of them.
 """
 
+import importlib
 import json
 import operator
+import pkgutil
 
 import numpy as np
 import pytest
 
+import qswitch
 from qswitch import cli, comb, experiment, waveplates
 from qswitch.waveplates import table_gate_pairs
 
@@ -24,6 +27,7 @@ CACHES = {
     "experiment._plus_pauli_settings": experiment._plus_pauli_settings,
     "experiment._sweep_settings": experiment._sweep_settings,
     "experiment._table_settings": experiment._table_settings,
+    "waveplates.load_random_pairs_table": waveplates.load_random_pairs_table,
     "waveplates.table_gate_pairs": waveplates.table_gate_pairs,
     "comb.objective_operator": comb.objective_operator,
     "comb._block_coordinates": comb._block_coordinates,
@@ -33,6 +37,7 @@ SETTINGS = ("_plus_pauli_settings", "_sweep_settings", "_table_settings")
 # every array that a cache hands out: the cache and the attribute path that holds it
 CACHED_ARRAYS = (
     [("comb.objective_operator", None)]
+    + [("waveplates.load_random_pairs_table", "angles")]
     + [("waveplates.table_gate_pairs", k) for k in ("u1", "u2", "port")]
     + [("comb._block_coordinates", k) for k in ("basis", "to_blocks", "from_blocks", "offset", "affine")]
     + [(f"experiment.{name}", k) for name in SETTINGS
@@ -47,6 +52,15 @@ def cache_sizes() -> dict[str, int]:
 def cached_array(name: str, attr: str | None) -> np.ndarray:
     value = CACHES[name]()
     return value if attr is None else operator.attrgetter(attr)(value)
+
+
+def test_caches_names_every_cache_of_the_package():
+    modules = [importlib.import_module(f"qswitch.{m.name}") for m in pkgutil.iter_modules(qswitch.__path__)]
+    # by identity: cli and experiment import some of the caches that waveplates defines
+    found = {id(obj): obj for module in modules for obj in vars(module).values() if hasattr(obj, "cache_info")}
+    listed = set(map(id, CACHES.values()))
+    assert [cache.__qualname__ for key, cache in found.items() if key not in listed] == []
+    assert set(found) == listed
 
 
 def test_fresh_interpreter_builds_nothing_at_import_and_matches_golden(tmp_path):
@@ -90,6 +104,13 @@ def test_pauli_table_is_read_once_for_both_pauli_suites(monkeypatch):
     # the sweep's second state repeats the 16 Pauli settings
     assert np.array_equal(sweep.pairs.u1[16:32], pauli.pairs.u1)
     assert sweep.ids[16:18] == ("hwp10:II", "hwp10:IX")
+
+
+def test_random_pairs_table_is_parsed_once_for_the_table_suite():
+    for cache in (waveplates.load_random_pairs_table, waveplates.table_gate_pairs, experiment._table_settings):
+        cache.cache_clear()
+    experiment._table_settings()
+    assert waveplates.load_random_pairs_table.cache_info().misses == 1
 
 
 def test_table_settings_hold_the_one_cached_table_pairs():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qswitch import comb
 from qswitch.comb import (
     DIM,
-    DIMS,
     _BlockCoordinates,
     _schur_vectors,
     _tail_traces,
@@ -414,17 +413,18 @@ class TestOptimization:
 
     def test_matches_independent_solver(self, small_objective, optimum):
         cp = pytest.importorskip("cvxpy")
+        dims = [2, 2, 2, 2, 2]
         omega = small_objective
         w = cp.Variable((DIM, DIM), hermitian=True)
 
         def ptrace(expr, dims, k):
             return cp.partial_trace(expr, dims, axis=k)
 
-        w2 = ptrace(ptrace(w, DIMS, 4), [2, 2, 2, 2], 3) / 2
+        w2 = ptrace(ptrace(w, dims, 4), [2, 2, 2, 2], 3) / 2
         w1 = ptrace(ptrace(w2, [2, 2, 2], 2), [2, 2], 1) / 2
         constraints = [
             w >> 0,
-            ptrace(w, DIMS, 4) == cp.kron(w2, np.eye(2)),
+            ptrace(w, dims, 4) == cp.kron(w2, np.eye(2)),
             ptrace(w2, [2, 2, 2], 2) == cp.kron(w1, np.eye(2)),
             cp.trace(w1) == 1,
         ]

@@ -223,6 +223,12 @@ class TestRotationOffset:
         # a quarter plate at 180 deg and a half plate at 90 deg are both home
         assert rotation_offset((180, 90, 0, 0, 0, 0)) == pytest.approx(0.0)
 
+    def test_half_periods_wrap_down_in_a_stack(self):
+        # each plate wraps to [-period/2, period/2): +90 (quarter) and +45 (half) go to -90 and -45,
+        # while -91 and -46 go to +89 and +44
+        settings = np.array([[90, 45, 90, 90, 45, 90], [-91, -46, 0, 0, 0, 0]])
+        assert rotation_offset(settings).tolist() == [-450.0, 133.0]
+
 
 class TestSuites:
     def test_noiseless_pauli_perfect(self):
