@@ -6,11 +6,11 @@ Maximizing the average success probability over the two promise classes is a
 small SDP; its optimum is about 0.9288, strictly below the switch's 1.0.
 
 The SDP's objective averages each promise class over its Haar-random
-eigenbasis.  That average is a low-degree polynomial in the basis, so the 120
-elements of the binary icosahedral group (a unitary 5-design) give it exactly.
-The objective is invariant under the same basis change on both gates, so the
-SDP is solved in 20 real coordinates of a spin basis that couples the wires
-into and out of each gate.  A feasible comb and a dual witness certify an
+eigenbasis.  The objective is invariant under the same basis change on both
+gates, so the SDP is solved in 20 real coordinates of a spin basis that
+couples the wires into and out of each gate.  There the objective is six
+diagonal blocks with seven nonzero rational entries, so it is built exactly
+from them.  A feasible comb and a dual witness certify an
 interval around the optimum; that feasible comb is the one returned.
 """
 
@@ -21,7 +21,7 @@ from qswitch.comb import evaluate_comb, objective_operator, optimize_fixed_order
 from qswitch.gates import sample_pairs
 from qswitch.waveplates import table_gate_pairs
 
-print("Averaging the score operators over the 120-element icosahedral design...")
+print("Building the objective from its seven exact block entries...")
 omega = objective_operator()
 print(f"  trace of the objective: {np.trace(omega).real:.12f} (exactly 4)")
 

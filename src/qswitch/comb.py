@@ -15,11 +15,11 @@ an explicit prepare/route/measure circuit must reproduce direct statevector
 simulation of that circuit exactly through ``probability_from_comb``.
 
 The objective Omega averages the score operators over the two promise
-classes.  It is computed exactly from a finite unitary design, not sampled.
-Omega and the comb constraints share a symmetry, so max tr(W Omega) over
-combs is solved by ADMM in 20 real coordinates of the symmetric subspace
-(see "block coordinates" below).  The solve returns a certified interval
-around the optimum and the valid 32x32 comb that attains its lower end.
+classes.  Omega and the comb constraints share a symmetry, so max tr(W Omega)
+over combs is solved by ADMM in 20 real coordinates of the symmetric subspace
+(see "block coordinates" below), where Omega is diagonal blocks with seven
+exact rational entries.  The solve returns a certified interval around the
+optimum and the valid 32x32 comb that attains its lower end.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import PairStack
-# unused here since the objective stopped sampling; perfbench still traces
-# Haar sampling under the name qswitch.comb.haar_random_unitaries
+# unused here: comb does not sample, but perfbench traces Haar sampling under this name
 from .gates import haar_random_unitaries  # noqa: F401
-from .linalg import choi_vector, read_only, require_unitary_pair, times_sy, times_sz
+from .linalg import choi_vector, read_only, require_unitary_pair
 
 __all__ = [
     "CombResult",
-    "class_averaged_objective",
-    "icosahedral_design",
     "objective_operator",
     "probability_from_comb",
     "comb_residuals",
@@ -50,7 +47,7 @@ __all__ = [
 
 DIM = 32
 
-# ADMM settings: penalty and the stopping rule's certified gap
+# ADMM settings, for an objective at Omega's scale: penalty and the stopping rule's certified gap
 RHO = 0.5
 GAP_TOL = 1e-10
 MAX_ITER = 100_000
@@ -93,68 +90,6 @@ class CombResult:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
-
-
-def class_averaged_objective(rs: np.ndarray) -> np.ndarray:
-    """(S_0 averaged over commuting pairs + S_1 over anti-commuting pairs) / 2.
-
-    Both promise classes are parametrized by a shared eigenbasis R (see
-    ``gates``); the class averages are taken over the stack ``rs`` of bases,
-    shape (n, 2, 2).  The commuting eigenphases are averaged analytically:
-    the uniform phase kills the cross terms between the two spectral
-    projectors of R, leaving the sum of their individual Choi operators.
-    """
-    rs = np.asarray(rs, dtype=complex)
-    n = rs.shape[0]
-    v = choi_vector(np.einsum("nak,nbk->knab", rs, rs.conj()))  # eigenprojector k of each R
-    c = np.einsum("kni,knj->nij", v, v.conj())
-    rs_dag = np.conjugate(np.swapaxes(rs, -2, -1))
-    # anti-commuting classes: Choi operators of R sz R^dag and R sy R^dag, unitary by construction
-    a = choi_vector(np.stack([times_sz(rs), times_sy(rs)]) @ rs_dag)
-    a1, a2 = np.einsum("kni,knj->knij", a, a.conj())
-    # class averages of C (x) C' (commuting, anti-commuting) by (16 x n)(n x 16) products
-    first, second = np.stack([c, a1]).reshape(2, n, 16), np.stack([c, a2]).reshape(2, n, 16)
-    averages = (first.mT @ second).reshape(2, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(2, 16, 16)
-    m = np.zeros((16, 2, 16, 2), dtype=complex)
-    m[:, [0, 1], :, [0, 1]] = averages / (2.0 * n)  # outcome i holds class i
-    return m.reshape(DIM, DIM)
-
-
-def icosahedral_design() -> np.ndarray:
-    """The 120 elements of the binary icosahedral group as SU(2) matrices.
-
-    They are the unit quaternions at the vertices of the 600-cell: the 8
-    permutations of (+-1, 0, 0, 0), the 16 points (+-1, +-1, +-1, +-1)/2 and
-    the 96 even permutations of (+-phi, +-1, +-1/phi, 0)/2.  The vertices
-    form a spherical 11-design on S^3, so the group is a unitary 5-design:
-    its uniform average equals the Haar average of every polynomial of degree
-    at most 5 in U and 5 in U^dag (Gross, Audenaert & Eisert,
-    arXiv:quant-ph/0611002).
-    """
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    quats = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
-    quats += [np.array(s) / 2.0 for s in itertools.product((1.0, -1.0), repeat=4)]
-    even = [p for p in itertools.permutations(range(4))
-            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
-    for s1, s2, s3 in itertools.product((1.0, -1.0), repeat=3):
-        base = np.array([s1 * phi, s2, s3 / phi, 0.0]) / 2.0
-        quats += [base[list(p)] for p in even]
-    a, b, c, d = np.array(quats).T
-    return np.stack([np.stack([a + 1j * b, c + 1j * d], -1),
-                     np.stack([-c + 1j * d, a - 1j * b], -1)], -2)
-
-
-@functools.cache
-def objective_operator() -> np.ndarray:
-    """The exact class-averaged objective Omega of the fixed-order SDP.
-
-    Omega is of degree (4, 4) in each eigenbasis R and invariant under its
-    global phase, so averaging over the icosahedral 5-design gives the Haar
-    average exactly.  Built once per process, on first use, and read-only.
-    """
-    omega = class_averaged_objective(icosahedral_design())
-    read_only(omega)
-    return omega
 
 
 # --------------------------------------------------------------------------
@@ -381,6 +316,28 @@ class _BlockCoordinates:
 
 _block_coordinates = functools.cache(_BlockCoordinates)
 
+# the diagonals of Omega's six blocks M[i, j], zero-padded: outcome 0 then 1, spin 2, 1, 0 each
+OMEGA_DIAGONALS = ((1 / 15, 0, 0), (1 / 6, 1 / 6, 0), (1 / 2, 1 / 6, 0),
+                   (1 / 5, 0, 0), (0, 0, 1 / 3), (0, 0, 0))
+
+
+@functools.cache
+def objective_operator() -> np.ndarray:
+    """The exact class-averaged objective Omega of the fixed-order SDP.
+
+    Omega, (S_0 averaged over commuting pairs + S_1 over anti-commuting pairs)
+    / 2 with each class over its Haar-random shared eigenbasis (``gates``), is
+    a twirl under the gate symmetry.  So it lies in the block coordinates, and
+    the coupled copies make its six blocks (outcome 0 then 1, spin 2, 1, 0)
+    diagonal, with the rational entries ``OMEGA_DIAGONALS``.  Tests pin them
+    against an exact average over a unitary 5-design (``tests/oracles.py``).
+    Built once per process, on first use, and read-only.
+    """
+    coords = _block_coordinates()
+    omega = coords.embed(coords.coordinates(np.asarray(OMEGA_DIAGONALS)[:, :, None] * np.eye(3)))
+    read_only(omega)
+    return omega
+
 
 def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
                  u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -417,9 +374,11 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     the 32x32 operators.  Every 10th iteration ``_certificate`` turns the
     iterate into a certified interval [lower, upper] around the optimum,
     and ``history`` gains a row (iteration, objective of the iterate,
-    primal residual, lower, upper); the solve stops as soon as upper -
-    lower is at most ``GAP_TOL``, and raises RuntimeError if that has not
-    happened after ``MAX_ITER`` iterations.
+    primal residual, lower, upper).  The solve runs on ``omega`` scaled by
+    the power of two, an exact scaling, that brings its largest entry into
+    [1/6, 1/3), which leaves Omega unscaled; it stops as soon as upper -
+    lower is at most ``GAP_TOL`` there, and raises RuntimeError if that has
+    not happened after ``MAX_ITER`` iterations.  Values are reported scaled back.
 
     The last iterate is PSD but off the comb subspace by the primal residual.
     The result holds instead the certified comb of the last check, a valid
@@ -431,6 +390,8 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         raise ValueError(f"objective must be {DIM}x{DIM}, got shape {omega.shape}")
     if not np.isfinite(omega).all():
         raise ValueError("objective has non-finite entries")
+    scale = 2.0 ** int(np.frexp(3.0 * np.abs(omega).max())[1])  # Omega's largest entry is 7/30
+    omega = omega / scale
     coords = _block_coordinates()
     target = coords.reduce(omega)
     off_subspace = float(np.linalg.norm(omega - coords.embed(target)))
@@ -451,16 +412,16 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:
             certified, upper = _certificate(coords, target, z, u)
-            lower = float(target @ certified)
+            lower, upper = scale * float(target @ certified), scale * upper
             resid = float(np.linalg.norm(w - z))
-            history.append({"iteration": it, "objective": float(target @ z),
+            history.append({"iteration": it, "objective": scale * float(target @ z),
                             "primal_residual": resid, "lower": lower, "upper": upper})
-            if upper - lower <= GAP_TOL:
+            if upper - lower <= GAP_TOL * scale:
                 comb = coords.embed(certified)
                 return CombResult(comb=comb, iterations=it, primal_residual=resid,
                                   lower=lower, upper=upper, residuals=comb_residuals(comb),
                                   history=history)
-    raise RuntimeError(f"ADMM did not reach a certified gap of {GAP_TOL} in {MAX_ITER} "
+    raise RuntimeError(f"ADMM did not reach a relative certified gap of {GAP_TOL} in {MAX_ITER} "
                        f"iterations (primal residual {np.linalg.norm(w - z):.3e})")
 
 

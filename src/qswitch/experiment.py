@@ -144,14 +144,19 @@ def simulate_counts(
     return rng.generator.poisson(lam, size=size + lam.shape)
 
 
+def _require_counts(counts: np.ndarray) -> np.ndarray:
+    """``counts`` as a float array; ValueError unless every count is finite and nonnegative."""
+    counts = np.asarray(counts, dtype=float)
+    if not np.all((counts >= 0) & (counts < np.inf)):  # NaN included
+        raise ValueError("counts must be finite and nonnegative")
+    return counts
+
+
 def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndarray:
     """Efficiency-corrected port-0 probability C0 / (C0 + C1/eta), elementwise on arrays."""
     if not 0 < eta < np.inf:  # NaN included
         raise ValueError("eta must be finite and positive")
-    c0 = np.asarray(c0, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    if not np.all((c0 >= 0) & (c0 < np.inf) & (c1 >= 0) & (c1 < np.inf)):  # NaN included
-        raise ValueError("counts must be finite and nonnegative")
+    c0, c1 = _require_counts(c0), _require_counts(c1)
     if np.any(c0 + c1 == 0):
         raise ValueError("zero total counts")
     return c0 / (c0 + c1 / eta)
@@ -159,7 +164,7 @@ def corrected_probability(c0: np.ndarray, c1: np.ndarray, eta: float) -> np.ndar
 
 def calibrate_eta(counts: np.ndarray) -> float:
     """Least-squares eta making C0 + C1/eta constant over a phase sweep of (n, 2) counts."""
-    counts = np.asarray(counts, dtype=float)
+    counts = _require_counts(counts)
     if counts.ndim != 2 or counts.shape[1] != 2 or len(counts) < 3:
         raise ValueError(f"need (n, 2) counts of at least 3 sweep points, got shape {counts.shape}")
     c0, c1 = counts.T

@@ -4,11 +4,13 @@ Nothing in the package calls these: each builds by hand what a library
 routine forms in closed form, so a test can check one against the other.
 """
 
+import itertools
+
 import numpy as np
 
 from qswitch.comb import DIM
 from qswitch.linalg import (
-    HAD, ID2, both_orders, choi_vector, require_state, require_unitary, require_unitary_pair,
+    HAD, ID2, SY, SZ, both_orders, choi_vector, require_state, require_unitary, require_unitary_pair,
 )
 from qswitch.switch import PLUS
 
@@ -92,3 +94,50 @@ def build_comb_from_circuit(
     w = np.zeros((16, 2, 16, 2), dtype=complex)
     w[:, [0, 1], :, [0, 1]] = np.einsum("ikp,ikq->ipq", t.conj(), t)  # outcome i on P5
     return w.reshape(DIM, DIM)
+
+
+def icosahedral_design() -> np.ndarray:
+    """The 120 elements of the binary icosahedral group as SU(2) matrices.
+
+    They are the unit quaternions at the vertices of the 600-cell: the 8
+    permutations of (+-1, 0, 0, 0), the 16 points (+-1, +-1, +-1, +-1)/2 and
+    the 96 even permutations of (+-phi, +-1, +-1/phi, 0)/2.  The vertices
+    form a spherical 11-design on S^3, so the group is a unitary 5-design:
+    its uniform average equals the Haar average of every polynomial of degree
+    at most 5 in U and 5 in U^dag (Gross, Audenaert & Eisert,
+    arXiv:quant-ph/0611002).
+    """
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    quats = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
+    quats += [np.array(s) / 2.0 for s in itertools.product((1.0, -1.0), repeat=4)]
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    for s1, s2, s3 in itertools.product((1.0, -1.0), repeat=3):
+        base = np.array([s1 * phi, s2, s3 / phi, 0.0]) / 2.0
+        quats += [base[list(p)] for p in even]
+    a, b, c, d = np.array(quats).T
+    return np.stack([np.stack([a + 1j * b, c + 1j * d], -1),
+                     np.stack([-c + 1j * d, a - 1j * b], -1)], -2)
+
+
+def class_average(rs: np.ndarray) -> np.ndarray:
+    """(S_0 averaged over commuting pairs + S_1 over anti-commuting pairs) / 2,
+    the class averages taken over the stack ``rs`` (n, 2, 2) of shared eigenbases.
+
+    The commuting eigenphases are averaged analytically: the uniform phase
+    kills the cross terms between the two spectral projectors of R, leaving
+    the sum C of their Choi operators, so the commuting class averages
+    C (x) C.  The anti-commuting class averages choi(R sz R^dag) (x)
+    choi(R sy R^dag).  Each class average is summed by einsum and placed on
+    its outcome by np.kron.  Omega is of degree (4, 4) in R and invariant
+    under its global phase, so over ``icosahedral_design()`` this is Omega
+    exactly, and over Haar samples it converges to Omega.
+    """
+    rs = np.asarray(rs, dtype=complex)
+    v = np.swapaxes(np.einsum("nak,nbk->knab", rs, rs.conj()), -2, -1).reshape(2, -1, 4)
+    c = np.einsum("kni,knj->nij", v, v.conj())
+    rs_dag = np.conj(np.swapaxes(rs, -2, -1))
+    a1, a2 = choi(rs @ SZ @ rs_dag), choi(rs @ SY @ rs_dag)
+    commuting = np.einsum("nab,ncd->acbd", c, c).reshape(16, 16) / len(rs)
+    anticommuting = np.einsum("nab,ncd->acbd", a1, a2).reshape(16, 16) / len(rs)
+    return (np.kron(commuting, np.diag([1.0, 0.0])) + np.kron(anticommuting, np.diag([0.0, 1.0]))) / 2

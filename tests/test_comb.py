@@ -9,20 +9,18 @@ from qswitch.comb import (
     _BlockCoordinates,
     _schur_vectors,
     _tail_traces,
-    class_averaged_objective,
     comb_residuals,
     evaluate_comb,
-    icosahedral_design,
     objective_operator,
     optimize_fixed_order,
     probability_from_comb,
     project_comb_affine,
 )
 from qswitch.gates import GatePair, PairStack, RandomSource, haar_random_unitaries, sample_pairs
-from qswitch.linalg import HAD, ID2, SX, SY, SZ
+from qswitch.linalg import HAD, ID2, SX, SY
 from qswitch.switch import Verdict, exit_probabilities
 
-from oracles import build_comb_from_circuit, choi, tensor
+from oracles import build_comb_from_circuit, choi, class_average, icosahedral_design, tensor
 
 
 def random_hermitian(gen, dim):
@@ -155,33 +153,28 @@ class TestCircuitCombs:
             build_comb_from_circuit(np.array([bad, 0.0, 0.0, 0.0]), eye4, eye4)
 
 
+@pytest.fixture(scope="module")
+def design_average():
+    return class_average(icosahedral_design())
+
+
 class TestExactObjective:
-    def test_design_is_exact(self):
+    def test_design_is_exact(self, design_average):
         # a 5-design stays one under left and right translation by any unitary
-        omega = objective_operator()
         design = icosahedral_design()
         for r in haar_random_unitaries(RandomSource(6), 3):
-            assert np.linalg.norm(class_averaged_objective(r @ design) - omega) <= 1e-12
-            assert np.linalg.norm(class_averaged_objective(design @ r) - omega) <= 1e-12
+            assert np.linalg.norm(class_average(r @ design) - design_average) <= 1e-12
+            assert np.linalg.norm(class_average(design @ r) - design_average) <= 1e-12
 
     def test_trace_preserved(self):
         assert np.trace(objective_operator()).real == pytest.approx(4.0, abs=1e-10)
 
     def test_matches_haar_average(self):
         rs = haar_random_unitaries(RandomSource(7), 20_000)
-        assert np.linalg.norm(class_averaged_objective(rs) - objective_operator()) <= 0.05
+        assert np.linalg.norm(class_average(rs) - objective_operator()) <= 0.05
 
-    def test_matches_kronecker_form(self):
-        # reference: each class average summed by einsum and placed on its outcome by np.kron
-        rs = icosahedral_design()
-        v = np.swapaxes(np.einsum("nak,nbk->knab", rs, rs.conj()), -2, -1).reshape(2, -1, 4)
-        c = np.einsum("kni,knj->nij", v, v.conj())
-        rs_dag = np.conj(np.swapaxes(rs, -2, -1))
-        a1, a2 = choi(rs @ SZ @ rs_dag), choi(rs @ SY @ rs_dag)
-        commuting = np.einsum("nab,ncd->acbd", c, c).reshape(16, 16) / len(rs)
-        anticommuting = np.einsum("nab,ncd->acbd", a1, a2).reshape(16, 16) / len(rs)
-        reference = (np.kron(commuting, np.diag([1.0, 0.0])) + np.kron(anticommuting, np.diag([0.0, 1.0]))) / 2
-        assert np.abs(objective_operator() - reference).max() <= 1e-15
+    def test_matches_kronecker_form(self, design_average):
+        assert np.abs(objective_operator() - design_average).max() <= 1e-15
 
 
 class TestTailTraces:
@@ -334,12 +327,14 @@ class TestBlockCoordinates:
                                    for k, (b, m) in enumerate(zip(blocks, sizes))])
         assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(coords.embed(c))).max() <= 1e-13
 
-    def test_objective_blocks_are_diagonal_and_rational(self, coords, small_objective):
-        # the coupled copies make every block of Omega diagonal; outcome 0 then 1, spin 2, 1, 0 each
+    def test_objective_blocks_are_diagonal_and_rational(self, coords, design_average):
+        # the coupled copies make every block of the design average diagonal, with
+        # the table's entries; outcome 0 then 1, spin 2, 1, 0 each
         expected = np.zeros((6, 3, 3))
         for k, diagonal in enumerate([[1 / 15], [1 / 6, 1 / 6, 0], [1 / 2, 1 / 6], [1 / 5], [0, 0, 1 / 3], [0]]):
             expected[k, range(len(diagonal)), range(len(diagonal))] = diagonal
-        assert np.abs(coords.blocks(coords.reduce(small_objective)) - expected).max() <= 1e-15
+        assert np.array_equal(np.asarray(comb.OMEGA_DIAGONALS)[:, :, None] * np.eye(3), expected)
+        assert np.abs(coords.blocks(coords.reduce(design_average)) - expected).max() <= 1e-15
 
     def test_basis_is_real(self, coords):
         assert coords.basis.dtype == np.float64 and coords.basis.shape == (20, DIM, DIM)
@@ -492,6 +487,21 @@ class TestOptimization:
         monkeypatch.setattr(comb, "MAX_ITER", max_iter)
         with pytest.raises(RuntimeError, match=f"in {max_iter} iterations"):
             optimize_fixed_order(small_objective)
+
+    @given(k=st.integers(-20, 20))
+    def test_power_of_two_scaling_is_exact(self, small_objective, optimum, k):
+        scaled = optimize_fixed_order(2.0**k * small_objective)
+        assert scaled.iterations == optimum.iterations
+        assert scaled.lower == pytest.approx(2.0**k * optimum.lower, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-3, 1e3, 1e300])
+    def test_any_scale_converges(self, small_objective, optimum, factor):
+        # the gap is relative to the objective's scale: with an absolute gap, 1000 Omega
+        # ran out of iterations and Omega / 1000 took 40,970
+        scaled = optimize_fixed_order(factor * small_objective)
+        assert scaled.iterations <= 200
+        assert scaled.lower / factor == pytest.approx(optimum.lower, abs=1e-9)
+        assert scaled.lower <= factor * (17 + 2 * np.sqrt(7)) / 24 <= scaled.upper
 
     def test_history_traces_every_check(self, optimum):
         rows = optimum.history

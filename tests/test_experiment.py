@@ -194,6 +194,16 @@ class TestCalibrateEta:
         with pytest.raises(ValueError):
             calibrate_eta(counts)
 
+    @pytest.mark.parametrize("c0, c1", [
+        ([1e5, -5e4, 3e4, -1e4], [-1e5, 6e4, -3e4, 1.2e4]),
+        ([1e5, np.nan, 3e4, 1e4], [1e5, 6e4, 3e4, 1.2e4]),
+        ([1e5, 5e4, 3e4, 1e4], [1e5, 6e4, np.inf, 1.2e4]),
+    ], ids=["negative", "nan", "inf"])
+    def test_rejects_impossible_counts(self, c0, c1):
+        # the negative sweep once gave eta = 1.061, and an infinite count reached np.var
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            calibrate_eta(np.stack([c0, c1], axis=1))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             calibrate_eta(np.zeros((2, 2)))

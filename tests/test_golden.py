@@ -8,6 +8,11 @@ payloads of ``discriminate --json`` for a few gate pairs and input states.
 ``run_random_suite`` on 50 + 50 explicitly sampled pairs, the library path
 that no CLI suite takes.
 Raw residual floats are left out because they depend on the numpy build.
+So are ``bound``'s unrounded ``lower``, ``upper``, ``gap`` and ``trace``: they
+move in their last bits with the BLAS path, not only with the values.
+``_BlockCoordinates.reduce`` returns a strided ``.real`` view, and a
+contiguous copy of it with identical values (``np.ldexp(target, 0)``) moves
+``lower`` from 0.9288126092336872 to ...6874.
 
 Regenerate them, only when an output is meant to change, with
 ``PYTHONPATH=src python tests/test_golden.py``.
