@@ -4,20 +4,14 @@ Submodules
 ----------
 linalg      dense complex linear algebra, Choi vectors
 switch      the 2-SWITCH protocol and exit probabilities
-gates       Haar sampling, commuting / anti-commuting pair constructors
+gates       Haar sampling, the commuting / anti-commuting pair classes
 waveplates  Jones calculus, quarter-half-quarter compilation, angle tables
 experiment  Mach-Zehnder Monte Carlo suites with efficiency correction
 comb        fixed-order-circuit operators and the success-bound SDP
 cli         command-line front end
 """
 
-from .gates import (
-    GatePair,
-    RandomSource,
-    anticommuting_pair,
-    classify_pair,
-    commuting_pair,
-)
+from .gates import GatePair, RandomSource, classify_pair
 from .switch import SwitchOutcome, Verdict, exit_probabilities, two_switch_output
 from .waveplates import decompose, hwp, qwp, triple_to_unitary
 
@@ -28,9 +22,7 @@ __all__ = [
     "RandomSource",
     "SwitchOutcome",
     "Verdict",
-    "anticommuting_pair",
     "classify_pair",
-    "commuting_pair",
     "decompose",
     "exit_probabilities",
     "hwp",

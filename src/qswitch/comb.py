@@ -375,23 +375,27 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     iterate into a certified interval [lower, upper] around the optimum,
     and ``history`` gains a row (iteration, objective of the iterate,
     primal residual, lower, upper).  The solve runs on ``omega`` scaled by
-    the power of two, an exact scaling, that brings its largest entry into
-    [1/6, 1/3), which leaves Omega unscaled; it stops as soon as upper -
-    lower is at most ``GAP_TOL`` there, and raises RuntimeError if that has
-    not happened after ``MAX_ITER`` iterations.  Values are reported scaled back.
+    the exact power of two that brings its largest entry into [1/6, 1/3)
+    (Omega is not rescaled); it stops as soon as upper - lower is at most
+    ``GAP_TOL`` there, and raises RuntimeError if that has not happened after
+    ``MAX_ITER`` iterations.  Values are reported scaled back, so every finite
+    scale is accepted while ``lower`` and ``upper`` are floats: 1e308 I, whose
+    optimum is 4e308, is a ValueError.
 
     The last iterate is PSD but off the comb subspace by the primal residual.
     The result holds instead the certified comb of the last check, a valid
     real 32x32 comb in the original frame, and its residuals; its objective
     is both ``p_succ`` and ``lower``.
     """
-    omega = np.asarray(omega, dtype=complex)
+    omega = np.ascontiguousarray(omega, dtype=complex)
     if omega.shape != (DIM, DIM):
         raise ValueError(f"objective must be {DIM}x{DIM}, got shape {omega.shape}")
     if not np.isfinite(omega).all():
         raise ValueError("objective has non-finite entries")
-    scale = 2.0 ** int(np.frexp(3.0 * np.abs(omega).max())[1])  # Omega's largest entry is 7/30
-    omega = omega / scale
+    # the exponent of 3 max|omega| (7/10 for Omega: k = 0), taken apart so that it cannot overflow
+    mantissa, exponent = np.frexp(np.abs(omega).max())
+    k = int(exponent + np.frexp(3.0 * mantissa)[1])
+    omega = np.ldexp(omega.view(float), -k).view(complex)
     coords = _block_coordinates()
     target = coords.reduce(omega)
     off_subspace = float(np.linalg.norm(omega - coords.embed(target)))
@@ -412,14 +416,18 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:
             certified, upper = _certificate(coords, target, z, u)
-            lower, upper = scale * float(target @ certified), scale * upper
+            lower = float(target @ certified)
+            with np.errstate(over="ignore"):  # scaled back exactly; inf beyond float range
+                objective, lower_k, upper_k = np.ldexp([float(target @ z), lower, upper], k).tolist()
             resid = float(np.linalg.norm(w - z))
-            history.append({"iteration": it, "objective": scale * float(target @ z),
-                            "primal_residual": resid, "lower": lower, "upper": upper})
-            if upper - lower <= GAP_TOL * scale:
+            history.append({"iteration": it, "objective": objective,
+                            "primal_residual": resid, "lower": lower_k, "upper": upper_k})
+            if upper - lower <= GAP_TOL:
+                if not np.isfinite([lower_k, upper_k]).all():
+                    raise ValueError(f"the optimum, [{lower}, {upper}] * 2**{k}, is outside float range")
                 comb = coords.embed(certified)
                 return CombResult(comb=comb, iterations=it, primal_residual=resid,
-                                  lower=lower, upper=upper, residuals=comb_residuals(comb),
+                                  lower=lower_k, upper=upper_k, residuals=comb_residuals(comb),
                                   history=history)
     raise RuntimeError(f"ADMM did not reach a relative certified gap of {GAP_TOL} in {MAX_ITER} "
                        f"iterations (primal residual {np.linalg.norm(w - z):.3e})")

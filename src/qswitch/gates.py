@@ -1,8 +1,8 @@
-"""Random gate sampling and construction of commuting / anti-commuting pairs.
+"""Random gate sampling, the two promise classes of gate pairs, and their labels.
 
-Commuting pairs share an eigenbasis R drawn from the Haar measure, with
-independent uniform eigenphases.  Anti-commuting pairs are R sigma_z R^dag and
-R sigma_y R^dag for the same Haar R.
+``sample_pairs`` draws both classes: commuting pairs share an eigenbasis R
+drawn from the Haar measure, with independent uniform eigenphases, and
+anti-commuting pairs are R sigma_z R^dag and R sigma_y R^dag for one Haar R.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import det2, frobenius_norm, require_unitary_pair, times_sy, times_sz
+from .linalg import det2, frobenius_norm, require_unitary_pair
 from .switch import PORT_VERDICTS, Verdict
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "GatePair",
     "PairStack",
     "haar_random_unitaries",
-    "commuting_pair",
-    "anticommuting_pair",
     "classify_pair",
     "sample_pairs",
     "pairs_to_csv",
@@ -119,16 +117,6 @@ def _eigenphase_gates(rs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (rs * eigenvalues[:, None, :]) @ rs.mT.conj()
 
 
-def commuting_pair(rng: RandomSource) -> GatePair:
-    """C_k = R diag(1, e^{i theta_k}) R^dag with Haar R and uniform thetas."""
-    return sample_pairs(rng, 1, 0)[0]
-
-
-def anticommuting_pair(rng: RandomSource) -> GatePair:
-    """A_1 = R sigma_z R^dag, A_2 = R sigma_y R^dag for one Haar R."""
-    return sample_pairs(rng, 0, 1)[0]
-
-
 def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> Verdict | np.ndarray:
     """Label a pair by the Frobenius norm of its commutator / anti-commutator.
 
@@ -145,13 +133,17 @@ def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_
 
 
 def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> PairStack:
-    """``n_commuting`` commuting pairs followed by ``n_anticommuting`` anti-commuting ones,
-    each class drawn as one stack (see ``commuting_pair`` and ``anticommuting_pair``)."""
+    """``n_commuting`` commuting pairs C_k = R diag(1, e^{i theta_k}) R^dag (k = 1, 2), then
+    ``n_anticommuting`` anti-commuting pairs A_1 = R sigma_z R^dag, A_2 = R sigma_y R^dag, with
+    one Haar R per pair and uniform thetas, each class drawn as one stack."""
     rs = haar_random_unitaries(rng, n_commuting)
     thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2))
     c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
     rs = haar_random_unitaries(rng, n_anticommuting)
-    a1, a2 = (times(rs) @ rs.mT.conj() for times in (times_sz, times_sy))
+    # R sigma_z: R's second column negated; R sigma_y: its columns swapped times (i, -i). Each
+    # entry is an entry of R times 1, -1, i or -i, as in R @ SZ and R @ SY, so bit for bit equal
+    rz, ry = rs * np.array([1.0, -1.0]), rs[..., ::-1] * np.array([1j, -1j])
+    a1, a2 = rz @ rs.mT.conj(), ry @ rs.mT.conj()
     port = np.repeat([0, 1], [n_commuting, n_anticommuting])
     return PairStack(np.concatenate([c1, a1]), np.concatenate([c2, a2]), port, seed=rng.seed)
 

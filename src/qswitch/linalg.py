@@ -18,8 +18,6 @@ __all__ = [
     "require_unitary",
     "require_unitary_pair",
     "both_orders",
-    "times_sz",
-    "times_sy",
     "det2",
     "require_state",
     "read_only",
@@ -107,16 +105,6 @@ def both_orders(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> tuple[np.nda
     v = w @ psi[..., None]
     y = w @ v.reshape(v.shape[:-2] + (2, 2)).mT
     return y[..., :2, 1], y[..., 2:, 0]  # U1 (U2 psi), U2 (U1 psi)
-
-
-def times_sz(r: np.ndarray) -> np.ndarray:
-    """``r @ SZ`` exactly, for a stack (..., n, 2): the second column negated."""
-    return r * np.array([1.0, -1.0])
-
-
-def times_sy(r: np.ndarray) -> np.ndarray:
-    """``r @ SY`` exactly, for a stack (..., n, 2): the columns swapped and times (i, -i)."""
-    return r[..., ::-1] * np.array([1j, -1j])
 
 
 def det2(u: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ def two_switch_output(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> np.nda
 
     Gates (..., 2, 2), checked in one pass, and states (..., 2) broadcast to a
     result (..., 4); both orders come from one product (``both_orders``).
-    Kept as the closed form that acceptance criterion 1 compares with the circuit oracle.
+    Acceptance criterion 1 checks it and ``exit_probabilities`` against the circuit oracle.
     """
     ab, ba = both_orders(u1, u2, require_state(psi, 2))
     return np.concatenate((ab + ba, ab - ba), axis=-1) / 2.0

@@ -80,14 +80,24 @@ def test_criterion_01_output_equivalence():
     us = haar_random_unitaries(rng, 2000)
     psis = random_states(rng, 1000)
     worst = 0.0
+    circuits = []
     for k in range(1000):
         closed = two_switch_output(us[2 * k], us[2 * k + 1], psis[k])
         circuit = two_switch_output_circuit(us[2 * k], us[2 * k + 1], psis[k])
         worst = max(worst, float(np.linalg.norm(closed - circuit)))
+        circuits.append(circuit)
+    # the exit probabilities every command reports, for all 1000 triples in one call: the
+    # squared norms of the circuit state's control-0 and control-1 halves
+    circuits = np.array(circuits)
+    out = exit_probabilities(us[0::2], us[1::2], psis)
+    halves = np.stack([np.vecdot(circuits[:, :2], circuits[:, :2]).real,
+                       np.vecdot(circuits[:, 2:], circuits[:, 2:]).real], axis=-1)
+    worst_p = float(np.abs(np.stack([out.p0, out.p1], axis=-1) - halves).max())
     report(
-        "criterion 1 (closed form vs controlled-order circuit)",
-        worst <= 1e-12,
-        f"max deviation {worst:.3e} over 1000 triples (tol 1e-12)",
+        "criterion 1 (closed form and exit probabilities vs controlled-order circuit)",
+        worst <= 1e-12 and worst_p <= 1e-12,
+        f"max deviation {worst:.3e} of the state, {worst_p:.3e} of p0 and p1, "
+        f"over 1000 triples (tol 1e-12)",
     )
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -437,6 +439,47 @@ class TestOptimization:
         assert (nonzero | (np.abs(eigenvalues) <= 1e-6)).all()
         assert nonzero.sum(axis=1).tolist() == [0, 2, 2, 1, 1, 0]
 
+    def test_dual_slack_ranks_and_unique_face(self, monkeypatch, small_objective):
+        # the dual half of strict complementarity, on the dual witness of the last check: the
+        # slack S = T - Omega (T the witness, shifted by eps I) has the ranks complementary to the
+        # comb's on the true block sizes, with every eigenvalue far from both thresholds
+        # (measured: zeros at most 7.3e-12, nonzeros at least 0.1333)
+        calls = []
+        certificate = comb._certificate
+
+        def keep(coords, target, z, u):
+            calls.append((target, z, u))
+            return certificate(coords, target, z, u)
+
+        monkeypatch.setattr(comb, "_certificate", keep)
+        optimize_fixed_order(small_objective)
+        target, _, u = calls[-1]
+        coords = comb._block_coordinates()
+        s = target - comb.RHO * u
+        t = s - coords.affine @ s
+        eps = max(0.0, -coords.min_eigenvalue(t - target))
+        identity = coords.offset * DIM / 4
+        slack = coords.blocks(t + eps * identity - target)
+        ranks, face = [], []
+        for b, n in enumerate(comb.MULTIPLICITIES * 2):
+            eigenvalues, vectors = np.linalg.eigh(slack[b, :n, :n])
+            nonzero = eigenvalues >= 0.05
+            assert (nonzero | (np.abs(eigenvalues) <= 1e-6)).all()
+            ranks.append(int(nonzero.sum()))
+            # the symmetric blocks supported on ker S: K A K^T for each symmetric unit A
+            kernel = vectors[:, ~nonzero]
+            for a, c in itertools.combinations_with_replacement(range(kernel.shape[1]), 2):
+                blocks = np.zeros((6, 3, 3))
+                blocks[b, :n, :n] = np.outer(kernel[:, a], kernel[:, c]) + np.outer(kernel[:, c], kernel[:, a])
+                face.append(coords.coordinates(blocks))
+        assert ranks == [1, 1, 0, 0, 2, 2]
+        # the face has dimension sum r(r + 1)/2 over the comb's block ranks 0, 2, 2, 1, 1, 0; the
+        # comb constraints are injective on it (the projection onto their complement keeps every
+        # unit vector of it at length >= 0.1, measured 0.388), so the optimal symmetric comb is unique
+        f = np.linalg.qr(np.array(face).T)[0]
+        assert f.shape == (20, 8)
+        assert np.linalg.svd((np.eye(20) - coords.affine) @ f, compute_uv=False).min() >= 0.1
+
     def test_comb_is_symmetric(self, optimum):
         # the iterate stays in the symmetric subspace, so the comb it maps back to does too
         for v in icosahedral_design()[::7]:
@@ -502,6 +545,26 @@ class TestOptimization:
         assert scaled.iterations <= 200
         assert scaled.lower / factor == pytest.approx(optimum.lower, abs=1e-9)
         assert scaled.lower <= factor * (17 + 2 * np.sqrt(7)) / 24 <= scaled.upper
+
+    @pytest.mark.parametrize("c", [3.5e307, -3.5e307])
+    def test_solves_near_the_top_of_float_range(self, c):
+        # 3 max|c I| is below the largest float, its power of two 2**1024 is not; every comb
+        # scores c tr W = 4c
+        result = optimize_fixed_order(c * np.eye(DIM))
+        assert np.isfinite([result.lower, result.upper]).all() and result.lower <= result.upper
+        # the interval brackets 4c to rounding: at 1 * I, lower is 2 ulps above 4 (a comb's
+        # trace is 4 only to rounding)
+        assert result.lower == pytest.approx(4 * c, rel=1e-14)
+        assert result.upper == pytest.approx(4 * c, rel=1e-14)
+        # the same solve as at c * 2**-1000, scaled back exactly
+        small = optimize_fixed_order(np.ldexp(c, -1000) * np.eye(DIM))
+        assert result.iterations == small.iterations
+        assert (result.lower, result.upper) == (np.ldexp(small.lower, 1000), np.ldexp(small.upper, 1000))
+
+    def test_rejects_an_optimum_beyond_float_range(self):
+        # the optimum 4e308 is not a float; as everywhere in tier 1, a RuntimeWarning would fail
+        with pytest.raises(ValueError, match="outside float range"):
+            optimize_fixed_order(1e308 * np.eye(DIM))
 
     def test_history_traces_every_check(self, optimum):
         rows = optimum.history

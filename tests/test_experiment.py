@@ -18,7 +18,7 @@ from qswitch.experiment import (
     simulate_counts,
     simulate_phase_sweep,
 )
-from qswitch.gates import RandomSource, anticommuting_pair, commuting_pair, haar_random_unitaries, sample_pairs
+from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
 from qswitch.linalg import ID2
 from qswitch.switch import PLUS, exit_probabilities
 
@@ -66,7 +66,7 @@ class TestNoisyPortProbabilities:
 
     def test_anticommuting_fringe_floor(self):
         noise = NoiseParams(phase_drift_per_degree=0.0, phase_drift_per_minute=0.0)
-        pair = anticommuting_pair(RandomSource(2))
+        pair = sample_pairs(RandomSource(2), 0, 1)[0]
         _, p1 = ideal_port_probabilities_with_noise(pair.u1, pair.u2, PLUS, noise)
         assert p1 >= (1 + noise.visibility) / 2 - 1e-12
 
@@ -75,21 +75,21 @@ class TestSimulateCounts:
     def test_noiseless_anticommuting_all_port1(self):
         noise = NoiseParams.noiseless()
         rng = RandomSource(3)
-        pair = anticommuting_pair(rng)
+        pair = sample_pairs(rng, 0, 1)[0]
         c0, c1 = simulate_counts(pair.u1, pair.u2, PLUS, noise, rng)
         assert c0 == 0 and c1 > 0
 
     def test_noiseless_commuting_all_port0(self):
         noise = NoiseParams.noiseless()
         rng = RandomSource(4)
-        pair = commuting_pair(rng)
+        pair = sample_pairs(rng, 1, 0)[0]
         c0, c1 = simulate_counts(pair.u1, pair.u2, PLUS, noise, rng)
         assert c1 == 0 and c0 > 0
 
     def test_thinning_expectation(self):
         # E[C0] = lam (1 - p1) and E[C1] = lam p1 eta, on the fringe floor and mid-fringe
         rng = RandomSource(5)
-        pair = anticommuting_pair(rng)
+        pair = sample_pairs(rng, 0, 1)[0]
         for phase, u1, u2 in ((np.pi, pair.u1, pair.u2), (np.pi / 2, ID2, ID2)):
             noise = NoiseParams(
                 visibility=1.0, phase_setpoint=phase, phase_drift_per_degree=0.0,

@@ -9,9 +9,7 @@ from qswitch.gates import (
     PairStack,
     RandomSource,
     _eigenphase_gates,
-    anticommuting_pair,
     classify_pair,
-    commuting_pair,
     haar_random_unitaries,
     pairs_to_csv,
     sample_pairs,
@@ -101,9 +99,7 @@ def test_sample_pairs_equal_the_matmul_construction(seed):
 
 class TestPairConstructors:
     def test_commuting_pairs_commute(self):
-        rng = RandomSource(1)
-        for _ in range(200):
-            pair = commuting_pair(rng)
+        for pair in sample_pairs(RandomSource(1), 200, 0):
             assert pair.label is Verdict.COMMUTE
             assert comm_norm(pair.u1, pair.u2) <= 1e-10
 
@@ -118,9 +114,7 @@ class TestPairConstructors:
         assert frobenius_distance_up_to_phase(gate, SZ) <= 1e-12
 
     def test_anticommuting_pairs_anticommute(self):
-        rng = RandomSource(4)
-        for _ in range(200):
-            pair = anticommuting_pair(rng)
+        for pair in sample_pairs(RandomSource(4), 0, 200):
             assert pair.label is Verdict.ANTICOMMUTE
             assert anti_norm(pair.u1, pair.u2) <= 1e-10
             # conjugated Paulis stay Hermitian, traceless and unitary
@@ -135,9 +129,7 @@ class TestPairConstructors:
         assert np.allclose(gates[1], SZ)
 
     def test_commutator_of_anticommuting_pair_is_unitary(self):
-        rng = RandomSource(6)
-        for _ in range(50):
-            pair = anticommuting_pair(rng)
+        for pair in sample_pairs(RandomSource(6), 0, 50):
             half_comm = (pair.u1 @ pair.u2 - pair.u2 @ pair.u1) / 2.0
             assert np.linalg.norm(half_comm @ half_comm.conj().T - np.eye(2)) <= 1e-10
 
@@ -149,8 +141,7 @@ class TestPairConstructors:
             assert np.array_equal(a.u2, b.u2)
 
     def test_classes_generically_disjoint(self):
-        rng = RandomSource(10)
-        min_anti = min(anti_norm(p.u1, p.u2) for p in (commuting_pair(rng) for _ in range(500)))
+        min_anti = min(anti_norm(p.u1, p.u2) for p in sample_pairs(RandomSource(10), 500, 0))
         assert min_anti > 1e-6
 
 

@@ -22,8 +22,6 @@ from qswitch.linalg import (
     require_state,
     require_unitary,
     require_unitary_pair,
-    times_sy,
-    times_sz,
 )
 
 from oracles import choi, tensor
@@ -458,11 +456,3 @@ class TestEntrywiseDeterminant:
         assert 200 <= singular.sum() < 500
         assert np.array_equal(np.abs(det2(g)) <= 1e-12, singular)
 
-
-class TestPauliColumns:
-    def test_match_the_products_bit_for_bit(self):
-        rs = haar_random_unitaries(RandomSource(12), 1000)
-        for times, pauli in ((times_sz, SZ), (times_sy, SY)):
-            assert np.array_equal(times(rs), rs @ pauli)
-            assert np.array_equal(times(rs[0]), rs[0] @ pauli)
-            assert np.array_equal(times(rs[:3, 0]), rs[:3, 0] @ pauli)  # a 3x2 matrix

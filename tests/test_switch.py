@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from qswitch.gates import (
-    RandomSource,
-    anticommuting_pair,
-    commuting_pair,
-    haar_random_unitaries,
-    sample_pairs,
-)
+from qswitch.gates import RandomSource, haar_random_unitaries, sample_pairs
 from qswitch.linalg import HAD, ID2, SX, SY, SZ
 from qswitch.switch import PLUS, Verdict, exit_probabilities, two_switch_output
 
@@ -128,9 +122,9 @@ class TestExitProbabilities:
     def test_stacked_matches_per_pair(self):
         rng = RandomSource(6)
         us = haar_random_unitaries(rng, 200)
-        pairs = [commuting_pair(rng), anticommuting_pair(rng)]
-        u1 = np.concatenate([us[0::2], [p.u1 for p in pairs], [SX, SX]])
-        u2 = np.concatenate([us[1::2], [p.u2 for p in pairs], [SZ, HAD]])
+        pairs = sample_pairs(rng, 1, 1)
+        u1 = np.concatenate([us[0::2], pairs.u1, [SX, SX]])
+        u2 = np.concatenate([us[1::2], pairs.u2, [SZ, HAD]])
         psis = random_states(rng, len(u1))
         for psi in (None, psis):
             stacked = exit_probabilities(u1, u2, psi)
@@ -191,14 +185,13 @@ class TestExitProbabilities:
         assert out.p0.shape == out.p1.shape == out.verdict.shape == (0,)
 
     def test_state_independence_on_promise(self):
+        # 100 states for each of 10 + 10 pairs, all in one call
         rng = RandomSource(5)
-        for _ in range(10):
-            pair = commuting_pair(rng)
-            for psi in random_states(rng, 100):
-                assert exit_probabilities(pair.u1, pair.u2, psi).p0 >= 1 - 1e-10
-            pair = anticommuting_pair(rng)
-            for psi in random_states(rng, 100):
-                assert exit_probabilities(pair.u1, pair.u2, psi).p1 >= 1 - 1e-10
+        pairs = sample_pairs(rng, 10, 10)
+        psis = random_states(rng, 2000).reshape(20, 100, 2)
+        out = exit_probabilities(pairs.u1[:, None], pairs.u2[:, None], psis)
+        correct = np.where(pairs.port[:, None] == 0, out.p0, out.p1)
+        assert correct.shape == (20, 100) and (correct >= 1 - 1e-10).all()
 
 
 class TestFixedOrderApply:
