@@ -104,7 +104,7 @@ def cmd_discriminate(args) -> int:
     u1, u2 = parse_gate(args.u1), parse_gate(args.u2)
     psi = parse_state(args.state)
     outcome = exit_probabilities(u1, u2, psi)
-    promise = classify_pair(u1, u2, tol=1e-6)
+    promise = classify_pair(u1, u2)
     payload = {
         "p0": round(float(outcome.p0), 12),
         "p1": round(float(outcome.p1), 12),

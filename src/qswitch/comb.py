@@ -19,7 +19,10 @@ classes.  Omega and the comb constraints share a symmetry, so max tr(W Omega)
 over combs is solved by ADMM in 20 real coordinates of the symmetric subspace
 (see "block coordinates" below), where Omega is diagonal blocks with seven
 exact rational entries.  The solve returns a certified interval around the
-optimum and the valid 32x32 comb that attains its lower end.
+optimum and the valid 32x32 comb that attains its lower end.  The certificate
+is evaluated in floats, so it holds only up to rounding: on c I (c = 1, 1/4,
+7/30), where every comb scores 4c, ``lower`` reads 1-2 ulps above 4c.  An
+exact certificate would make it rigorous.
 """
 
 from __future__ import annotations
@@ -59,13 +62,13 @@ class CombResult:
 
     ``comb`` is the certified comb: a valid real 32x32 comb, feasible to
     rounding, whose objective is ``lower``, and ``p_succ`` equals ``lower``.
-    ``[lower, upper]`` is the certified interval around the optimum, of width
-    ``gap``.  ``iterations`` counts the ADMM iterations run, and
-    ``primal_residual`` is the distance of the last iterate from the comb
-    subspace.  ``residuals`` are the comb's constraint residuals and least
-    eigenvalue (``comb_residuals``), and ``history`` holds one row per
-    certificate check: iteration, objective of the iterate, primal residual,
-    lower and upper.
+    ``[lower, upper]`` is the interval around the optimum, of width ``gap``,
+    certified only up to rounding (see the module docstring).  ``iterations``
+    counts the ADMM iterations run, and ``primal_residual`` is the distance of
+    the last iterate from the comb subspace.  ``residuals`` are the comb's
+    constraint residuals and least eigenvalue (``comb_residuals``), and
+    ``history`` holds one row per certificate check: iteration, objective of
+    the iterate, primal residual, lower and upper.
 
     ``bound`` reports ``comb``'s mean success on the packaged table's 100 pairs
     as ``table_pairs_success``, 0.93826.  Twirling over common frame rotations V
@@ -372,15 +375,16 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     one batched real eigh of the six padded 3x3 blocks.  The coordinates
     are orthonormal, so the primal residual and the objective are those of
     the 32x32 operators.  Every 10th iteration ``_certificate`` turns the
-    iterate into a certified interval [lower, upper] around the optimum,
-    and ``history`` gains a row (iteration, objective of the iterate,
-    primal residual, lower, upper).  The solve runs on ``omega`` scaled by
-    the exact power of two that brings its largest entry into [1/6, 1/3)
-    (Omega is not rescaled); it stops as soon as upper - lower is at most
-    ``GAP_TOL`` there, and raises RuntimeError if that has not happened after
-    ``MAX_ITER`` iterations.  Values are reported scaled back, so every finite
-    scale is accepted while ``lower`` and ``upper`` are floats: 1e308 I, whose
-    optimum is 4e308, is a ValueError.
+    iterate into an interval [lower, upper] around the optimum, certified
+    up to rounding (see the module docstring), and ``history`` gains a row
+    (iteration, objective of the iterate, primal residual, lower, upper).
+    The solve runs on ``omega`` scaled by the exact power of two that brings
+    its largest entry into [1/6, 1/3) (Omega is not rescaled); it stops as
+    soon as upper - lower is at most ``GAP_TOL`` there, and raises
+    RuntimeError if that has not happened after ``MAX_ITER`` iterations.
+    Values are reported scaled back, so every finite scale is accepted while
+    ``lower`` and ``upper`` are floats: 1e308 I, whose optimum is 4e308, is a
+    ValueError.
 
     The last iterate is PSD but off the comb subspace by the primal residual.
     The result holds instead the certified comb of the last check, a valid

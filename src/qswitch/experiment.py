@@ -145,10 +145,11 @@ def simulate_counts(
 
 
 def _require_counts(counts: np.ndarray) -> np.ndarray:
-    """``counts`` as a float array; ValueError unless every count is finite and nonnegative."""
+    """``counts`` as a float array; ValueError unless every count is in [0, 2**53], where
+    floats hold every integer exactly (``simulate_counts`` draws at most about 1e12)."""
     counts = np.asarray(counts, dtype=float)
-    if not np.all((counts >= 0) & (counts < np.inf)):  # NaN included
-        raise ValueError("counts must be finite and nonnegative")
+    if not np.all((counts >= 0) & (counts <= 2.0**53)):  # NaN and inf included
+        raise ValueError("counts must be finite and nonnegative, at most 2**53")
     return counts
 
 
@@ -321,7 +322,7 @@ def _plus_pauli_settings() -> _Settings:
     gates = triple_to_unitary(triples)
     ids = tuple(g1 + g2 for g1, g2 in itertools.product("IXYZ", repeat=2))
     # row p marks the pairs labelled PORT_VERDICTS[p]; a NEITHER pair is marked in no row
-    ports = classify_pair(gates[:, 0], gates[:, 1], tol=1e-6) == PORT_VERDICTS[:, None]
+    ports = classify_pair(gates[:, 0], gates[:, 1]) == PORT_VERDICTS[:, None]
     unlabelled = np.flatnonzero(~ports.any(axis=0))
     if unlabelled.size:
         raise ValueError(f"setting {ids[unlabelled[0]]}: the pair neither commutes nor anti-commutes")

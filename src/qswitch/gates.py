@@ -25,7 +25,7 @@ __all__ = [
     "pairs_to_csv",
 ]
 
-DEFAULT_CLASSIFY_TOL = 1e-8
+DEFAULT_CLASSIFY_TOL = 1e-6
 _VERDICTS = np.array([Verdict.COMMUTE, Verdict.ANTICOMMUTE, Verdict.NEITHER], dtype=object)
 
 

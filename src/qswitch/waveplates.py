@@ -15,10 +15,7 @@ x-z plane, by pi/2 (QWP) and pi (HWP).
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,7 +31,6 @@ __all__ = [
     "hwp",
     "triple_to_unitary",
     "decompose",
-    "load_angle_table",
     "load_pauli_table",
     "load_random_pairs_table",
     "table_gate_pairs",
@@ -142,63 +138,24 @@ def decompose(u: np.ndarray) -> np.ndarray:
     return np.rad2deg(np.stack([(s - d) / 2.0, (m + s) / 2.0, (s + d) / 2.0], axis=-1))
 
 
-def load_angle_table(source: str) -> AngleTable:
-    """Parse an angle table from CSV text.
-
-    Two layouts are accepted, one per table: 7 columns (gate name + two
-    triples, one gate implemented with separate settings for each slot) and
-    13 columns (index + four triples: a commuting pair followed by an
-    anti-commuting pair).
-    """
-    try:
-        records = list(csv.reader(io.StringIO(source)))
-    except csv.Error as exc:
-        raise ValueError(f"malformed CSV: {exc}") from exc
-    index: list[str] = []
-    values: list[list[float]] = []
-    for line_no, record in enumerate(records):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if line_no == 0 and len(record) > 1 and not _is_numeric(record[1]):
-            continue  # header
-        try:
-            if len(record) not in (7, 13):
-                raise ValueError(f"expected 7 or 13 columns, got {len(record)}")
-            if values and len(record) != 1 + len(values[0]):
-                raise ValueError(f"{len(record)} columns where earlier rows have {1 + len(values[0])}")
-            row = [float(v) for v in record[1:]]
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"non-finite angle in {record[1:]}")
-        except ValueError as exc:
-            raise ValueError(f"row {line_no}: {exc}") from exc
-        index.append(record[0])
-        values.append(row)
-    angles = np.array(values, dtype=float).reshape(len(values), len(values[0]) // 3 if values else 0, 3)
+def _load_table(name: str) -> AngleTable:
+    """The packaged table ``name``: a header line, then rows of a name and whole plate triples."""
+    lines = resources.files("qswitch.data").joinpath(name).read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    angles = np.array([row[1:] for row in rows], dtype=float).reshape(len(rows), -1, 3)
     read_only(angles)
-    return AngleTable(index=tuple(index), angles=angles)
-
-
-def _is_numeric(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def _read_data(name: str) -> str:
-    return resources.files("qswitch.data").joinpath(name).read_text()
+    return AngleTable(index=tuple(row[0] for row in rows), angles=angles)
 
 
 def load_pauli_table() -> AngleTable:
     """The bundled 4-row table of Pauli-gate waveplate angles."""
-    return load_angle_table(_read_data("pauli_table.csv"))
+    return _load_table("pauli_table.csv")
 
 
 @functools.cache
 def load_random_pairs_table() -> AngleTable:
     """The bundled 50-row table of commuting / anti-commuting pair angles, parsed once per process."""
-    return load_angle_table(_read_data("random_pairs_table.csv"))
+    return _load_table("random_pairs_table.csv")
 
 
 @functools.cache
@@ -210,8 +167,6 @@ def table_gate_pairs() -> gates.PairStack:
     Built once per process, and read-only.
     """
     table = load_random_pairs_table()
-    if table.angles.shape[1] != 4:
-        raise ValueError(f"expected 4 triples per row, got {table.angles.shape[1]}")
     unitaries = triple_to_unitary(table.angles)  # (row, triple, 2, 2)
     u1, u2 = (np.concatenate([unitaries[:, k], unitaries[:, k + 2]]) for k in (0, 1))
     port = np.repeat([0, 1], len(table))

@@ -163,6 +163,7 @@ class TestCorrectedProbability:
 
     @pytest.mark.parametrize("c0, c1", [
         (np.nan, 1), (np.inf, 1), (1, np.inf), (1, np.nan), ([5, np.nan], [1, 2]),
+        (1e308, 1e308),  # once 0.0 with overflow warnings; the true value is 1/3
     ])
     def test_rejects_non_finite_counts(self, c0, c1):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -198,9 +199,11 @@ class TestCalibrateEta:
         ([1e5, -5e4, 3e4, -1e4], [-1e5, 6e4, -3e4, 1.2e4]),
         ([1e5, np.nan, 3e4, 1e4], [1e5, 6e4, 3e4, 1.2e4]),
         ([1e5, 5e4, 3e4, 1e4], [1e5, 6e4, np.inf, 1.2e4]),
-    ], ids=["negative", "nan", "inf"])
+        ([2e306, 7e306, 1.2e307, 7e306], [1e307, 5e306, 0, 5e306]),
+    ], ids=["negative", "nan", "inf", "huge"])
     def test_rejects_impossible_counts(self, c0, c1):
-        # the negative sweep once gave eta = 1.061, and an infinite count reached np.var
+        # the negative sweep once gave eta = 1.061, an infinite count reached np.var, and the
+        # huge sweep (the same at 1e7 gives eta = 1.0) overflowed np.var to "eta estimate nan"
         with pytest.raises(ValueError, match="finite and nonnegative"):
             calibrate_eta(np.stack([c0, c1], axis=1))
 

@@ -1,5 +1,6 @@
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qswitch.waveplates import (
     AngleTable,
     decompose,
     hwp,
-    load_angle_table,
     load_pauli_table,
     load_random_pairs_table,
     qwp,
@@ -200,6 +200,14 @@ class TestStackedCalls:
         assert decompose(np.empty((0, 2, 2))).shape == (0, 3)
 
 
+def test_packaged_tables_load_exactly_with_their_row_names():
+    pauli, pairs = load_pauli_table(), load_random_pairs_table()
+    assert pauli.index == ("I", "X", "Y", "Z")
+    assert pairs.index == tuple(str(k) for k in range(1, 51))
+    assert pairs.angles[0, 0].tolist() == [25.61, 5.20, 24.38]
+    assert np.isfinite(pauli.angles).all() and np.isfinite(pairs.angles).all()
+
+
 class TestPauliTable:
     def test_rows_reconstruct_their_gate(self):
         table = load_pauli_table()
@@ -239,55 +247,60 @@ class TestRandomPairsTable:
         with pytest.raises(ValueError, match=message):
             table_gate_pairs.__wrapped__()
 
-    def test_two_triple_rows_are_rejected(self, monkeypatch):
-        monkeypatch.setattr(waveplates, "load_random_pairs_table", load_pauli_table)
-        with pytest.raises(ValueError, match="expected 4 triples"):
-            table_gate_pairs.__wrapped__()
+
+def _load(text):
+    """``_load_table`` on ``text`` read in place of a packaged file."""
+    package = SimpleNamespace(joinpath=lambda name: SimpleNamespace(read_text=lambda: text))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(waveplates, "resources", SimpleNamespace(files=lambda name: package))
+        return waveplates._load_table("table.csv")
 
 
 class TestLoadAngleTable:
-    def test_empty_input(self):
-        table = load_angle_table("")
-        assert len(table) == 0
-        assert table.angles.shape == (0, 0, 3)
+    """The fixed-layout loader: a header line, then a name and whole plate triples per row."""
 
     def test_header_skipped(self):
-        table = load_angle_table("gate,q1,h1,q2,q3,h2,q4\nI,0,0,0,0,0,0\n")
-        assert len(table) == 1
+        table = _load("gate,q1,h1,q2,q3,h2,q4\nI,0,0,0,0,0,0\n")
+        assert table.index == ("I",)
+        assert table.angles.shape == (1, 2, 3)
+        assert not table.angles.flags.writeable
 
     def test_wrong_column_count(self):
-        with pytest.raises(ValueError, match="row 0"):
-            load_angle_table("1,2,3\n")
+        with pytest.raises(ValueError, match="reshape"):
+            _load("header\n1,2,3\n")
 
     def test_non_numeric_angle(self):
-        with pytest.raises(ValueError, match="row 1"):
-            load_angle_table("I,0,0,0,0,0,0\nX,0,oops,0,0,0,0\n")
+        with pytest.raises(ValueError, match="oops"):
+            _load("header\nI,0,0,0,0,0,0\nX,0,oops,0,0,0,0\n")
 
     def test_angles_preserved_exactly(self):
-        table = load_angle_table("1,25.61,5.20,24.38,24.97,25.80,25.02,1,2,3,4,5,6\n")
+        table = _load("header\n1,25.61,5.20,24.38,24.97,25.80,25.02,1,2,3,4,5,6\n")
         assert table.index == ("1",)
         assert table.angles[0, 0].tolist() == [25.61, 5.20, 24.38]
 
     @pytest.mark.parametrize("source", [
-        "I,0,0,0,0,0,0\n1,0,0,0,0,0,0,0,0,0,0,0,0\n",
-        "1,0,0,0,0,0,0,0,0,0,0,0,0\nI,0,0,0,0,0,0\n",
+        "header\nI,0,0,0,0,0,0\n1,0,0,0,0,0,0,0,0,0,0,0,0\n",
+        "header\n1,0,0,0,0,0,0,0,0,0,0,0,0\nI,0,0,0,0,0,0\n",
     ], ids=["7-then-13", "13-then-7"])
     def test_mixed_layouts(self, source):
-        with pytest.raises(ValueError, match="row 1"):
-            load_angle_table(source)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            _load(source)
 
-    @pytest.mark.parametrize("source, where", [
-        ("abc\n", "row 0"),
-        ("x" * 200_000 + "\n", "CSV"),  # above the csv module's field size limit
-    ], ids=["one-field", "over-field-limit"])
-    def test_malformed_first_line(self, source, where):
-        with pytest.raises(ValueError, match=where):
-            load_angle_table(source)
+    @pytest.mark.parametrize("source", ["abc\n"], ids=["one-field"])
+    def test_malformed_first_line(self, source):
+        # the first line is always the header, so a file of one line holds no rows
+        with pytest.raises(ValueError):
+            _load(source)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_angle(self, bad):
-        with pytest.raises(ValueError, match="row 1"):
-            load_angle_table(f"I,0,0,0,0,0,0\nX,{bad},0,0,0,0,0\n")
+    def test_non_finite_angle(self, monkeypatch, bad):
+        # the loader keeps the angle; the plates reject it where the table is used
+        row = ",".join(["1", bad] + ["0"] * 11)
+        table = _load(f"header\n{row}\n")
+        assert not np.isfinite(table.angles[0, 0, 0])
+        monkeypatch.setattr(waveplates, "load_random_pairs_table", lambda: table)
+        with pytest.raises(ValueError, match="plate angles must be finite"):
+            table_gate_pairs.__wrapped__()
 
     @given(st.lists(st.lists(st.one_of(
         st.text(max_size=8),
@@ -296,11 +309,10 @@ class TestLoadAngleTable:
     ), max_size=14), max_size=4))
     def test_arbitrary_rows_parse_or_raise_value_error(self, rows):
         buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
+        csv.writer(buf).writerows([["header"], *rows])
         try:
-            table = load_angle_table(buf.getvalue())
+            table = _load(buf.getvalue())
         except ValueError:
             return
         assert len(table.angles) == len(table.index)
-        assert table.angles.shape[1:] in ((2, 3), (4, 3)) if len(table) else table.angles.shape == (0, 0, 3)
-        assert np.isfinite(table.angles).all()
+        assert table.angles.ndim == 3 and table.angles.shape[2] == 3
