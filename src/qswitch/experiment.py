@@ -314,13 +314,12 @@ def _read_only(settings: _Settings) -> _Settings:
 
 @functools.cache
 def _plus_pauli_settings() -> _Settings:
-    """The 16 Pauli pairs on |+> in IXYZ x IXYZ order, in one group."""
+    """The 16 Pauli pairs on |+> in the table's row order (I, X, Y, Z) squared, in one group."""
     table = load_pauli_table()
-    rows = [table.index.index(gate) for gate in "IXYZ"]
     # the first gate's first-slot triple and the second gate's second-slot one
-    triples = np.stack([table.angles[np.repeat(rows, 4), 0], table.angles[np.tile(rows, 4), 1]], axis=1)
+    triples = np.stack([table.angles[:, 0].repeat(4, axis=0), np.tile(table.angles[:, 1], (4, 1))], axis=1)
     gates = triple_to_unitary(triples)
-    ids = tuple(g1 + g2 for g1, g2 in itertools.product("IXYZ", repeat=2))
+    ids = tuple(g1 + g2 for g1, g2 in itertools.product(table.index, repeat=2))
     # row p marks the pairs labelled PORT_VERDICTS[p]; a NEITHER pair is marked in no row
     ports = classify_pair(gates[:, 0], gates[:, 1]) == PORT_VERDICTS[:, None]
     unlabelled = np.flatnonzero(~ports.any(axis=0))

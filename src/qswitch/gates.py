@@ -97,24 +97,18 @@ class PairStack:
 
 def haar_random_unitaries(rng: RandomSource, n: int) -> np.ndarray:
     """Stack of n Haar-random 2x2 unitaries (Ginibre + phase-fixed QR), shape (n, 2, 2)."""
-    gen = rng.generator
-    g = gen.standard_normal((n, 2, 2)) + 1j * gen.standard_normal((n, 2, 2))
+    def ginibre(k: int) -> np.ndarray:
+        return rng.generator.standard_normal((k, 2, 2)) + 1j * rng.generator.standard_normal((k, 2, 2))
+
+    g = ginibre(n)
     # singular draws have probability zero; patch any numerically bad ones
     bad = np.abs(det2(g)) <= 1e-12
     while np.any(bad):
-        g[bad] = gen.standard_normal((int(bad.sum()), 2, 2)) + 1j * gen.standard_normal(
-            (int(bad.sum()), 2, 2)
-        )
+        g[bad] = ginibre(int(bad.sum()))
         bad = np.abs(det2(g)) <= 1e-12
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _eigenphase_gates(rs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """R diag(1, e^{i theta}) R^dag for each basis R of a stack and its phase theta."""
-    eigenvalues = np.stack([np.ones_like(theta), np.exp(1j * theta)], axis=-1)
-    return (rs * eigenvalues[:, None, :]) @ rs.mT.conj()
 
 
 def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> Verdict | np.ndarray:
@@ -135,17 +129,19 @@ def classify_pair(u1: np.ndarray, u2: np.ndarray, tol: float = DEFAULT_CLASSIFY_
 def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> PairStack:
     """``n_commuting`` commuting pairs C_k = R diag(1, e^{i theta_k}) R^dag (k = 1, 2), then
     ``n_anticommuting`` anti-commuting pairs A_1 = R sigma_z R^dag, A_2 = R sigma_y R^dag, with
-    one Haar R per pair and uniform thetas, each class drawn as one stack."""
-    rs = haar_random_unitaries(rng, n_commuting)
+    one Haar R per pair and uniform thetas. Every gate is L R^dag, so one product forms them all."""
+    rc = haar_random_unitaries(rng, n_commuting)
     thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2))
-    c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
-    rs = haar_random_unitaries(rng, n_anticommuting)
+    ra = haar_random_unitaries(rng, n_anticommuting)
+    eigenvalues = np.stack([np.ones_like(thetas), np.exp(1j * thetas)], axis=-1)
     # R sigma_z: R's second column negated; R sigma_y: its columns swapped times (i, -i). Each
     # entry is an entry of R times 1, -1, i or -i, as in R @ SZ and R @ SY, so bit for bit equal
-    rz, ry = rs * np.array([1.0, -1.0]), rs[..., ::-1] * np.array([1j, -1j])
-    a1, a2 = rz @ rs.mT.conj(), ry @ rs.mT.conj()
+    rz, ry = ra * np.array([1.0, -1.0]), ra[..., ::-1] * np.array([1j, -1j])
+    # the L factors of both gates of every pair, (n, 2, 2, 2), times each pair's R^dag
+    left = np.concatenate([rc[:, None] * eigenvalues[..., None, :], np.stack([rz, ry], axis=1)])
+    gates = left @ np.concatenate([rc, ra])[:, None].mT.conj()
     port = np.repeat([0, 1], [n_commuting, n_anticommuting])
-    return PairStack(np.concatenate([c1, a1]), np.concatenate([c2, a2]), port, seed=rng.seed)
+    return PairStack(gates[:, 0], gates[:, 1], port, seed=rng.seed)
 
 
 _CSV_HEADER = ["index", "label"] + [

@@ -69,8 +69,7 @@ def _plate(theta_deg: float | np.ndarray, retardance: np.ndarray) -> np.ndarray:
     t = _radians(theta_deg)
     c, s = np.cos(t), np.sin(t)
     r = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2).astype(complex)
-    # one product over all rows of the stack: each entry is summed as in r @ retardance
-    return (r.reshape(-1, 2) @ retardance).reshape(r.shape) @ np.swapaxes(r, -2, -1).conj()
+    return r @ retardance @ r.mT.conj()
 
 
 def qwp(theta_deg: float | np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 from qswitch.gates import (
     PairStack,
     RandomSource,
-    _eigenphase_gates,
     classify_pair,
     haar_random_unitaries,
     pairs_to_csv,
@@ -79,12 +78,12 @@ class TestHaarSampling:
 
 
 def matmul_sample_pairs(seed, n_commuting, n_anticommuting):
-    """``sample_pairs`` with the anti-commuting gates formed as R @ SZ @ R^dag and
-    R @ SY @ R^dag, as before the Pauli products became exact column operations."""
+    """``sample_pairs`` as one product per class and gate: (R * [1, e^{i theta_k}]) @ R^dag for
+    each phase of a commuting pair, then R @ SZ @ R^dag and R @ SY @ R^dag."""
     rng = RandomSource(seed)
     rs = haar_random_unitaries(rng, n_commuting)
-    thetas = rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2))
-    c1, c2 = (_eigenphase_gates(rs, thetas[:, k]) for k in (0, 1))
+    phases = np.exp(1j * rng.generator.uniform(0.0, 2.0 * np.pi, size=(n_commuting, 2)))
+    c1, c2 = ((rs * np.stack([np.ones_like(p), p], axis=-1)[:, None, :]) @ rs.mT.conj() for p in phases.T)
     rs = haar_random_unitaries(rng, n_anticommuting)
     a1, a2 = rs @ SZ @ rs.mT.conj(), rs @ SY @ rs.mT.conj()
     return np.concatenate([c1, a1]), np.concatenate([c2, a2])
@@ -92,9 +91,32 @@ def matmul_sample_pairs(seed, n_commuting, n_anticommuting):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_sample_pairs_equal_the_matmul_construction(seed):
-    pairs = sample_pairs(RandomSource(seed), 1000, 1000)
-    u1, u2 = matmul_sample_pairs(seed, 1000, 1000)
-    assert np.array_equal(pairs.u1, u1) and np.array_equal(pairs.u2, u2)
+    for sizes in [(1000, 1000), (0, 1000), (1000, 0)]:
+        pairs = sample_pairs(RandomSource(seed), *sizes)
+        u1, u2 = matmul_sample_pairs(seed, *sizes)
+        assert np.array_equal(pairs.u1, u1) and np.array_equal(pairs.u2, u2)
+
+
+def forced_pairs(thetas, identity_basis=False):
+    """``sample_pairs`` of len(thetas) commuting pairs whose phases are ``thetas`` (n, 2); the
+    bases are Haar draws, or with ``identity_basis`` every Ginibre draw is I, so R = I."""
+    thetas = np.asarray(thetas, dtype=float)
+
+    class ForcedStream:
+        def __init__(self):
+            self.gen, self.draws = np.random.default_rng(2), 0
+
+        def standard_normal(self, shape):
+            self.draws += 1  # odd draws are real parts, even draws imaginary parts
+            if not identity_basis:
+                return self.gen.standard_normal(shape)
+            return np.broadcast_to(np.eye(2) * (self.draws % 2), shape)
+
+        def uniform(self, low, high, size):
+            assert (low, high, size) == (0.0, 2.0 * np.pi, thetas.shape)
+            return thetas
+
+    return sample_pairs(SimpleNamespace(generator=ForcedStream(), seed=None), len(thetas), 0)
 
 
 class TestPairConstructors:
@@ -105,12 +127,12 @@ class TestPairConstructors:
 
     def test_forced_zero_thetas(self):
         # theta = 0 gives the identity in any eigenbasis
-        rs = haar_random_unitaries(RandomSource(2), 3)
-        gates = _eigenphase_gates(rs, np.zeros(3))
+        pairs = forced_pairs(np.zeros((3, 2)))
+        gates = np.concatenate([pairs.u1, pairs.u2])
         assert frobenius_distance_up_to_phase(gates, np.broadcast_to(ID2, gates.shape)).max() <= 1e-12
 
     def test_forced_basis_identity_theta_pi(self):
-        gate = _eigenphase_gates(ID2[None], np.array([np.pi]))[0]
+        gate = forced_pairs([[np.pi, np.pi]], identity_basis=True).u1[0]
         assert frobenius_distance_up_to_phase(gate, SZ) <= 1e-12
 
     def test_anticommuting_pairs_anticommute(self):
@@ -124,9 +146,9 @@ class TestPairConstructors:
 
     def test_forced_basis_identity(self):
         # in the basis R = I, theta = 0 gives I and theta = pi gives Z exactly
-        gates = _eigenphase_gates(np.array([ID2, ID2]), np.array([0.0, np.pi]))
-        assert np.allclose(gates[0], ID2)
-        assert np.allclose(gates[1], SZ)
+        pair = forced_pairs([[0.0, np.pi]], identity_basis=True)[0]
+        assert np.allclose(pair.u1, ID2)
+        assert np.allclose(pair.u2, SZ)
 
     def test_commutator_of_anticommuting_pair_is_unitary(self):
         for pair in sample_pairs(RandomSource(6), 0, 50):
