@@ -146,7 +146,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)  # fail on a bad path before the solve
     result = optimize_fixed_order(objective_operator())
@@ -167,7 +167,7 @@ def cmd_bound(args) -> int:
     }
     if args.json:
         payload["trace"] = result.history
-    if args.out:
+    if args.out is not None:
         rows = [["pair", "label", "correct_probability"]] + [
             [row, label.value, f"{p:.6f}"] for row, label, p in zip(pairs.rows, pairs.labels, correct)
         ]

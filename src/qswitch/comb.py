@@ -16,13 +16,15 @@ simulation of that circuit exactly through ``probability_from_comb``.
 
 The objective Omega averages the score operators over the two promise
 classes.  Omega and the comb constraints share a symmetry, so max tr(W Omega)
-over combs is solved by ADMM in 20 real coordinates of the symmetric subspace
-(see "block coordinates" below), where Omega is diagonal blocks with seven
-exact rational entries.  The solve returns a certified interval around the
-optimum and the valid 32x32 comb that attains its lower end.  The certificate
-is evaluated in floats, so it holds only up to rounding: on c I (c = 1, 1/4,
-7/30), where every comb scores 4c, ``lower`` reads 1-2 ulps above 4c.  An
-exact certificate would make it rigorous.
+over combs is solved in the symmetric subspace (see "block coordinates"
+below): six padded real 3x3 blocks, where Omega is diagonal with seven exact
+rational entries, and 20 real coordinates of those blocks.  ADMM iterates on
+the blocks through one composed affine map, and the coordinates serve the
+certificate.  The solve returns a certified interval around the optimum and
+the valid 32x32 comb that attains its lower end.  The certificate is
+evaluated in floats, so it holds only up to rounding: on c I, where every
+comb scores 4c, ``lower`` reads 2 ulps above 4c at c = 1 and 1/4 and exactly
+4c at c = 7/30.  An exact certificate would make it rigorous.
 """
 
 from __future__ import annotations
@@ -111,13 +113,15 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     if np.shape(w) != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} comb, got shape {np.shape(w)}")
     i = np.asarray(i)
-    if not (np.issubdtype(i.dtype, np.integer) and np.isin(i, (0, 1)).all()):
+    if not (np.issubdtype(i.dtype, np.integer) and ((i == 0) | (i == 1)).all()):
         raise ValueError("outcome must be 0 or 1")
     u1, u2 = np.split(require_unitary_pair(u1, u2), 2, axis=-2)
     v1, v2 = choi_vector(u1), choi_vector(u2)
     y = (v1[..., :, None] * v2[..., None, :]).reshape(v1.shape[:-1] + (16,))
-    blocks = np.asarray(w).reshape(16, 2, 16, 2).transpose(1, 3, 0, 2)[[0, 1], [0, 1]]
-    p = np.einsum("...a,...ab,...b->...", y.conj(), blocks[i], y).real
+    # column (o, a) of the product is row a of the outcome-o block: B_o[a, b] = W[(a, o), (b, o)]
+    blocks = np.asarray(w).reshape(16, 2, 16, 2)[:, [0, 1], :, [0, 1]].transpose(2, 0, 1).reshape(16, 32)
+    both = np.vecdot(y[..., None, :], (y @ blocks).reshape(y.shape[:-1] + (2, 16))).real
+    p = np.where(i == 0, both[..., 0], both[..., 1])
     bad = ~((p >= -1e-8) & (p <= 1.0 + 1e-8))  # NaN included
     if np.any(bad):
         raise ValueError(f"comb produced out-of-range probability {p[bad][0]}")
@@ -364,20 +368,23 @@ def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
 
 
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
-    """Maximize tr(W Omega) over valid combs by ADMM in the 20 block coordinates.
+    """Maximize tr(W Omega) over valid combs by ADMM on the six padded blocks.
 
-    ``omega`` must be finite and lie in the span of the coordinates: invariant
-    under conj(V) (x) V (x) conj(V) (x) V (x) I, as the class-averaged
-    objective is, and with real blocks; ValueError otherwise.  Each iteration
-    applies the affine comb projection as a fixed 20x20 map plus an offset,
-    both formed in the coordinates (with the linear objective folded into
-    the proximal step at penalty ``RHO``), then projects onto the PSD cone with
-    one batched real eigh of the six padded 3x3 blocks.  The coordinates
-    are orthonormal, so the primal residual and the objective are those of
-    the 32x32 operators.  Every 10th iteration ``_certificate`` turns the
-    iterate into an interval [lower, upper] around the optimum, certified
-    up to rounding (see the module docstring), and ``history`` gains a row
-    (iteration, objective of the iterate, primal residual, lower, upper).
+    ``omega`` must be finite and lie in the span of the 20 block coordinates:
+    invariant under conj(V) (x) V (x) conj(V) (x) V (x) I, as the
+    class-averaged objective is, and with real blocks; ValueError otherwise.
+    The iterates are the 54 padded block entries.  Once per solve, the affine
+    comb projection (a 20x20 map plus an offset in the coordinates) is
+    composed with the maps to and from the blocks into one 54x54 map, and the
+    linear objective, folded into the proximal step at penalty ``RHO``, into
+    its constant.  Each iteration applies that map, then projects onto the
+    PSD cone with one batched real eigh of the six blocks.  Every 10th
+    iteration maps the iterate back to the coordinates, which are
+    orthonormal, so the primal residual and the objective are those of the
+    32x32 operators; there ``_certificate`` turns it into an interval
+    [lower, upper] around the optimum, certified up to rounding (see the
+    module docstring), and ``history`` gains a row (iteration, objective of
+    the iterate, primal residual, lower, upper).
     The solve runs on ``omega`` scaled by the exact power of two that brings
     its largest entry into [1/6, 1/3) (Omega is not rescaled); it stops as
     soon as upper - lower is at most ``GAP_TOL`` there, and raises
@@ -406,24 +413,26 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     if not off_subspace <= 1e-10 * (1.0 + float(np.linalg.norm(omega))):
         raise ValueError(f"objective is not invariant under the gate symmetry "
                          f"(distance {off_subspace:.3e} from the symmetric subspace)")
-    affine, offset = coords.affine, coords.offset
-    pull = target / RHO
-    w = z = offset  # I * 4/32
+    to_blocks, from_blocks = coords.to_blocks, coords.from_blocks
+    affine = to_blocks @ coords.affine @ from_blocks
+    pull = affine @ (to_blocks @ target / RHO) + to_blocks @ coords.offset
+    w = z = to_blocks @ coords.offset  # I * 4/32
     u = np.zeros_like(z)
     history = []
     for it in range(1, MAX_ITER + 1):
-        w = affine @ (z - u + pull) + offset
-        lam, vec = np.linalg.eigh(coords.blocks(w + u))
-        # V diag(lam+) V^T: entry (a, b) is row a of V diag(lam+) dotted into row b of V
-        z = coords.coordinates(np.vecdot((vec * np.maximum(lam, 0.0)[:, None, :])[:, :, None], vec[:, None]))
-        u = u + w - z
+        w = affine @ (z - u) + pull
+        x = w + u
+        lam, vec = np.linalg.eigh(x.reshape(6, 3, 3))
+        z = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.mT).reshape(-1)
+        u = x - z
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:
-            certified, upper = _certificate(coords, target, z, u)
+            zc = from_blocks @ z
+            certified, upper = _certificate(coords, target, zc, from_blocks @ u)
             lower = float(target @ certified)
             with np.errstate(over="ignore"):  # scaled back exactly; inf beyond float range
-                objective, lower_k, upper_k = np.ldexp([float(target @ z), lower, upper], k).tolist()
-            resid = float(np.linalg.norm(w - z))
+                objective, lower_k, upper_k = np.ldexp([float(target @ zc), lower, upper], k).tolist()
+            resid = float(np.linalg.norm(from_blocks @ (w - z)))
             history.append({"iteration": it, "objective": objective,
                             "primal_residual": resid, "lower": lower_k, "upper": upper_k})
             if upper - lower <= GAP_TOL:
@@ -434,7 +443,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
                                   lower=lower_k, upper=upper_k, residuals=comb_residuals(comb),
                                   history=history)
     raise RuntimeError(f"ADMM did not reach a relative certified gap of {GAP_TOL} in {MAX_ITER} "
-                       f"iterations (primal residual {np.linalg.norm(w - z):.3e})")
+                       f"iterations (primal residual {np.linalg.norm(from_blocks @ (w - z)):.3e})")
 
 
 def evaluate_comb(w: np.ndarray, pairs: PairStack) -> np.ndarray:

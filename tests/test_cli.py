@@ -332,6 +332,13 @@ class TestBound:
         rows = (tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()
         assert len(rows) == 101
 
+    def test_empty_out_writes_into_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        # as for suite: an empty --out names the current directory, not "no output"
+        monkeypatch.chdir(tmp_path)
+        assert main(["bound", "--out", "", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evaluation_csv"] == "bound_evaluation.csv"
+        assert len((tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()) == 101
+
     def test_scores_the_table_pairs_through_evaluate_comb(self, capsys, monkeypatch):
         # counting wrappers on the module attributes the benchmark's tracer wraps
         assert main(["bound", "--json"]) == 0

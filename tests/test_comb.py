@@ -47,6 +47,23 @@ class TestProbabilityFromComb:
             assert got[k] == pytest.approx(np.trace(s @ w).real, abs=1e-12)
             assert probability_from_comb(w, u1[k], u2[k], outcomes[k]) == pytest.approx(got[k], abs=1e-15)
 
+    def test_broadcasts_pairs_against_outcomes(self, optimum):
+        # pairs and outcomes broadcast like any two numpy operands: one pair against both
+        # outcomes, and a (3, 1) stack of pairs against (2,) outcomes
+        us = haar_random_unitaries(RandomSource(21), 8)
+        w, outcomes = optimum.comb, np.array([0, 1])
+        both = probability_from_comb(w, us[0], us[1], outcomes)
+        assert both.shape == (2,)
+        for i in (0, 1):
+            assert both[i] == pytest.approx(probability_from_comb(w, us[0], us[1], i), abs=1e-15)
+        u1, u2 = us[2:5, None], us[5:8, None]
+        grid = probability_from_comb(w, u1, u2, outcomes)
+        assert grid.shape == (3, 2)
+        for k, i in itertools.product(range(3), (0, 1)):
+            assert grid[k, i] == pytest.approx(probability_from_comb(w, u1[k, 0], u2[k, 0], i), abs=1e-15)
+        # a valid comb's two outcomes of one pair sum to one
+        assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-12) and np.allclose(both.sum(), 1.0, atol=1e-12)
+
     def test_uniform_comb_scores_one_half(self):
         # tr S_i = 4 for every pair and outcome, so the comb I/8 scores 1/2 on each
         us = haar_random_unitaries(RandomSource(1), 20)
