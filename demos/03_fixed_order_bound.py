@@ -7,10 +7,10 @@ small SDP; its optimum is about 0.9288, strictly below the switch's 1.0.
 
 The SDP's objective averages each promise class over its Haar-random
 eigenbasis.  The objective is invariant under the same basis change on both
-gates, so the SDP is solved in 20 real coordinates of a spin basis that
-couples the wires into and out of each gate.  There the objective is six
-diagonal blocks with seven nonzero rational entries, so it is built exactly
-from them.  A feasible comb and a dual witness certify an
+gates, so the SDP is solved on six real symmetric blocks of a spin basis
+that couples the wires into and out of each gate.  There the objective is
+diagonal, with seven nonzero rational entries, so it is built exactly from
+them.  A feasible comb and a dual witness certify an
 interval around the optimum; that feasible comb is the one returned.
 """
 
@@ -25,7 +25,7 @@ print("Building the objective from its seven exact block entries...")
 omega = objective_operator()
 print(f"  trace of the objective: {np.trace(omega).real:.12f} (exactly 4)")
 
-print("Optimizing over fixed-order strategies (ADMM in the 20 real symmetric coordinates)...")
+print("Optimizing over fixed-order strategies (ADMM on the six real symmetric blocks)...")
 result = optimize_fixed_order(omega)
 print(f"  optimal success probability: {result.p_succ:.6f}")
 print(f"  certified interval: [{result.lower:.12f}, {result.upper:.12f}] "

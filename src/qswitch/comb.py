@@ -16,21 +16,21 @@ simulation of that circuit exactly through ``probability_from_comb``.
 
 The objective Omega averages the score operators over the two promise
 classes.  Omega and the comb constraints share a symmetry, so max tr(W Omega)
-over combs is solved in the symmetric subspace (see "block coordinates"
-below): six padded real 3x3 blocks, where Omega is diagonal with seven exact
-rational entries, and 20 real coordinates of those blocks.  ADMM iterates on
-the blocks through one composed affine map, and the coordinates serve the
-certificate.  The solve returns a certified interval around the optimum and
-the valid 32x32 comb that attains its lower end.  The certificate is
-evaluated in floats, so it holds only up to rounding: on c I, where every
-comb scores 4c, ``lower`` reads 2 ulps above 4c at c = 1 and 1/4 and exactly
-4c at c = 7/30.  An exact certificate would make it rigorous.
+over combs is solved in the symmetric subspace (see "the blocks of the
+symmetric subspace" below): six padded real 3x3 blocks, where Omega is
+diagonal with seven exact rational entries.  The ADMM iterates, the affine
+comb map and the certificate all work on those blocks.  The solve returns a
+certified interval around the optimum and the valid 32x32 comb that attains
+its lower end.  The certificate is evaluated in floats, so it holds only up
+to rounding: on c I, where every comb scores 4c, ``lower`` reads exactly 4c
+at c = 1, 1/4 and 7/30 (``upper`` 2, 2 and 5 ulps above), but 1-2 ulps above
+4c at 85 of 300 uniform c in [0.1, 1).  An exact certificate would make it
+rigorous.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +193,7 @@ def project_comb_affine(x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# block coordinates of the symmetric subspace
+# the blocks of the symmetric subspace
 #
 # Omega and the comb constraints are invariant under conj(V) (x) V (x) conj(V)
 # (x) V (x) I for every qubit unitary V, so the optimum can be taken in the
@@ -204,8 +204,9 @@ def project_comb_affine(x: np.ndarray) -> np.ndarray:
 # each spin couple (P1 P2) and (P3 P4) (Clebsch-Gordan; Bacon, Chuang & Harrow,
 # arXiv:quant-ph/0407082).  In that basis the frame, the spin vectors and
 # Omega's blocks are real (the blocks are even diagonal and rational), so the
-# blocks are taken real symmetric: 2 x (1 + 6 + 3) = 20 real coordinates
-# (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004, real type).
+# blocks are taken real symmetric (Gatermann & Parrilo, J. Pure Appl. Algebra
+# 192, 2004, real type) and zero-padded to 3x3: six blocks M[i, j] (outcome,
+# spin) of 54 entries, the one representation the solver works in.
 
 SPINS = (2, 1, 0)
 MULTIPLICITIES = (1, 3, 2)  # copies of each spin in four qubits: the size of M_j
@@ -248,29 +249,19 @@ def _schur_vectors() -> np.ndarray:
     return q
 
 
-def _unit_blocks() -> np.ndarray:
-    """The 0/1 symmetric patterns M[i, j] of the 20 unit coordinates, shape
-    (20, 6, 3, 3), zero-padded: one per diagonal entry or mirrored pair."""
-    units = []
-    for slot in range(6):
-        for a, b in itertools.combinations_with_replacement(range(MULTIPLICITIES[slot % 3]), 2):
-            unit = np.zeros((6, 3, 3), dtype=int)
-            unit[slot, a, b] = unit[slot, b, a] = 1
-            units.append(unit)
-    return np.array(units)
-
-
 class _BlockCoordinates:
-    """Frobenius-orthonormal coordinates of the symmetric real operators.
+    """The six padded blocks M[i, j] (outcome, spin) of the symmetric real operators.
 
-    ``basis`` holds the 20 real operators B_k (32x32); ``affine`` (20x20) and
-    ``offset`` (the coordinates of I * 4/32) are ``project_comb_affine`` in
-    these coordinates.  As <B_k, t (x) I> = <tr_tail B_k, t>, each tail term of
-    the projection is a Gram matrix of the tail traces T_m of the basis, and
-    the trace fix removes the identity direction, with coordinates r = tr B_k:
-    affine = I_20 + sum_m (-1/2)^m T_m T_m^T - r r^T/32, offset = 4/32 r.
-    It is the one place that normalises: each Schur vector by its norm, each
-    basis operator and its ``to_blocks`` column by their Frobenius norm.  The
+    ``basis`` holds the 54 real operators E[i, j, a, b] = sum_m |j, m, a><j, m, b|
+    (x) |i><i| (32x32), zero at the padding.  They are orthogonal with <E, E> =
+    2j + 1, which ``weights`` holds for each of the 54 entries, so the Frobenius
+    product of two operators is sum weights * A * B over their blocks.
+    ``affine`` (54x54) and ``offset`` (the blocks of I * 4/32) are
+    ``project_comb_affine`` on the blocks.  As <E, t (x) I> = <tr_tail E, t>,
+    each tail term of the projection is a Gram matrix of the tail traces T_m of
+    the basis (T_0 the basis itself), and the trace fix removes the identity
+    direction, with r = tr E: affine = (sum_m (-1/2)^m T_m T_m^T - r r^T/32) /
+    weights.  It is the one place that normalises the Schur vectors.  The
     solver shares one read-only instance (``_block_coordinates``), built on
     first use, not at import.
     """
@@ -278,47 +269,35 @@ class _BlockCoordinates:
     def __init__(self) -> None:
         q = _schur_vectors()
         q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1.0)  # nonzero norms >= 1, padding stays 0
-        units = _unit_blocks()
-        n = len(units)
         # on the gate wires, entry (a, b) of M_j is the operator sum_m |j, m, a><j, m, b|
-        entries = (q.transpose(0, 3, 1, 2)[:, :, None] @ q.transpose(0, 3, 2, 1)[:, None]).reshape(27, 256)
-        gate_wires = (units.reshape(2 * n, 27) @ entries).reshape(n, 2, 16, 16)
-        # B_k = sum_i (gate-wire operator of outcome i) (x) |i><i|
-        basis = (gate_wires.transpose(0, 2, 1, 3)[..., None] * np.eye(2)[:, None]).reshape(n, DIM, DIM)
-        norms = np.linalg.norm(basis, axis=(1, 2))
-        self.basis = basis / norms[:, None, None]
-        self.to_blocks = units.reshape(n, -1).T / norms  # the 54 padded block entries of each B_k
-        # to_blocks' columns have disjoint supports: its left inverse divides each by its squared norm
-        self.from_blocks = self.to_blocks.T / (self.to_blocks**2).sum(axis=0)[:, None]
-        traces = self.reduce(np.eye(DIM))
-        self.offset = traces * (4.0 / DIM)
-        self.affine = np.eye(n) - np.outer(traces, traces) / DIM
-        for m, tails in enumerate(_tail_traces(self.basis)[1:], start=1):
-            tails = tails.reshape(n, -1)
-            self.affine += (-0.5) ** m * (tails @ tails.T)
-        read_only(self.basis, self.to_blocks, self.from_blocks, self.offset, self.affine)
+        gate_wires = q.transpose(0, 3, 1, 2)[:, :, None] @ q.transpose(0, 3, 2, 1)[:, None]
+        # E[i, j, a, b] = (gate-wire operator of entry (a, b) of M_j) (x) |i><i|
+        basis = np.zeros((2, 27, 16, 2, 16, 2))
+        for i in (0, 1):
+            basis[i, :, :, i, :, i] = gate_wires.reshape(27, 16, 16)
+        self.basis = basis.reshape(54, DIM, DIM)
+        self.weights = np.repeat(2.0 * np.array(SPINS * 2) + 1.0, 9)
+        self.offset = self.reduce(np.eye(DIM)).reshape(-1) * (4.0 / DIM)
+        traces = np.trace(self.basis, axis1=1, axis2=2)
+        gram = -np.outer(traces, traces) / DIM
+        for m, tails in enumerate(_tail_traces(self.basis)):
+            tails = tails.reshape(54, -1)
+            gram += (-0.5) ** m * (tails @ tails.T)
+        self.affine = gram / self.weights[:, None]
+        read_only(self.basis, self.weights, self.offset, self.affine)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates <B_k, x> of the symmetric part of a 32x32 operator or of
-        each operator of a stack (..., 32, 32)."""
-        flat = np.reshape(x, np.shape(x)[:-2] + (-1,))
-        return (flat @ self.basis.reshape(len(self.basis), -1).T).real
+        """The blocks (..., 6, 3, 3) of the symmetric real part of a 32x32
+        operator or of each operator of a stack (..., 32, 32): its orthogonal
+        projection onto the symmetric real operators."""
+        # the real part first: a complex operand would convert the basis on every call
+        flat = np.real(np.reshape(x, np.shape(x)[:-2] + (-1,)))
+        m = (flat @ self.basis.reshape(54, -1).T / self.weights).reshape(flat.shape[:-1] + (6, 3, 3))
+        return (m + m.mT) / 2
 
-    def embed(self, c: np.ndarray) -> np.ndarray:
-        """The 32x32 operator sum_k c_k B_k."""
-        return np.tensordot(c, self.basis, 1)
-
-    def blocks(self, c: np.ndarray) -> np.ndarray:
-        """The six padded 3x3 blocks M[i, j] (outcome, spin) of coordinates ``c``."""
-        return (self.to_blocks @ c).reshape(6, 3, 3)
-
-    def coordinates(self, blocks: np.ndarray) -> np.ndarray:
-        """The coordinates of six padded symmetric blocks; inverse of ``blocks``."""
-        return self.from_blocks @ blocks.reshape(-1)
-
-    def min_eigenvalue(self, c: np.ndarray) -> float:
-        """Smallest eigenvalue of the six padded blocks, the padding's zeros included."""
-        return float(np.linalg.eigvalsh(self.blocks(c)).min())
+    def embed(self, m: np.ndarray) -> np.ndarray:
+        """The 32x32 operator sum M[i, j, a, b] E[i, j, a, b] of blocks (..., 6, 3, 3)."""
+        return np.tensordot(m, self.basis.reshape(6, 3, 3, DIM, DIM), 3)
 
 
 _block_coordinates = functools.cache(_BlockCoordinates)
@@ -334,14 +313,13 @@ def objective_operator() -> np.ndarray:
 
     Omega, (S_0 averaged over commuting pairs + S_1 over anti-commuting pairs)
     / 2 with each class over its Haar-random shared eigenbasis (``gates``), is
-    a twirl under the gate symmetry.  So it lies in the block coordinates, and
+    a twirl under the gate symmetry.  So it lies in the symmetric subspace, and
     the coupled copies make its six blocks (outcome 0 then 1, spin 2, 1, 0)
     diagonal, with the rational entries ``OMEGA_DIAGONALS``.  Tests pin them
     against an exact average over a unitary 5-design (``tests/oracles.py``).
     Built once per process, on first use, and read-only.
     """
-    coords = _block_coordinates()
-    omega = coords.embed(coords.coordinates(np.asarray(OMEGA_DIAGONALS)[:, :, None] * np.eye(3)))
+    omega = _block_coordinates().embed(np.asarray(OMEGA_DIAGONALS)[:, :, None] * np.eye(3))
     read_only(omega)
     return omega
 
@@ -349,7 +327,8 @@ def objective_operator() -> np.ndarray:
 def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
                  u: np.ndarray) -> tuple[np.ndarray, float]:
     """A valid comb and an upper bound on the optimum, from the current ADMM
-    primal ``z`` and multiplier ``u``; the comb's value is the lower bound.
+    primal ``z`` and multiplier ``u`` (54 block entries each); the comb's value
+    is the lower bound.
 
     Comb: ``z`` projected onto the affine comb subspace and mixed with the
     feasible I * 4/32 just enough to be PSD.  Upper: the dual witness T, the
@@ -359,29 +338,27 @@ def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
     combs; the identity is too, so the shift adds 4 eps.
     """
     w = coords.affine @ z + coords.offset
-    lam = min(coords.min_eigenvalue(w), 0.0)
-    mix = lam / (lam - 4.0 / DIM)  # (1 - mix) lam + mix * 4/32 = 0
     s = target - RHO * u
     t = s - coords.affine @ s
-    eps = -min(coords.min_eigenvalue(t - target), 0.0)
-    return (1.0 - mix) * w + mix * coords.offset, float(t @ coords.offset) + 4.0 * eps
+    # the least eigenvalues of the six blocks of w and of T - Omega, the padding's zeros included
+    lam, slack = np.minimum(np.linalg.eigvalsh(np.reshape([w, t - target], (2, 6, 3, 3))).min(axis=(1, 2)), 0.0)
+    mix = lam / (lam - 4.0 / DIM)  # (1 - mix) lam + mix * 4/32 = 0
+    return (1.0 - mix) * w + mix * coords.offset, float(coords.weights @ (t * coords.offset)) - 4.0 * slack
 
 
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     """Maximize tr(W Omega) over valid combs by ADMM on the six padded blocks.
 
-    ``omega`` must be finite and lie in the span of the 20 block coordinates:
-    invariant under conj(V) (x) V (x) conj(V) (x) V (x) I, as the
-    class-averaged objective is, and with real blocks; ValueError otherwise.
-    The iterates are the 54 padded block entries.  Once per solve, the affine
-    comb projection (a 20x20 map plus an offset in the coordinates) is
-    composed with the maps to and from the blocks into one 54x54 map, and the
-    linear objective, folded into the proximal step at penalty ``RHO``, into
-    its constant.  Each iteration applies that map, then projects onto the
-    PSD cone with one batched real eigh of the six blocks.  Every 10th
-    iteration maps the iterate back to the coordinates, which are
-    orthonormal, so the primal residual and the objective are those of the
-    32x32 operators; there ``_certificate`` turns it into an interval
+    ``omega`` must be finite and lie in the symmetric subspace: invariant
+    under conj(V) (x) V (x) conj(V) (x) V (x) I, as the class-averaged
+    objective is, and with real symmetric blocks; ValueError otherwise.  The
+    iterates are the 54 block entries.  The affine comb projection is one
+    54x54 map plus an offset on them, and the linear objective, folded into
+    the proximal step at penalty ``RHO``, adds a constant per solve.  Each
+    iteration applies that map, then projects onto the PSD cone with one
+    batched real eigh of the six blocks.  Objective and primal residual are
+    those of the 32x32 operators, as weighted sums over the blocks.  Every
+    10th iteration ``_certificate`` turns the iterate into an interval
     [lower, upper] around the optimum, certified up to rounding (see the
     module docstring), and ``history`` gains a row (iteration, objective of
     the iterate, primal residual, lower, upper).
@@ -413,10 +390,10 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     if not off_subspace <= 1e-10 * (1.0 + float(np.linalg.norm(omega))):
         raise ValueError(f"objective is not invariant under the gate symmetry "
                          f"(distance {off_subspace:.3e} from the symmetric subspace)")
-    to_blocks, from_blocks = coords.to_blocks, coords.from_blocks
-    affine = to_blocks @ coords.affine @ from_blocks
-    pull = affine @ (to_blocks @ target / RHO) + to_blocks @ coords.offset
-    w = z = to_blocks @ coords.offset  # I * 4/32
+    target = target.reshape(-1)
+    affine, weights = coords.affine, coords.weights
+    pull = affine @ (target / RHO) + coords.offset
+    w = z = coords.offset  # I * 4/32
     u = np.zeros_like(z)
     history = []
     for it in range(1, MAX_ITER + 1):
@@ -427,23 +404,23 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         u = x - z
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:
-            zc = from_blocks @ z
-            certified, upper = _certificate(coords, target, zc, from_blocks @ u)
-            lower = float(target @ certified)
+            certified, upper = _certificate(coords, target, z, u)
+            lower = float(weights @ (target * certified))
             with np.errstate(over="ignore"):  # scaled back exactly; inf beyond float range
-                objective, lower_k, upper_k = np.ldexp([float(target @ zc), lower, upper], k).tolist()
-            resid = float(np.linalg.norm(from_blocks @ (w - z)))
+                objective, lower_k, upper_k = np.ldexp([float(weights @ (target * z)), lower, upper], k).tolist()
+            resid = float(np.sqrt(weights @ (w - z) ** 2))
             history.append({"iteration": it, "objective": objective,
                             "primal_residual": resid, "lower": lower_k, "upper": upper_k})
             if upper - lower <= GAP_TOL:
                 if not np.isfinite([lower_k, upper_k]).all():
                     raise ValueError(f"the optimum, [{lower}, {upper}] * 2**{k}, is outside float range")
-                comb = coords.embed(certified)
+                comb = coords.embed(certified.reshape(6, 3, 3))
                 return CombResult(comb=comb, iterations=it, primal_residual=resid,
                                   lower=lower_k, upper=upper_k, residuals=comb_residuals(comb),
                                   history=history)
     raise RuntimeError(f"ADMM did not reach a relative certified gap of {GAP_TOL} in {MAX_ITER} "
-                       f"iterations (primal residual {np.linalg.norm(from_blocks @ (w - z)):.3e})")
+                       f"iterations (primal residual {np.sqrt(weights @ (w - z) ** 2):.3e})")
+
 
 
 def evaluate_comb(w: np.ndarray, pairs: PairStack) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "read_only",
     "frobenius_norm",
     "frobenius_distance_up_to_phase",
+    "choi_vector",
 ]
 
 ID2 = np.eye(2, dtype=complex)

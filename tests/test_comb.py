@@ -258,11 +258,28 @@ def gate_symmetry(v):
     return tensor(v.conj(), v, v.conj(), v, ID2)
 
 
+def symmetric_units():
+    """The 20 symmetric 0/1 patterns of the six padded blocks, one per diagonal
+    entry or mirrored pair, as rows of their 54 entries."""
+    units = []
+    for b, n in enumerate(comb.MULTIPLICITIES * 2):
+        for a, c in itertools.combinations_with_replacement(range(n), 2):
+            unit = np.zeros((6, 3, 3))
+            unit[b, a, c] = unit[b, c, a] = 1
+            units.append(unit.reshape(-1))
+    return np.array(units)
+
+
 class TestBlockCoordinates:
-    def test_basis_is_orthonormal_and_hermitian(self, coords):
-        flat = coords.basis.reshape(20, -1)
-        assert np.abs((flat.conj() @ flat.T).real - np.eye(20)).max() <= 1e-14
-        assert np.abs(coords.basis - np.conj(np.swapaxes(coords.basis, -2, -1))).max() <= 1e-15
+    def test_basis_is_orthogonal_with_weights(self, coords):
+        # zero exactly at the padding; elsewhere <E, E> = 2j + 1 and E[i, j, a, b]^T = E[i, j, b, a]
+        flat = coords.basis.reshape(54, -1)
+        support = flat.any(axis=1)
+        assert np.array_equal(support, symmetric_units().any(axis=0))
+        assert np.array_equal(coords.weights, np.repeat([5.0, 3.0, 1.0, 5.0, 3.0, 1.0], 9))
+        assert np.abs(flat @ flat.T - np.diag(coords.weights * support)).max() <= 1e-14
+        blocks = coords.basis.reshape(6, 3, 3, DIM, DIM)
+        assert np.abs(blocks.swapaxes(1, 2) - blocks.mT).max() <= 1e-15
 
     def test_basis_commutes_with_gate_symmetry(self, coords):
         for v in icosahedral_design():
@@ -270,15 +287,21 @@ class TestBlockCoordinates:
             assert np.abs(g @ coords.basis - coords.basis @ g).max() <= 1e-14
 
     def test_affine_map_matches_read_off(self, coords):
-        # reference: project_comb_affine on the zero operator and each basis operator
+        # reference: project_comb_affine on the zero operator and each basis operator, read
+        # off on all 54 entries (the symmetrising reduce would fold each mirrored pair)
         stack = np.concatenate([np.zeros((1, DIM, DIM)), coords.basis])
-        projected = coords.reduce(project_comb_affine(stack))
+        flat = coords.basis.reshape(54, -1)
+        projected = (project_comb_affine(stack).reshape(55, -1) @ flat.T).real / coords.weights
         assert np.abs(coords.affine - (projected[1:] - projected[0]).T).max() <= 1e-14
         assert np.abs(coords.offset - projected[0]).max() <= 1e-14
-        assert np.array_equal(coords.offset, coords.reduce(np.eye(DIM) * 4.0 / DIM))
-        assert np.array_equal(coords.affine, coords.affine.T)
+        assert np.array_equal(coords.offset, coords.reduce(np.eye(DIM) * 4.0 / DIM).reshape(-1))
+        # an orthogonal projection: self-adjoint in the weighted product, and idempotent
+        gram = coords.weights[:, None] * coords.affine
+        assert np.abs(gram - gram.T).max() <= 1e-15
         assert np.abs(coords.affine @ coords.affine - coords.affine).max() <= 1e-14
-        assert np.linalg.matrix_rank(coords.affine) == 12
+        # rank 12 on the symmetric blocks; the antisymmetric parts add 5
+        assert np.linalg.matrix_rank(coords.affine @ symmetric_units().T) == 12
+        assert np.linalg.matrix_rank(coords.affine) == 17
 
     def test_schur_vectors_match_kronecker_construction(self):
         # reference, in integers: J- as a sum of np.kron terms, the tops as
@@ -326,25 +349,28 @@ class TestBlockCoordinates:
             assert np.array_equal(sq[1:, :, None] * sq[:-1, None, :], sq[1:, None, :] * sq[:-1, :, None])
 
     def test_affine_map_matches_projection(self, coords):
+        # on all 54 entries, symmetric or not, the padding's included (the basis is zero there)
         gen = np.random.default_rng(18)
-        for c in gen.standard_normal((10, 20)):
-            full = project_comb_affine(coords.embed(c))
-            assert np.abs(coords.embed(coords.affine @ c + coords.offset) - full).max() <= 1e-13
+        for m in gen.standard_normal((10, 54)):
+            full = project_comb_affine(coords.embed(m.reshape(6, 3, 3)))
+            assert np.abs(coords.embed((coords.affine @ m + coords.offset).reshape(6, 3, 3)) - full).max() <= 1e-13
 
     def test_objective_round_trip(self, coords, small_objective):
         assert np.abs(coords.embed(coords.reduce(small_objective)) - small_objective).max() <= 1e-14
 
     def test_blocks_round_trip(self, coords):
-        c = np.random.default_rng(19).standard_normal(20)
-        blocks = coords.blocks(c)
-        assert np.array_equal(blocks, np.conj(np.swapaxes(blocks, -2, -1)))
-        assert np.abs(coords.coordinates(blocks) - c).max() <= 1e-15
+        gen = np.random.default_rng(19)
+        blocks = (gen.standard_normal(20) @ symmetric_units()).reshape(6, 3, 3)
+        assert np.abs(coords.reduce(coords.embed(blocks)) - blocks).max() <= 1e-15
+        # reduce symmetrises: the antisymmetric part of any blocks is dropped
+        noise = gen.standard_normal((6, 3, 3)) * symmetric_units().any(axis=0).reshape(6, 3, 3)
+        assert np.abs(coords.reduce(coords.embed(blocks + noise - noise.mT)) - blocks).max() <= 1e-15
         # the six blocks hold the spectrum of the 32x32 operator, each eigenvalue
         # of spin-j block repeated 2j+1 times
         sizes = [1, 3, 2] * 2
         spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(b[:m, :m]), 5 - 2 * (k % 3))
                                    for k, (b, m) in enumerate(zip(blocks, sizes))])
-        assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(coords.embed(c))).max() <= 1e-13
+        assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(coords.embed(blocks))).max() <= 1e-13
 
     def test_objective_blocks_are_diagonal_and_rational(self, coords, design_average):
         # the coupled copies make every block of the design average diagonal, with
@@ -353,13 +379,21 @@ class TestBlockCoordinates:
         for k, diagonal in enumerate([[1 / 15], [1 / 6, 1 / 6, 0], [1 / 2, 1 / 6], [1 / 5], [0, 0, 1 / 3], [0]]):
             expected[k, range(len(diagonal)), range(len(diagonal))] = diagonal
         assert np.array_equal(np.asarray(comb.OMEGA_DIAGONALS)[:, :, None] * np.eye(3), expected)
-        assert np.abs(coords.blocks(coords.reduce(design_average)) - expected).max() <= 1e-15
+        assert np.abs(coords.reduce(design_average) - expected).max() <= 1e-15
 
     def test_basis_is_real(self, coords):
-        assert coords.basis.dtype == np.float64 and coords.basis.shape == (20, DIM, DIM)
+        assert coords.basis.dtype == np.float64 and coords.basis.shape == (54, DIM, DIM)
 
-    def test_rejects_non_invariant_objective(self):
-        omega = random_hermitian(np.random.default_rng(20), DIM)
+    @pytest.mark.parametrize("kind", ["random", "antisymmetric"])
+    def test_rejects_non_invariant_objective(self, coords, kind):
+        if kind == "random":
+            omega = random_hermitian(np.random.default_rng(20), DIM)
+        else:
+            # invariant under the gate symmetry but not Hermitian: its blocks are in the span
+            # of the 54 entries, and only the symmetrising reduce drops them
+            blocks = np.zeros((6, 3, 3))
+            blocks[1, 0, 1], blocks[1, 1, 0] = 0.1, -0.1
+            omega = coords.embed(blocks)
         with pytest.raises(ValueError, match="not invariant"):
             optimize_fixed_order(omega)
 
@@ -372,9 +406,9 @@ class TestBlockCoordinates:
 
     @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
     def test_projection_idempotent(self, coords, seed, exponent):
-        c = np.random.default_rng(seed).standard_normal(20) * 10.0**exponent
-        p = coords.affine @ c + coords.offset
-        assert np.linalg.norm(coords.affine @ p + coords.offset - p) <= 1e-12 * (1 + np.linalg.norm(c))
+        m = np.random.default_rng(seed).standard_normal(54) * 10.0**exponent
+        p = coords.affine @ m + coords.offset
+        assert np.linalg.norm(coords.affine @ p + coords.offset - p) <= 1e-12 * (1 + np.linalg.norm(m))
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +485,7 @@ class TestOptimization:
         # spin 2, 1, 0), with every eigenvalue far from both thresholds (measured: zeros at most
         # 1.7e-11, nonzeros at least 0.172)
         coords = comb._block_coordinates()
-        eigenvalues = np.linalg.eigvalsh(coords.blocks(coords.reduce(optimum.comb)))
+        eigenvalues = np.linalg.eigvalsh(coords.reduce(optimum.comb))
         nonzero = eigenvalues >= 0.05
         assert (nonzero | (np.abs(eigenvalues) <= 1e-6)).all()
         assert nonzero.sum(axis=1).tolist() == [0, 2, 2, 1, 1, 0]
@@ -474,9 +508,9 @@ class TestOptimization:
         coords = comb._block_coordinates()
         s = target - comb.RHO * u
         t = s - coords.affine @ s
-        eps = max(0.0, -coords.min_eigenvalue(t - target))
+        eps = max(0.0, -np.linalg.eigvalsh((t - target).reshape(6, 3, 3)).min())
         identity = coords.offset * DIM / 4
-        slack = coords.blocks(t + eps * identity - target)
+        slack = (t + eps * identity - target).reshape(6, 3, 3)
         ranks, face = [], []
         for b, n in enumerate(comb.MULTIPLICITIES * 2):
             eigenvalues, vectors = np.linalg.eigh(slack[b, :n, :n])
@@ -488,14 +522,17 @@ class TestOptimization:
             for a, c in itertools.combinations_with_replacement(range(kernel.shape[1]), 2):
                 blocks = np.zeros((6, 3, 3))
                 blocks[b, :n, :n] = np.outer(kernel[:, a], kernel[:, c]) + np.outer(kernel[:, c], kernel[:, a])
-                face.append(coords.coordinates(blocks))
+                face.append(blocks.reshape(-1))
         assert ranks == [1, 1, 0, 0, 2, 2]
         # the face has dimension sum r(r + 1)/2 over the comb's block ranks 0, 2, 2, 1, 1, 0; the
         # comb constraints are injective on it (the projection onto their complement keeps every
-        # unit vector of it at length >= 0.1, measured 0.388), so the optimal symmetric comb is unique
-        f = np.linalg.qr(np.array(face).T)[0]
-        assert f.shape == (20, 8)
-        assert np.linalg.svd((np.eye(20) - coords.affine) @ f, compute_uv=False).min() >= 0.1
+        # unit vector of it at length >= 0.1, measured 0.388), so the optimal symmetric comb is unique;
+        # lengths are Frobenius norms of the operators, so every block entry is scaled by sqrt(weights)
+        root = np.sqrt(coords.weights)
+        f = np.linalg.qr((np.array(face) * root).T)[0]
+        assert f.shape == (54, 8)
+        complement = root[:, None] * (np.eye(54) - coords.affine) / root
+        assert np.linalg.svd(complement @ f, compute_uv=False).min() >= 0.1
 
     def test_comb_is_symmetric(self, optimum):
         # the iterate stays in the symmetric subspace, so the comb it maps back to does too
@@ -569,8 +606,9 @@ class TestOptimization:
         # scores c tr W = 4c
         result = optimize_fixed_order(c * np.eye(DIM))
         assert np.isfinite([result.lower, result.upper]).all() and result.lower <= result.upper
-        # the interval brackets 4c to rounding: at 1 * I, lower is 2 ulps above 4 (a comb's
-        # trace is 4 only to rounding)
+        # the interval brackets 4c to rounding only (a comb's trace is 4 only to rounding): at
+        # 1 * I, lower is exactly 4 and upper 2 ulps above, but on 85 of 300 uniform c in
+        # [0.1, 1), lower is 1-2 ulps above 4c
         assert result.lower == pytest.approx(4 * c, rel=1e-14)
         assert result.upper == pytest.approx(4 * c, rel=1e-14)
         # the same solve as at c * 2**-1000, scaled back exactly
