@@ -19,13 +19,14 @@ classes.  Omega and the comb constraints share a symmetry, so max tr(W Omega)
 over combs is solved in the symmetric subspace (see "the blocks of the
 symmetric subspace" below): six padded real 3x3 blocks, where Omega is
 diagonal with seven exact rational entries.  The ADMM iterates, the affine
-comb map and the certificate all work on those blocks.  The solve returns a
-certified interval around the optimum and the valid 32x32 comb that attains
-its lower end.  The certificate is evaluated in floats, so it holds only up
-to rounding: on c I, where every comb scores 4c, ``lower`` reads exactly 4c
-at c = 1, 1/4 and 7/30 (``upper`` 2, 2 and 5 ulps above), but 1-2 ulps above
-4c at 85 of 300 uniform c in [0.1, 1).  An exact certificate would make it
-rigorous.
+comb map and the certificate all work on those blocks, and once ADMM's own
+interval is narrow, a linear solve on the face of its iterate (a polish)
+narrows it to about its square.  The solve returns a certified interval
+around the optimum and the valid 32x32 comb that attains its lower end.
+The certificate is evaluated in floats, so it holds only up to rounding: on
+c I, where every comb scores 4c, ``lower`` reads exactly 4c at c = 1, 1/4
+and 7/30 (``upper`` 2, 2 and 5 ulps above), but 1-2 ulps above 4c at 85 of
+300 uniform c in [0.1, 1).  An exact certificate would make it rigorous.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class CombResult:
     the last iterate from the comb subspace.  ``residuals`` are the comb's
     constraint residuals and least eigenvalue (``comb_residuals``), and
     ``history`` holds one row per certificate check: iteration, objective of
-    the iterate, primal residual, lower and upper.
+    the iterate, primal residual, lower, upper and whether that interval is
+    the polished one.
 
     ``bound`` reports ``comb``'s mean success on the packaged table's 100 pairs
     as ``table_pairs_success``, 0.93826.  Twirling over common frame rotations V
@@ -147,14 +149,14 @@ def _tail_traces(x: np.ndarray) -> list[np.ndarray]:
 
 def comb_residuals(w: np.ndarray) -> dict:
     """Frobenius residuals of the comb constraints plus the minimum eigenvalue."""
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
     herm = float(np.linalg.norm(w - w.conj().T))
     _, tr5, tr45, tr345, tr2345 = _tail_traces(w)
-    w2 = tr45 / 2.0  # on P1P2P3
-    slot2 = float(np.linalg.norm(tr5 - np.kron(w2, np.eye(2))))
-    w1 = tr2345 / 4.0  # on P1
-    # tr_P3 W2 should equal W1 (x) I_P2 on wire order P1 P2
-    slot1 = float(np.linalg.norm(tr345 / 2.0 - np.kron(w1, np.eye(2))))
+    # tr_P5 W = W2 (x) I_P4 and tr_P3 W2 = W1 (x) I_P2, with W2 = tr_P4P5 W / 2 and W1 = tr_P2..P5 W / 4;
+    # t (x) I as t[:, None, :, None] * eye(2)[:, None], on the split index pairs
+    eye = np.eye(2)[:, None]
+    slot2 = float(np.linalg.norm(tr5.reshape(8, 2, 8, 2) - (tr45 / 2.0)[:, None, :, None] * eye))
+    slot1 = float(np.linalg.norm(tr345.reshape(2, 2, 2, 2) / 2.0 - (tr2345 / 4.0)[:, None, :, None] * eye))
     trace = float(abs(np.trace(w).real - 4.0))
     min_eig = float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[0])
     return {
@@ -324,26 +326,48 @@ def objective_operator() -> np.ndarray:
     return omega
 
 
-def _certificate(coords: _BlockCoordinates, target: np.ndarray, z: np.ndarray,
-                 u: np.ndarray) -> tuple[np.ndarray, float]:
-    """A valid comb and an upper bound on the optimum, from the current ADMM
-    primal ``z`` and multiplier ``u`` (54 block entries each); the comb's value
-    is the lower bound.
+def _certificate(coords: _BlockCoordinates, target: np.ndarray, primal: np.ndarray,
+                 dual: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A valid comb, its value (the lower bound) and an upper bound on the
+    optimum, from a primal and a dual guess (54 block entries each).
 
-    Comb: ``z`` projected onto the affine comb subspace and mixed with the
-    feasible I * 4/32 just enough to be PSD.  Upper: the dual witness T, the
-    projection of Omega - RHO u onto the complement of the comb subspace,
+    Comb: ``primal`` projected onto the affine comb subspace and mixed with
+    the feasible I * 4/32 just enough to be PSD.  Upper: the dual witness T,
+    the projection of ``dual`` onto the complement of the comb subspace,
     shifted by eps I until T - Omega is PSD.  For every comb W, <Omega, W>
     <= <T, W> = <T, I * 4/32>, as T is orthogonal to the differences of
     combs; the identity is too, so the shift adds 4 eps.
     """
-    w = coords.affine @ z + coords.offset
-    s = target - RHO * u
-    t = s - coords.affine @ s
+    w = coords.affine @ primal + coords.offset
+    t = dual - coords.affine @ dual
     # the least eigenvalues of the six blocks of w and of T - Omega, the padding's zeros included
     lam, slack = np.minimum(np.linalg.eigvalsh(np.reshape([w, t - target], (2, 6, 3, 3))).min(axis=(1, 2)), 0.0)
     mix = lam / (lam - 4.0 / DIM)  # (1 - mix) lam + mix * 4/32 = 0
-    return (1.0 - mix) * w + mix * coords.offset, float(coords.weights @ (t * coords.offset)) - 4.0 * slack
+    w = (1.0 - mix) * w + mix * coords.offset
+    return w, float(coords.weights @ (target * w)), float(coords.weights @ (t * coords.offset) - 4.0 * slack)
+
+
+def _polish(coords: _BlockCoordinates, target: np.ndarray, lam: np.ndarray, vec: np.ndarray,
+            dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A primal and a dual guess on the face of the ADMM iterate whose blocks
+    have eigenvalues ``lam`` and eigenvectors ``vec``, from its dual guess.
+
+    The face F is spanned by v_a v_c^T + v_c v_a^T over each block's range
+    vectors (lam > 0).  With C = I - affine, self-adjoint in the weighted
+    product, the primal F y solves C F y = offset by weighted least squares,
+    and the dual adds C F alpha to ``dual`` so that F^T weights (T - Omega) =
+    0; both solve with the normal matrix (C F)^T weights C F.
+    """
+    a, c = np.array([[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])  # np.triu_indices(3), which costs 14 us
+    va, vc = vec.mT[:, a], vec.mT[:, c]  # (6 blocks, 6 pairs, 3)
+    spans = np.zeros((6, 6, 6, 3, 3))  # (block, pair) -> the 54 entries of v_a v_c^T + v_c v_a^T
+    spans[np.arange(6), :, np.arange(6)] = va[..., :, None] * vc[..., None, :] + vc[..., :, None] * va[..., None, :]
+    face = spans[(lam[:, a] > 0) & (lam[:, c] > 0)].reshape(-1, 54).T
+    cf = face - coords.affine @ face
+    wcf = coords.weights[:, None] * cf
+    rhs = np.stack([wcf.T @ coords.offset, face.T @ (coords.weights * target) - wcf.T @ dual], axis=1)
+    y, alpha = np.linalg.lstsq(cf.T @ wcf, rhs, rcond=None)[0].T
+    return face @ y, dual + cf @ alpha
 
 
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
@@ -361,7 +385,12 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     10th iteration ``_certificate`` turns the iterate into an interval
     [lower, upper] around the optimum, certified up to rounding (see the
     module docstring), and ``history`` gains a row (iteration, objective of
-    the iterate, primal residual, lower, upper).
+    the iterate, primal residual, lower, upper, polished).  Where ADMM's
+    own gap is at most sqrt(``GAP_TOL``), ``_polish`` forms a pair on the
+    face of the iterate, which ``_certificate`` checks alike and the row
+    reports.  The polished gap goes as the square of ADMM's (on Omega,
+    1.8e-14 from 1.1e-6 at iteration 40), so after a failed polish the next
+    waits for the ADMM gap at which that square reaches ``GAP_TOL``.
     The solve runs on ``omega`` scaled by the exact power of two that brings
     its largest entry into [1/6, 1/3) (Omega is not rescaled); it stops as
     soon as upper - lower is at most ``GAP_TOL`` there, and raises
@@ -396,6 +425,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     w = z = coords.offset  # I * 4/32
     u = np.zeros_like(z)
     history = []
+    polish_below = GAP_TOL ** 0.5  # the ADMM gap at which a polish is expected to reach GAP_TOL
     for it in range(1, MAX_ITER + 1):
         w = affine @ (z - u) + pull
         x = w + u
@@ -404,13 +434,18 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
         u = x - z
         # a check costs about one iteration, so checking every 10th adds about 10%
         if it % 10 == 0:
-            certified, upper = _certificate(coords, target, z, u)
-            lower = float(weights @ (target * certified))
+            dual = target - RHO * u
+            certified, lower, upper = _certificate(coords, target, z, dual)
+            polished = GAP_TOL < upper - lower <= polish_below
+            if polished:
+                admm_gap = upper - lower
+                certified, lower, upper = _certificate(coords, target, *_polish(coords, target, lam, vec, dual))
+                polish_below = admm_gap * (GAP_TOL / max(upper - lower, GAP_TOL)) ** 0.5
             with np.errstate(over="ignore"):  # scaled back exactly; inf beyond float range
                 objective, lower_k, upper_k = np.ldexp([float(weights @ (target * z)), lower, upper], k).tolist()
             resid = float(np.sqrt(weights @ (w - z) ** 2))
-            history.append({"iteration": it, "objective": objective,
-                            "primal_residual": resid, "lower": lower_k, "upper": upper_k})
+            history.append({"iteration": it, "objective": objective, "primal_residual": resid,
+                            "lower": lower_k, "upper": upper_k, "polished": polished})
             if upper - lower <= GAP_TOL:
                 if not np.isfinite([lower_k, upper_k]).all():
                     raise ValueError(f"the optimum, [{lower}, {upper}] * 2**{k}, is outside float range")

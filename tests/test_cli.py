@@ -327,7 +327,7 @@ class TestBound:
         assert data["lower"] <= data["upper"] and data["gap"] == data["upper"] - data["lower"]
         assert data["gap"] <= 1e-10
         last = {key: data[key] for key in ("primal_residual", "lower", "upper")}
-        last.update(iteration=data["iterations"], objective=pytest.approx(data["lower"]))
+        last.update(iteration=data["iterations"], objective=pytest.approx(data["lower"]), polished=True)
         assert data["trace"][-1] == last
         rows = (tmp_path / "bound_evaluation.csv").read_text().strip().splitlines()
         assert len(rows) == 101

@@ -482,8 +482,8 @@ class TestOptimization:
 
     def test_comb_block_ranks(self, optimum):
         # the primal half of strict complementarity: ranks of the six blocks (outcome 0 then 1,
-        # spin 2, 1, 0), with every eigenvalue far from both thresholds (measured: zeros at most
-        # 1.7e-11, nonzeros at least 0.172)
+        # spin 2, 1, 0), with every eigenvalue far from both thresholds (measured on the polished
+        # comb: zeros at most 3.1e-16, nonzeros at least 0.172)
         coords = comb._block_coordinates()
         eigenvalues = np.linalg.eigvalsh(coords.reduce(optimum.comb))
         nonzero = eigenvalues >= 0.05
@@ -491,23 +491,22 @@ class TestOptimization:
         assert nonzero.sum(axis=1).tolist() == [0, 2, 2, 1, 1, 0]
 
     def test_dual_slack_ranks_and_unique_face(self, monkeypatch, small_objective):
-        # the dual half of strict complementarity, on the dual witness of the last check: the
-        # slack S = T - Omega (T the witness, shifted by eps I) has the ranks complementary to the
-        # comb's on the true block sizes, with every eigenvalue far from both thresholds
-        # (measured: zeros at most 7.3e-12, nonzeros at least 0.1333)
+        # the dual half of strict complementarity, on the dual witness of the last certificate, the
+        # polished one: the slack S = T - Omega (T the witness, shifted by eps I) has the ranks
+        # complementary to the comb's on the true block sizes, with every eigenvalue far from both
+        # thresholds (measured: zeros at most 4.6e-15, nonzeros at least 0.1333)
         calls = []
         certificate = comb._certificate
 
-        def keep(coords, target, z, u):
-            calls.append((target, z, u))
-            return certificate(coords, target, z, u)
+        def keep(coords, target, primal, dual):
+            calls.append((target, dual))
+            return certificate(coords, target, primal, dual)
 
         monkeypatch.setattr(comb, "_certificate", keep)
         optimize_fixed_order(small_objective)
-        target, _, u = calls[-1]
+        target, dual = calls[-1]
         coords = comb._block_coordinates()
-        s = target - comb.RHO * u
-        t = s - coords.affine @ s
+        t = dual - coords.affine @ dual
         eps = max(0.0, -np.linalg.eigvalsh((t - target).reshape(6, 3, 3)).min())
         identity = coords.offset * DIM / 4
         slack = (t + eps * identity - target).reshape(6, 3, 3)
@@ -574,7 +573,68 @@ class TestOptimization:
         assert loose.lower <= (17 + 2 * np.sqrt(7)) / 24 <= loose.upper
         assert loose.p_succ == loose.lower
 
+    def test_polish_stops_at_40_iterations(self, optimum):
+        # ADMM's own gap at iteration 40 is 1.1e-6; the polished one is about its square
+        assert optimum.iterations == 40
+        assert optimum.gap <= 1e-12
+        assert optimum.lower <= (17 + 2 * np.sqrt(7)) / 24 <= optimum.upper
+
+    @pytest.mark.parametrize("face", ["iterate", "every direction", "complement"])
+    def test_polish_from_a_poor_face_brackets_the_optimum(self, small_objective, face):
+        # the iterate at iteration 5, whose polished gap is 1.8e-3, and two wrong faces: a polish
+        # from a poor face costs a wide interval, never a wrong one
+        coords = comb._block_coordinates()
+        target = coords.reduce(small_objective).reshape(-1)
+        pull = coords.affine @ (target / comb.RHO) + coords.offset
+        z, u = coords.offset, np.zeros(54)
+        for _ in range(5):
+            x = coords.affine @ (z - u) + pull + u
+            lam, vec = np.linalg.eigh(x.reshape(6, 3, 3))
+            z = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.mT).reshape(-1)
+            u = x - z
+        lam = {"iterate": lam, "every direction": np.ones_like(lam), "complement": -lam}[face]
+        guesses = comb._polish(coords, target, lam, vec, target - comb.RHO * u)
+        certified, lower, upper = comb._certificate(coords, target, *guesses)
+        assert lower <= (17 + 2 * np.sqrt(7)) / 24 <= upper
+        res = comb_residuals(coords.embed(certified.reshape(6, 3, 3)))
+        assert res["min_eigenvalue"] >= -1e-14 and max(res["slot2"], res["slot1"], res["trace"]) <= 1e-13
+
+    # iterations of the unpolished solve, which checked ADMM's own gap alone: 10 at each c I, and
+    # 100, 110, 120, 110, 240 and 18,760 on the random objectives of seeds 0-5
+    @pytest.mark.parametrize("objective, unpolished", [
+        *[(("identity", c), 10) for c in (1.0, 1 / 4, 7 / 30)],
+        *[(("random", seed), n) for seed, n in enumerate([100, 110, 120, 110, 240, 18_760])],
+    ])
+    def test_polish_never_costs_iterations(self, coords, objective, unpolished):
+        kind, value = objective
+        if kind == "identity":
+            omega = value * np.eye(DIM)
+        else:
+            m = np.random.default_rng(value).standard_normal((6, 3, 3))
+            omega = coords.embed(m + m.mT)
+        result = optimize_fixed_order(omega)
+        assert result.iterations <= unpolished
+        # the gap is certified at the solve's scale, the power of two that brings 3 max|omega| into [1/2, 1)
+        assert 0 <= result.gap <= comb.GAP_TOL * np.ldexp(1.0, np.frexp(3 * np.abs(omega).max())[1])
+
+    def test_residuals_match_kronecker_formula(self, optimum):
+        # the reference builds W2 (x) I and W1 (x) I with np.kron, on a complex copy
+        def reference(w):
+            w = np.asarray(w, dtype=complex)
+            _, tr5, tr45, tr345, tr2345 = _tail_traces(w)
+            return {"hermiticity": float(np.linalg.norm(w - w.conj().T)),
+                    "slot2": float(np.linalg.norm(tr5 - np.kron(tr45 / 2.0, np.eye(2)))),
+                    "slot1": float(np.linalg.norm(tr345 / 2.0 - np.kron(tr2345 / 4.0, np.eye(2)))),
+                    "trace": float(abs(np.trace(w).real - 4.0)),
+                    "min_eigenvalue": float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[0])}
+
+        for w in (optimum.comb, random_hermitian(np.random.default_rng(18), DIM)):
+            res, ref = comb_residuals(w), reference(w)
+            assert res.keys() == ref.keys()
+            assert all(abs(res[key] - ref[key]) <= 1e-15 for key in ref), (res, ref)
+
     def test_raises_without_a_certified_gap(self, monkeypatch, small_objective):
+        # at iteration 30 ADMM's own gap is 3.7e-5, above sqrt(GAP_TOL), so no polish runs
         monkeypatch.setattr(comb, "MAX_ITER", 30)
         with pytest.raises(RuntimeError, match="primal residual"):
             optimize_fixed_order(small_objective)
@@ -630,6 +690,8 @@ class TestOptimization:
         assert all(row["lower"] <= row["upper"] for row in rows)
         # the checks narrow the interval to the stopping gap
         assert rows[0]["upper"] - rows[0]["lower"] > comb.GAP_TOL >= last["upper"] - last["lower"]
+        # ADMM's own gap reaches sqrt(GAP_TOL) only at the last check, whose polish ends the solve
+        assert [row["polished"] for row in rows] == [False] * (len(rows) - 1) + [True]
 
 
 class TestSwitchExceedsBound:
