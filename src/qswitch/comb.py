@@ -23,10 +23,10 @@ comb map and the certificate all work on those blocks, and once ADMM's own
 interval is narrow, a linear solve on the face of its iterate (a polish)
 narrows it to about its square.  The solve returns a certified interval
 around the optimum and the valid 32x32 comb that attains its lower end.
-The certificate is evaluated in floats, so it holds only up to rounding: on
-c I, where every comb scores 4c, ``lower`` reads exactly 4c at c = 1, 1/4
-and 7/30 (``upper`` 2, 2 and 5 ulps above), but 1-2 ulps above 4c at 85 of
-300 uniform c in [0.1, 1).  An exact certificate would make it rigorous.
+The certificate is evaluated in floats, so it is not rigorous: on c I, where
+every comb scores 4c, ``lower`` is 1, 1 and 4 ulps below 4c at c = 1, 1/4 and
+7/30 (``upper`` 1, 1 and 3 above) and at or below 4c at 300 uniform c in
+[0.1, 1), but 1-4 ulps above 4c at 296 of 300 such -c.  An exact one would be.
 """
 
 from __future__ import annotations
@@ -147,49 +147,47 @@ def _tail_traces(x: np.ndarray) -> list[np.ndarray]:
     return traces
 
 
+# I_2 and I_8 as (n, 1, n), which broadcast t (x) I_n; built once, as a fresh eye per call slowed comb_residuals
+_EYES = {n: np.eye(n)[:, None] for n in (2, 8)}
+read_only(*_EYES.values())
+
+
+def _with_identity(t: np.ndarray, n: int) -> np.ndarray:
+    """t (x) I_n, shape (..., m n, m n), of a (..., m, m) operator or stack, for n = 2 or 8."""
+    return (t[..., :, None, :, None] * _EYES[n]).reshape(t.shape[:-2] + (t.shape[-1] * n,) * 2)
+
+
+def _slot_residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slot residuals (r2, r1), 16x16 and 4x4, of a 32x32 operator or each
+    of a stack (..., 32, 32): r2 = tr_P5 x - tr_P4P5 x / 2 (x) I_P4 and r1 =
+    tr_P3P4P5 x / 2 - tr_P2..P5 x / 4 (x) I_P2, both zero on a comb.  Each is a
+    tail trace t less its part t' (x) I, an orthogonal projection of t."""
+    _, tr5, tr45, tr345, tr2345 = _tail_traces(x)
+    return tr5 - _with_identity(tr45 / 2.0, 2), tr345 / 2.0 - _with_identity(tr2345 / 4.0, 2)
+
+
 def comb_residuals(w: np.ndarray) -> dict:
     """Frobenius residuals of the comb constraints plus the minimum eigenvalue."""
     w = np.asarray(w)
     herm = float(np.linalg.norm(w - w.conj().T))
-    _, tr5, tr45, tr345, tr2345 = _tail_traces(w)
-    # tr_P5 W = W2 (x) I_P4 and tr_P3 W2 = W1 (x) I_P2, with W2 = tr_P4P5 W / 2 and W1 = tr_P2..P5 W / 4;
-    # t (x) I as t[:, None, :, None] * eye(2)[:, None], on the split index pairs
-    eye = np.eye(2)[:, None]
-    slot2 = float(np.linalg.norm(tr5.reshape(8, 2, 8, 2) - (tr45 / 2.0)[:, None, :, None] * eye))
-    slot1 = float(np.linalg.norm(tr345.reshape(2, 2, 2, 2) / 2.0 - (tr2345 / 4.0)[:, None, :, None] * eye))
+    slot2, slot1 = (float(np.linalg.norm(r)) for r in _slot_residuals(w))
     trace = float(abs(np.trace(w).real - 4.0))
     min_eig = float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[0])
-    return {
-        "hermiticity": herm,
-        "slot2": slot2,
-        "slot1": slot1,
-        "trace": trace,
-        "min_eigenvalue": min_eig,
-    }
+    return {"hermiticity": herm, "slot2": slot2, "slot1": slot1, "trace": trace, "min_eigenvalue": min_eig}
 
 
 def project_comb_affine(x: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the affine comb subspace, of a 32x32 operator
-    or of each operator of a stack (..., 32, 32).
+    or of each operator of a stack (..., 32, 32); a real operator stays real.
 
-    The two recursive constraints are kernels of the commuting orthogonal
-    projections L5(1-L4) and L345(1-L2), where L_S replaces wires S by the
-    maximally mixed state; composing the complements collapses to
-
-        x - t1/2 (x) I2 + t2/4 (x) I4 - t3/8 (x) I8 + t4/16 (x) I16
-
-    with t_k the trace of the last k wires (``_tail_traces``).  The trace is
-    then fixed along the identity direction.
+    It is x - r2/2 (x) I_P5 - r1/4 (x) I_P3P4P5 with r2, r1 the slot residuals
+    of x: each residual map A has A A^T = 2 on its range, A^T r is r (x) I_P5
+    for slot 2 and r (x) I_P3P4P5 / 2 for slot 1, and the two are orthogonal.
+    The trace is then fixed along the identity direction.
     """
-    x = np.asarray(x, dtype=complex)
-    _, t1, t2, t3, t4 = _tail_traces(x)
-    y = (
-        x
-        - np.kron(t1 / 2, np.eye(2))
-        + np.kron(t2 / 4, np.eye(4))
-        - np.kron(t3 / 8, np.eye(8))
-        + np.kron(t4 / 16, np.eye(16))
-    )
+    x = np.asarray(x)
+    r2, r1 = _slot_residuals(x)
+    y = x - _with_identity(r2 / 2.0, 2) - _with_identity(r1 / 4.0, 8)
     y += ((4.0 - np.trace(y, axis1=-2, axis2=-1).real) / DIM)[..., None, None] * np.eye(DIM)
     return y
 
@@ -259,13 +257,13 @@ class _BlockCoordinates:
     2j + 1, which ``weights`` holds for each of the 54 entries, so the Frobenius
     product of two operators is sum weights * A * B over their blocks.
     ``affine`` (54x54) and ``offset`` (the blocks of I * 4/32) are
-    ``project_comb_affine`` on the blocks.  As <E, t (x) I> = <tr_tail E, t>,
-    each tail term of the projection is a Gram matrix of the tail traces T_m of
-    the basis (T_0 the basis itself), and the trace fix removes the identity
-    direction, with r = tr E: affine = (sum_m (-1/2)^m T_m T_m^T - r r^T/32) /
-    weights.  It is the one place that normalises the Schur vectors.  The
-    solver shares one read-only instance (``_block_coordinates``), built on
-    first use, not at import.
+    ``project_comb_affine`` on the blocks.  Its slot terms pair with a basis
+    operator E as <E, r2(E')/2 (x) I_P5> = <r2(E), r2(E')>/2, and alike for
+    r1, so with R2 and R1 the slot residuals of the basis and r = tr E:
+    affine = (E E^T - (R2 R2^T + R1 R1^T)/2 - r r^T/32) / weights.  It is the
+    one place that normalises the Schur vectors.  The solver shares one
+    read-only instance (``_block_coordinates``), built on first use, not at
+    import.
     """
 
     def __init__(self) -> None:
@@ -280,11 +278,9 @@ class _BlockCoordinates:
         self.basis = basis.reshape(54, DIM, DIM)
         self.weights = np.repeat(2.0 * np.array(SPINS * 2) + 1.0, 9)
         self.offset = self.reduce(np.eye(DIM)).reshape(-1) * (4.0 / DIM)
-        traces = np.trace(self.basis, axis1=1, axis2=2)
-        gram = -np.outer(traces, traces) / DIM
-        for m, tails in enumerate(_tail_traces(self.basis)):
-            tails = tails.reshape(54, -1)
-            gram += (-0.5) ** m * (tails @ tails.T)
+        flat, traces = self.basis.reshape(54, -1), np.trace(self.basis, axis1=1, axis2=2)
+        r2, r1 = (r.reshape(54, -1) for r in _slot_residuals(self.basis))
+        gram = flat @ flat.T - (r2 @ r2.T + r1 @ r1.T) / 2.0 - np.outer(traces, traces) / DIM
         self.affine = gram / self.weights[:, None]
         read_only(self.basis, self.weights, self.offset, self.affine)
 
@@ -389,7 +385,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     own gap is at most sqrt(``GAP_TOL``), ``_polish`` forms a pair on the
     face of the iterate, which ``_certificate`` checks alike and the row
     reports.  The polished gap goes as the square of ADMM's (on Omega,
-    1.8e-14 from 1.1e-6 at iteration 40), so after a failed polish the next
+    1.9e-14 from 1.1e-6 at iteration 40), so after a failed polish the next
     waits for the ADMM gap at which that square reaches ``GAP_TOL``.
     The solve runs on ``omega`` scaled by the exact power of two that brings
     its largest entry into [1/6, 1/3) (Omega is not rescaled); it stops as

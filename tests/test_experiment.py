@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -195,16 +196,18 @@ class TestCalibrateEta:
         with pytest.raises(ValueError):
             calibrate_eta(counts)
 
-    @pytest.mark.parametrize("c0, c1", [
-        ([1e5, -5e4, 3e4, -1e4], [-1e5, 6e4, -3e4, 1.2e4]),
-        ([1e5, np.nan, 3e4, 1e4], [1e5, 6e4, 3e4, 1.2e4]),
-        ([1e5, 5e4, 3e4, 1e4], [1e5, 6e4, np.inf, 1.2e4]),
-        ([2e306, 7e306, 1.2e307, 7e306], [1e307, 5e306, 0, 5e306]),
-    ], ids=["negative", "nan", "inf", "huge"])
-    def test_rejects_impossible_counts(self, c0, c1):
+    @pytest.mark.parametrize("c0, c1, message", [
+        ([1e5, -5e4, 3e4, -1e4], [-1e5, 6e4, -3e4, 1.2e4], "finite and nonnegative"),
+        ([1e5, np.nan, 3e4, 1e4], [1e5, 6e4, 3e4, 1.2e4], "finite and nonnegative"),
+        ([1e5, 5e4, 3e4, 1e4], [1e5, 6e4, np.inf, 1.2e4], "finite and nonnegative"),
+        ([2e306, 7e306, 1.2e307, 7e306], [1e307, 5e306, 0, 5e306], "finite and nonnegative"),
+        ([100, 99] * 3, [0, 100] * 3, "eta estimate 100.000 out of physical range"),
+    ], ids=["negative", "nan", "inf", "huge", "eta-above-range"])
+    def test_rejects_impossible_counts(self, c0, c1, message):
         # the negative sweep once gave eta = 1.061, an infinite count reached np.var, and the
-        # huge sweep (the same at 1e7 gives eta = 1.0) overflowed np.var to "eta estimate nan"
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        # huge sweep (the same at 1e7 gives eta = 1.0) overflowed np.var to "eta estimate nan";
+        # the last sweep has fringe contrast, but C1 swings 100 times as far as C0
+        with pytest.raises(ValueError, match=message):
             calibrate_eta(np.stack([c0, c1], axis=1))
 
     def test_too_few_points(self):
@@ -241,6 +244,11 @@ class TestRotationOffset:
         # while -91 and -46 go to +89 and +44
         settings = np.array([[90, 45, 90, 90, 45, 90], [-91, -46, 0, 0, 0, 0]])
         assert rotation_offset(settings).tolist() == [-450.0, 133.0]
+
+    @pytest.mark.parametrize("angles", [0.0, (0,) * 5, np.zeros((2, 7))], ids=["scalar", "five", "stack-of-seven"])
+    def test_rejects_a_setting_without_six_angles(self, angles):
+        with pytest.raises(ValueError, match=re.escape(f"expected six plate angles, got shape {np.shape(angles)}")):
+            rotation_offset(angles)
 
 
 class TestSuites:
