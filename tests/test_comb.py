@@ -282,6 +282,7 @@ class TestBlockCoordinates:
         flat = coords.basis.reshape(54, -1)
         support = flat.any(axis=1)
         assert np.array_equal(support, symmetric_units().any(axis=0))
+        assert np.array_equal(coords.valid.reshape(-1), support)
         assert np.array_equal(coords.weights, np.repeat([5.0, 3.0, 1.0, 5.0, 3.0, 1.0], 9))
         assert np.abs(flat @ flat.T - np.diag(coords.weights * support)).max() <= 1e-14
         blocks = coords.basis.reshape(6, 3, 3, DIM, DIM)
@@ -427,6 +428,31 @@ def optimum(small_objective):
     return optimize_fixed_order(small_objective)
 
 
+def admm_iterate(coords, target, iterations):
+    """The block eigenpairs and the dual guess of the solver's ADMM iterate after ``iterations`` steps."""
+    pull = coords.affine @ (target / comb.RHO) + coords.offset
+    z, u = coords.offset, np.zeros(54)
+    for _ in range(iterations):
+        x = coords.affine @ (z - u) + pull + u
+        lam, vec = np.linalg.eigh(x.reshape(6, 3, 3))
+        z = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.mT).reshape(-1)
+        u = x - z
+    return lam, vec, target - comb.RHO * u
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``comb.<name>`` so that each call appends (arguments, result) to the returned list."""
+    calls = []
+    original = getattr(comb, name)
+
+    def keep(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(comb, name, keep)
+    return calls
+
+
 class TestOptimization:
     def test_near_known_value(self, optimum):
         assert optimum.p_succ == pytest.approx(0.9288, abs=0.005)
@@ -501,17 +527,9 @@ class TestOptimization:
         # polished one: the slack S = T - Omega (T the witness, shifted by eps I) has the ranks
         # complementary to the comb's on the true block sizes, with every eigenvalue far from both
         # thresholds (measured: zeros at most 4.6e-15, nonzeros at least 0.1333)
-        calls = []
-        certificate = comb._certificate
-
-        def keep(coords, target, primal, dual):
-            calls.append((target, dual))
-            return certificate(coords, target, primal, dual)
-
-        monkeypatch.setattr(comb, "_certificate", keep)
+        calls = record_calls(monkeypatch, "_certificate")
         optimize_fixed_order(small_objective)
-        target, dual = calls[-1]
-        coords = comb._block_coordinates()
+        (coords, target, _, dual), _ = calls[-1]
         t = dual - coords.affine @ dual
         eps = max(0.0, -np.linalg.eigvalsh((t - target).reshape(6, 3, 3)).min())
         identity = coords.offset * DIM / 4
@@ -574,48 +592,71 @@ class TestOptimization:
         assert optimum.gap <= comb.GAP_TOL
         monkeypatch.setattr(comb, "GAP_TOL", 1e-6)
         loose = optimize_fixed_order(small_objective)
-        assert loose.iterations < optimum.iterations
-        assert loose.gap <= 1e-6
+        # both stop at the first check, the loose one a refinement earlier (gap 5.9e-9)
+        assert loose.iterations == optimum.iterations == 10
+        assert optimum.gap < loose.gap <= 1e-6
         assert loose.lower <= (17 + 2 * np.sqrt(7)) / 24 <= loose.upper
         assert loose.p_succ == loose.lower
 
-    def test_polish_stops_at_40_iterations(self, optimum):
-        # ADMM's own gap at iteration 40 is 1.1e-6; the polished one is about its square
-        assert optimum.iterations == 40
+    def test_polish_stops_at_10_iterations(self, optimum):
+        # ADMM's own gap at iteration 10 is 3.5e-2; the polish and its two refinements narrow it
+        assert optimum.iterations == 10
         assert optimum.gap <= 1e-12
         assert optimum.lower <= (17 + 2 * np.sqrt(7)) / 24 <= optimum.upper
 
-    @pytest.mark.parametrize("face", ["iterate", "every direction", "complement"])
-    def test_polish_from_a_poor_face_brackets_the_optimum(self, small_objective, face):
-        # the iterate at iteration 5, whose polished gap is 1.8e-3, and two wrong faces: a polish
-        # from a poor face costs a wide interval, never a wrong one
+    def test_refinement_converges_quadratically(self, monkeypatch, small_objective):
+        # from the iterate at iteration 10: measured gaps 1.0e-4, 5.9e-9 and 1.2e-15
         coords = comb._block_coordinates()
         target = coords.reduce(small_objective).reshape(-1)
-        pull = coords.affine @ (target / comb.RHO) + coords.offset
-        z, u = coords.offset, np.zeros(54)
-        for _ in range(5):
-            x = coords.affine @ (z - u) + pull + u
-            lam, vec = np.linalg.eigh(x.reshape(6, 3, 3))
-            z = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.mT).reshape(-1)
-            u = x - z
-        lam = {"iterate": lam, "every direction": np.ones_like(lam), "complement": -lam}[face]
-        guesses = comb._polish(coords, target, lam, vec, target - comb.RHO * u)
-        certified, lower, upper = comb._certificate(coords, target, *guesses)
-        assert lower <= (17 + 2 * np.sqrt(7)) / 24 <= upper
-        res = comb_residuals(coords.embed(certified.reshape(6, 3, 3)))
-        assert res["min_eigenvalue"] >= -1e-14 and max(res["slot2"], res["slot1"], res["trace"]) <= 1e-13
+        lam, vec, dual = admm_iterate(coords, target, 10)
+        calls = record_calls(monkeypatch, "_certificate")
+        *_, lower, upper = comb._polish(coords, target, lam > 0, vec, dual)
+        gaps = [up - low for _, (_, low, up) in calls]
+        assert len(gaps) == 3
+        assert gaps[0] <= 1e-3 and gaps[1] <= 1e-7 and gaps[2] <= comb.GAP_TOL
+        assert upper - lower == min(gaps)
+
+    def test_refined_faces_have_no_padding(self, monkeypatch, small_objective):
+        # the padding's exact zeros in the dual slack are kept out of its kernel; taken in, they
+        # widen the refined gap to 6.9e-2
+        calls = record_calls(monkeypatch, "_face_pair")
+        optimize_fixed_order(small_objective)
+        padding = ~comb._block_coordinates().valid.any(axis=2)  # (block, row)
+        assert len(calls) == 3
+        for (_, _, span, vec, _), _ in calls[1:]:
+            vectors = np.where(span[:, :, None], vec.mT, 0.0)  # (block, face vector, row)
+            assert span.sum(axis=1).tolist() == [0, 2, 2, 1, 1, 0]
+            assert np.abs(vectors * padding[:, None, :]).max() <= 1e-14
+
+    @pytest.mark.parametrize("face", ["iterate", "every direction", "complement"])
+    def test_polish_from_a_poor_face_brackets_the_optimum(self, monkeypatch, small_objective, face):
+        # the iterate at iteration 5, whose first polished gap is 1.8e-3, and two wrong faces: a
+        # polish or a refinement from a poor face costs a wide interval, never a wrong one
+        coords = comb._block_coordinates()
+        target = coords.reduce(small_objective).reshape(-1)
+        lam, vec, dual = admm_iterate(coords, target, 5)
+        span = {"iterate": lam > 0, "every direction": np.ones_like(lam, bool), "complement": lam < 0}[face]
+        calls = record_calls(monkeypatch, "_certificate")
+        comb._polish(coords, target, span, vec, dual)
+        assert len(calls) >= 2
+        for _, (certified, lower, upper) in calls:
+            assert lower <= (17 + 2 * np.sqrt(7)) / 24 <= upper
+            res = comb_residuals(coords.embed(certified.reshape(6, 3, 3)))
+            assert res["min_eigenvalue"] >= -1e-14 and max(res["slot2"], res["slot1"], res["trace"]) <= 1e-13
 
     # iterations of the unpolished solve, which checked ADMM's own gap alone: 10 at each c I, and
-    # 100, 110, 120, 110, 240 and 18,760 on the random objectives of seeds 0-5. Seed 5's optimum is
-    # degenerate: on its certified pair, block 1 (outcome 0, spin 1) has comb eigenvalues 6.2e-13,
-    # 1.6e-9 and 0.906 and dual-slack eigenvalues (of T + eps I - Omega) 0, 1.9e-13 and 0.391, so
-    # one direction is null for both and strict complementarity fails. ADMM is sublinear there and
-    # 11 of its 12 polishes fail, so the solve takes 18,680 iterations
-    @pytest.mark.parametrize("objective, unpolished", [
-        *[(("identity", c), 10) for c in (1.0, 1 / 4, 7 / 30)],
-        *[(("random", seed), n) for seed, n in enumerate([100, 110, 120, 110, 240, 18_760])],
+    # 100, 110, 120, 110, 240 and 18,760 on the random objectives of seeds 0-5; and of the polished,
+    # refined solve. Seed 5's optimum is degenerate: on its certified pair, block 1 (outcome 0,
+    # spin 1) has comb eigenvalues 6.2e-13, 1.6e-9 and 0.906 and dual-slack eigenvalues (of
+    # T + eps I - Omega) 0, 1.9e-13 and 0.391, so one direction is null for both and strict
+    # complementarity fails. ADMM is sublinear there and 12 of its 13 polishes fail, so the solve
+    # takes 18,640 iterations
+    @pytest.mark.parametrize("objective, unpolished, polished", [
+        *[(("identity", c), 10, 10) for c in (1.0, 1 / 4, 7 / 30)],
+        *[(("random", seed), n, p) for seed, (n, p) in
+          enumerate([(100, 100), (110, 80), (120, 120), (110, 90), (240, 210), (18_760, 18_640)])],
     ])
-    def test_polish_never_costs_iterations(self, coords, objective, unpolished):
+    def test_polish_never_costs_iterations(self, coords, objective, unpolished, polished):
         kind, value = objective
         if kind == "identity":
             omega = value * np.eye(DIM)
@@ -623,7 +664,7 @@ class TestOptimization:
             m = np.random.default_rng(value).standard_normal((6, 3, 3))
             omega = coords.embed(m + m.mT)
         result = optimize_fixed_order(omega)
-        assert result.iterations <= unpolished
+        assert result.iterations == polished <= unpolished
         # the gap is certified at the solve's scale, the power of two that brings 3 max|omega| into [1/2, 1)
         assert 0 <= result.gap <= comb.GAP_TOL * np.ldexp(1.0, np.frexp(3 * np.abs(omega).max())[1])
 
@@ -644,9 +685,16 @@ class TestOptimization:
             assert all(abs(res[key] - ref[key]) <= 1e-15 for key in ref), (res, ref)
 
     def test_raises_without_a_certified_gap(self, monkeypatch, small_objective):
-        # at iteration 30 ADMM's own gap is 3.7e-5, above sqrt(GAP_TOL), so no polish runs
+        # a certificate whose upper end is 1e-3 too high never certifies GAP_TOL, polished or not
+        certificate = comb._certificate
+
+        def wide(*args):
+            certified, lower, upper = certificate(*args)
+            return certified, lower, upper + 1e-3
+
+        monkeypatch.setattr(comb, "_certificate", wide)
         monkeypatch.setattr(comb, "MAX_ITER", 30)
-        with pytest.raises(RuntimeError, match="primal residual"):
+        with pytest.raises(RuntimeError, match=r"in 30 iterations \(primal residual"):
             optimize_fixed_order(small_objective)
 
     @pytest.mark.parametrize("max_iter", [0, 5])
@@ -691,17 +739,33 @@ class TestOptimization:
         with pytest.raises(ValueError, match="outside float range"):
             optimize_fixed_order(1e308 * np.eye(DIM))
 
-    def test_history_traces_every_check(self, optimum):
-        rows = optimum.history
-        assert [row["iteration"] for row in rows] == list(range(10, optimum.iterations + 1, 10))
+    def test_history_traces_every_check(self, coords):
+        # random seed 0, whose solve takes ten checks; its scale is 2**k
+        m = np.random.default_rng(0).standard_normal((6, 3, 3))
+        omega = coords.embed(m + m.mT)
+        scale = np.ldexp(1.0, np.frexp(3 * np.abs(omega).max())[1])
+        result = optimize_fixed_order(omega)
+        rows = result.history
+        assert [row["iteration"] for row in rows] == list(range(10, result.iterations + 1, 10))
         last = rows[-1]
-        assert (last["lower"], last["upper"]) == (optimum.lower, optimum.upper)
-        assert last["primal_residual"] == optimum.primal_residual
+        assert (last["lower"], last["upper"]) == (result.lower, result.upper)
+        assert last["primal_residual"] == result.primal_residual
         assert all(row["lower"] <= row["upper"] for row in rows)
         # the checks narrow the interval to the stopping gap
-        assert rows[0]["upper"] - rows[0]["lower"] > comb.GAP_TOL >= last["upper"] - last["lower"]
-        # ADMM's own gap reaches sqrt(GAP_TOL) only at the last check, whose polish ends the solve
-        assert [row["polished"] for row in rows] == [False] * (len(rows) - 1) + [True]
+        assert rows[0]["upper"] - rows[0]["lower"] > comb.GAP_TOL * scale >= last["upper"] - last["lower"]
+        # the first check always polishes; after a failed polish the next waits for a narrower ADMM
+        # gap, and the last check certifies ADMM's own gap
+        assert [row["polished"] for row in rows] == [True, False, False, False, False, True, False, True, True, False]
+
+    def test_history_reports_the_polished_primal(self, optimum):
+        # on Omega the polish at the first check ends the solve; its row reports the polished
+        # primal, on the comb subspace to rounding, not the iterate at iteration 10 (objective
+        # 0.968, primal residual 0.053)
+        [row] = optimum.history
+        assert row["iteration"] == 10 and row["polished"]
+        assert (row["lower"], row["upper"]) == (optimum.lower, optimum.upper)
+        assert row["primal_residual"] == optimum.primal_residual <= 1e-14
+        assert row["objective"] == pytest.approx(optimum.lower, abs=1e-14)
 
 
 class TestSwitchExceedsBound:
