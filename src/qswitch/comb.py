@@ -19,12 +19,12 @@ classes.  Omega and the comb constraints share a symmetry, so max tr(W Omega)
 over combs is solved in the symmetric subspace (see "the blocks of the
 symmetric subspace" below): six padded real 3x3 blocks, where Omega is
 diagonal with seven exact rational entries.  The ADMM iterates, the affine
-comb map and the certificate all work on those blocks.  A linear solve on
-the face of the iterate (a polish), refined on the kernel of the dual slack
-it yields, narrows ADMM's interval about quadratically per pass (on Omega,
-from 3.5e-2 at iteration 10 to 1.2e-15 in three passes).  The solve returns
-a certified interval around the optimum and the valid 32x32 comb that
-attains its lower end.
+comb map and the certificate all work on those blocks.  Each check
+certifies ADMM's pair, then narrows it by linear solves on the face of the
+iterate (a polish) and on the kernel of the dual slack each yields, about
+quadratically per pass (on Omega from 3.5e-2 at iteration 10 to 1.2e-15 in
+three passes).  The solve returns a certified interval around the optimum
+and the valid 32x32 comb that attains its lower end.
 The certificate is evaluated in floats, so it is not rigorous: on c I, where
 every comb scores 4c, ``lower`` is 1, 1 and 4 ulps below 4c at c = 1, 1/4 and
 7/30 (``upper`` 1, 1 and 3 above) and at or below 4c at 300 uniform c in
@@ -70,12 +70,11 @@ class CombResult:
     ``[lower, upper]`` is the interval around the optimum, of width ``gap``,
     certified only up to rounding (see the module docstring).  ``iterations``
     counts the ADMM iterations run, and ``primal_residual`` is the distance
-    from the comb subspace of the last check's primal guess: the polished
-    one if that check polished, else the ADMM iterate (its ADMM residual).
-    ``residuals`` are the comb's constraint residuals and least eigenvalue
+    from the comb subspace of the last check's primal guess.  ``residuals``
+    are the comb's constraint residuals and least eigenvalue
     (``comb_residuals``), and ``history`` holds one row per certificate
     check: iteration, objective and primal residual of that check's primal
-    guess, lower, upper and whether that interval is the polished one.
+    guess, lower, upper and whether a face pass gave that interval.
 
     ``bound`` reports ``comb``'s mean success on the packaged table's 100 pairs
     as ``table_pairs_success``, 0.93826.  Twirling over common frame rotations V
@@ -372,12 +371,13 @@ def _face_pair(coords: _BlockCoordinates, target: np.ndarray, span: np.ndarray, 
     return face @ y, dual + cf @ alpha
 
 
-def _polish(coords: _BlockCoordinates, target: np.ndarray, span: np.ndarray, vec: np.ndarray,
-            dual: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The primal guess, certified comb, lower and upper of the narrowest of
-    up to four certified face solves, the first on the face of the ADMM
-    iterate whose blocks have eigenvectors ``vec`` and range ``span`` (6x3
-    booleans: its positive eigenvalues), from its dual guess.
+def _polish(coords: _BlockCoordinates, target: np.ndarray, primal: np.ndarray, dual: np.ndarray,
+            span: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, bool]:
+    """The primal guess, certified comb, lower and upper of the narrowest
+    certified pass, and whether it is a face pass.  Pass 0 certifies ADMM's
+    pair (``primal``, ``dual``); up to four face passes follow, the first on
+    the face of the iterate whose blocks have eigenvectors ``vec`` and range
+    ``span`` (6x3 booleans: its positive eigenvalues).
 
     At a strictly complementary optimum the comb's face is the kernel of the
     dual slack S = T - Omega (Alizadeh, Haeberly & Overton, Math. Programming
@@ -385,22 +385,24 @@ def _polish(coords: _BlockCoordinates, target: np.ndarray, span: np.ndarray, vec
     in each block, the eigenvectors of S with the least eigenvalues, as many
     as the iterate's range has, with the padding (``valid``) shifted above
     every eigenvalue of the block so that its zeros are never taken.  The
-    passes converge about quadratically (on Omega from iteration 10: gaps
-    1.0e-4, 5.9e-9, 1.2e-15; a face from the leading eigenvectors of P - S,
-    P the polished primal, narrows only about 2.3x per pass); they stop at
-    ``GAP_TOL`` or at a pass that fails to narrow the gap tenfold.
+    passes converge about quadratically (on Omega at iteration 10: gaps
+    3.5e-2, 1.0e-4, 5.9e-9, 1.2e-15); they stop at ``GAP_TOL`` or at a pass
+    that fails to narrow the one before it tenfold.
     """
-    rank, passes, gap = span.sum(axis=1), [], np.inf
-    for _ in range(4):
-        primal, dual = _face_pair(coords, target, span, vec, dual)
+    rank, passes, gaps = span.sum(axis=1), [], [np.inf]
+    for n in range(5):
+        if n:
+            primal, dual = _face_pair(coords, target, span, vec, dual)
         passes.append((primal, *_certificate(coords, target, primal, dual)))
-        gap, last = passes[-1][3] - passes[-1][2], gap
-        if gap <= GAP_TOL or not gap <= last / 10:
+        gaps.append(passes[-1][3] - passes[-1][2])
+        if gaps[-1] <= GAP_TOL or not gaps[-1] <= gaps[-2] / 10:
             break
-        slack = (dual - coords.affine @ dual - target).reshape(6, 3, 3)
-        vec = np.linalg.eigh(np.where(coords.valid, slack, (1.0 + np.abs(slack).sum()) * np.eye(3)))[1]
-        span = np.arange(3) < rank[:, None]
-    return min(passes, key=lambda p: p[3] - p[2])
+        if n:
+            slack = (dual - coords.affine @ dual - target).reshape(6, 3, 3)
+            vec = np.linalg.eigh(np.where(coords.valid, slack, (1.0 + np.abs(slack).sum()) * np.eye(3)))[1]
+            span = np.arange(3) < rank[:, None]
+    best = int(np.argmin(gaps[1:]))
+    return (*passes[best], best > 0)
 
 
 def optimize_fixed_order(omega: np.ndarray) -> CombResult:
@@ -413,31 +415,26 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     54x54 map plus an offset on them, and the linear objective, folded into
     the proximal step at penalty ``RHO``, adds a constant per solve.  Each
     iteration applies that map, then projects onto the PSD cone with one
-    batched real eigh of the six blocks.  Objective and primal residual are
-    those of the 32x32 operators, as weighted sums over the blocks.  Every
-    10th iteration ``_certificate`` turns the iterate into an interval
-    [lower, upper] around the optimum, certified up to rounding (see the
-    module docstring), and ``history`` gains a row (iteration, objective
-    and primal residual of the primal guess, lower, upper, polished).  A
-    check whose ADMM gap is above ``GAP_TOL`` polishes, the first always:
-    ``_polish`` solves on the face of the iterate and refines on the dual
-    slack's kernel, each pass checked by ``_certificate``, and the row
-    reports the narrowest pass and its primal guess (on Omega, at iteration
-    10, gap 1.2e-15).  A polished gap goes about as the square of ADMM's,
-    so after a failed polish the next waits for the ADMM gap at which that
-    square reaches ``GAP_TOL``.
+    batched real eigh of the six blocks.  Every 10th iteration ``_polish``
+    turns the iterate into an interval [lower, upper] around the optimum,
+    certified up to rounding (see the module docstring): the narrowest of
+    ADMM's own pair and its face passes (on Omega, at iteration 10, gap
+    1.2e-15).  ``history`` gains a row: iteration, objective and primal
+    residual of that pass's primal guess p, lower, upper, and whether a face
+    pass was the narrowest.  The objective and the primal residual, the
+    distance ||p - affine p - offset|| of p from the comb subspace, are those
+    of the 32x32 operators, as weighted sums over the blocks.
     The solve runs on ``omega`` scaled by the exact power of two that brings
     its largest entry into [1/6, 1/3) (Omega is not rescaled); it stops as
     soon as upper - lower is at most ``GAP_TOL`` there, and raises
-    RuntimeError if that has not happened after ``MAX_ITER`` iterations.
-    Values are reported scaled back, so every finite scale is accepted while
-    ``lower`` and ``upper`` are floats: 1e308 I, whose optimum is 4e308, is a
-    ValueError.
+    RuntimeError, with the primal residual of the last iterate, if that has
+    not happened after ``MAX_ITER`` iterations.  Values are reported scaled
+    back, so every finite scale is accepted while ``lower`` and ``upper``
+    are floats: 1e308 I, whose optimum is 4e308, is a ValueError.
 
-    The last iterate is PSD but off the comb subspace by the primal residual.
-    The result holds instead the certified comb of the last check, a valid
-    real 32x32 comb in the original frame, and its residuals; its objective
-    is both ``p_succ`` and ``lower``.
+    The result holds the certified comb of the last check, a valid real
+    32x32 comb in the original frame, and its residuals; its objective is
+    both ``p_succ`` and ``lower``.
     """
     omega = np.ascontiguousarray(omega, dtype=complex)
     if omega.shape != (DIM, DIM):
@@ -457,30 +454,24 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     target = target.reshape(-1)
     affine, weights = coords.affine, coords.weights
     pull = affine @ (target / RHO) + coords.offset
-    w = z = coords.offset  # I * 4/32
+    z = coords.offset  # I * 4/32
     u = np.zeros_like(z)
     history = []
-    polish_below = np.inf  # the ADMM gap at which a polish is expected to reach GAP_TOL; none yet failed
+
+    def primal_residual(p: np.ndarray) -> float:
+        return float(np.sqrt(weights @ (p - affine @ p - coords.offset) ** 2))
+
     for it in range(1, MAX_ITER + 1):
-        w = affine @ (z - u) + pull
-        x = w + u
+        x = affine @ (z - u) + pull + u
         lam, vec = np.linalg.eigh(x.reshape(6, 3, 3))
         z = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.mT).reshape(-1)
         u = x - z
-        # a check costs about one iteration, so checking every 10th adds about 10%
+        # a check costs about one iteration for ADMM's certificate and about six per face pass
         if it % 10 == 0:
-            dual = target - RHO * u
-            certified, lower, upper = _certificate(coords, target, z, dual)
-            primal, off_comb = z, w - z
-            polished = GAP_TOL < upper - lower <= polish_below
-            if polished:
-                admm_gap = upper - lower
-                primal, certified, lower, upper = _polish(coords, target, lam > 0, vec, dual)
-                off_comb = primal - affine @ primal - coords.offset
-                polish_below = admm_gap * (GAP_TOL / max(upper - lower, GAP_TOL)) ** 0.5
+            primal, certified, lower, upper, polished = _polish(coords, target, z, target - RHO * u, lam > 0, vec)
             with np.errstate(over="ignore"):  # scaled back exactly; inf beyond float range
                 objective, lower_k, upper_k = np.ldexp([float(weights @ (target * primal)), lower, upper], k).tolist()
-            resid = float(np.sqrt(weights @ off_comb ** 2))
+            resid = primal_residual(primal)
             history.append({"iteration": it, "objective": objective, "primal_residual": resid,
                             "lower": lower_k, "upper": upper_k, "polished": polished})
             if upper - lower <= GAP_TOL:
@@ -491,8 +482,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
                                   lower=lower_k, upper=upper_k, residuals=comb_residuals(comb),
                                   history=history)
     raise RuntimeError(f"ADMM did not reach a relative certified gap of {GAP_TOL} in {MAX_ITER} "
-                       f"iterations (primal residual {np.sqrt(weights @ (w - z) ** 2):.3e})")
-
+                       f"iterations (primal residual {primal_residual(z):.3e})")
 
 
 def evaluate_comb(w: np.ndarray, pairs: PairStack) -> np.ndarray:

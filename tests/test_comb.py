@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -428,16 +429,27 @@ def optimum(small_objective):
     return optimize_fixed_order(small_objective)
 
 
-def admm_iterate(coords, target, iterations):
-    """The block eigenpairs and the dual guess of the solver's ADMM iterate after ``iterations`` steps."""
+def admm_iterate(coords, target, every):
+    """Yield the solver's ADMM iterate z, its block eigenpairs and its dual guess after every
+    ``every`` steps."""
     pull = coords.affine @ (target / comb.RHO) + coords.offset
     z, u = coords.offset, np.zeros(54)
-    for _ in range(iterations):
+    for it in itertools.count(1):
         x = coords.affine @ (z - u) + pull + u
         lam, vec = np.linalg.eigh(x.reshape(6, 3, 3))
         z = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.mT).reshape(-1)
         u = x - z
-    return lam, vec, target - comb.RHO * u
+        if it % every == 0:
+            yield z, lam, vec, target - comb.RHO * u
+
+
+@functools.cache
+def random_solve(seed):
+    """The symmetric objective embed(m + m^T) of the seeded random blocks m, and its solve; the
+    degenerate seed 5 takes 18,680 iterations, so the tests that read a solve share it."""
+    m = np.random.default_rng(seed).standard_normal((6, 3, 3))
+    omega = comb._block_coordinates().embed(m + m.mT)
+    return omega, optimize_fixed_order(omega)
 
 
 def record_calls(monkeypatch, name):
@@ -605,16 +617,20 @@ class TestOptimization:
         assert optimum.lower <= (17 + 2 * np.sqrt(7)) / 24 <= optimum.upper
 
     def test_refinement_converges_quadratically(self, monkeypatch, small_objective):
-        # from the iterate at iteration 10: measured gaps 1.0e-4, 5.9e-9 and 1.2e-15
+        # from the iterate at iteration 10: ADMM's own pair first, then the polish and its two
+        # refinements; measured gaps 3.5e-2, 1.0e-4, 5.9e-9 and 1.2e-15
         coords = comb._block_coordinates()
         target = coords.reduce(small_objective).reshape(-1)
-        lam, vec, dual = admm_iterate(coords, target, 10)
+        z, lam, vec, dual = next(admm_iterate(coords, target, 10))
         calls = record_calls(monkeypatch, "_certificate")
-        *_, lower, upper = comb._polish(coords, target, lam > 0, vec, dual)
+        *_, lower, upper, polished = comb._polish(coords, target, z, dual, lam > 0, vec)
         gaps = [up - low for _, (_, low, up) in calls]
-        assert len(gaps) == 3
-        assert gaps[0] <= 1e-3 and gaps[1] <= 1e-7 and gaps[2] <= comb.GAP_TOL
-        assert upper - lower == min(gaps)
+        assert len(gaps) == 4
+        (_, _, *admm_pair), _ = calls[0]
+        assert all(np.array_equal(a, b) for a, b in zip(admm_pair, (z, dual)))
+        assert gaps[0] == pytest.approx(3.5e-2, rel=0.05)
+        assert gaps[1] <= 1e-3 and gaps[2] <= 1e-7 and gaps[3] <= comb.GAP_TOL
+        assert upper - lower == min(gaps) and polished
 
     def test_refined_faces_have_no_padding(self, monkeypatch, small_objective):
         # the padding's exact zeros in the dual slack are kept out of its kernel; taken in, they
@@ -628,17 +644,23 @@ class TestOptimization:
             assert span.sum(axis=1).tolist() == [0, 2, 2, 1, 1, 0]
             assert np.abs(vectors * padding[:, None, :]).max() <= 1e-14
 
-    @pytest.mark.parametrize("face", ["iterate", "every direction", "complement"])
-    def test_polish_from_a_poor_face_brackets_the_optimum(self, monkeypatch, small_objective, face):
-        # the iterate at iteration 5, whose first polished gap is 1.8e-3, and two wrong faces: a
-        # polish or a refinement from a poor face costs a wide interval, never a wrong one
+    # the iterate at iteration 5, whose ADMM gap is 0.18 and first polished gap 1.8e-3, and two
+    # wrong faces, whose first pass widens ADMM's gap to 1 and 2 and so ends the polish; with the
+    # dual 100 times ADMM's (gap 1e2) that pass narrows it tenfold and a refinement follows
+    @pytest.mark.parametrize("face, far, certificates", [
+        ("iterate", False, 4), ("every direction", False, 2), ("complement", False, 2),
+        ("iterate", True, 4), ("every direction", True, 3), ("complement", True, 3),
+    ])
+    def test_polish_from_a_poor_face_brackets_the_optimum(self, monkeypatch, small_objective, face, far,
+                                                          certificates):
+        # a polish or a refinement from a poor face costs a wide interval, never a wrong one
         coords = comb._block_coordinates()
         target = coords.reduce(small_objective).reshape(-1)
-        lam, vec, dual = admm_iterate(coords, target, 5)
+        z, lam, vec, dual = next(admm_iterate(coords, target, 5))
         span = {"iterate": lam > 0, "every direction": np.ones_like(lam, bool), "complement": lam < 0}[face]
         calls = record_calls(monkeypatch, "_certificate")
-        comb._polish(coords, target, span, vec, dual)
-        assert len(calls) >= 2
+        comb._polish(coords, target, z, 100 * dual if far else dual, span, vec)
+        assert len(calls) == certificates
         for _, (certified, lower, upper) in calls:
             assert lower <= (17 + 2 * np.sqrt(7)) / 24 <= upper
             res = comb_residuals(coords.embed(certified.reshape(6, 3, 3)))
@@ -649,21 +671,20 @@ class TestOptimization:
     # refined solve. Seed 5's optimum is degenerate: on its certified pair, block 1 (outcome 0,
     # spin 1) has comb eigenvalues 6.2e-13, 1.6e-9 and 0.906 and dual-slack eigenvalues (of
     # T + eps I - Omega) 0, 1.9e-13 and 0.391, so one direction is null for both and strict
-    # complementarity fails. ADMM is sublinear there and 12 of its 13 polishes fail, so the solve
-    # takes 18,640 iterations
+    # complementarity fails. ADMM is sublinear there and every check's face passes fall short of
+    # GAP_TOL until the last, so the solve takes 18,680 iterations
     @pytest.mark.parametrize("objective, unpolished, polished", [
         *[(("identity", c), 10, 10) for c in (1.0, 1 / 4, 7 / 30)],
         *[(("random", seed), n, p) for seed, (n, p) in
-          enumerate([(100, 100), (110, 80), (120, 120), (110, 90), (240, 210), (18_760, 18_640)])],
+          enumerate([(100, 100), (110, 80), (120, 120), (110, 90), (240, 210), (18_760, 18_680)])],
     ])
     def test_polish_never_costs_iterations(self, coords, objective, unpolished, polished):
         kind, value = objective
         if kind == "identity":
             omega = value * np.eye(DIM)
+            result = optimize_fixed_order(omega)
         else:
-            m = np.random.default_rng(value).standard_normal((6, 3, 3))
-            omega = coords.embed(m + m.mT)
-        result = optimize_fixed_order(omega)
+            omega, result = random_solve(value)
         assert result.iterations == polished <= unpolished
         # the gap is certified at the solve's scale, the power of two that brings 3 max|omega| into [1/2, 1)
         assert 0 <= result.gap <= comb.GAP_TOL * np.ldexp(1.0, np.frexp(3 * np.abs(omega).max())[1])
@@ -684,8 +705,9 @@ class TestOptimization:
             assert res.keys() == ref.keys()
             assert all(abs(res[key] - ref[key]) <= 1e-15 for key in ref), (res, ref)
 
-    def test_raises_without_a_certified_gap(self, monkeypatch, small_objective):
-        # a certificate whose upper end is 1e-3 too high never certifies GAP_TOL, polished or not
+    def test_raises_without_a_certified_gap(self, monkeypatch, coords, small_objective):
+        # a certificate whose upper end is 1e-3 too high never certifies GAP_TOL, polished or not;
+        # the error reports the distance of the last iterate, at iteration 35, from the comb subspace
         certificate = comb._certificate
 
         def wide(*args):
@@ -693,8 +715,10 @@ class TestOptimization:
             return certified, lower, upper + 1e-3
 
         monkeypatch.setattr(comb, "_certificate", wide)
-        monkeypatch.setattr(comb, "MAX_ITER", 30)
-        with pytest.raises(RuntimeError, match=r"in 30 iterations \(primal residual"):
+        monkeypatch.setattr(comb, "MAX_ITER", 35)
+        z, *_ = next(admm_iterate(coords, coords.reduce(small_objective).reshape(-1), 35))
+        distance = np.sqrt(coords.weights @ (z - coords.affine @ z - coords.offset) ** 2)
+        with pytest.raises(RuntimeError, match=rf"in 35 iterations \(primal residual {distance:.3e}\)"):
             optimize_fixed_order(small_objective)
 
     @pytest.mark.parametrize("max_iter", [0, 5])
@@ -739,12 +763,10 @@ class TestOptimization:
         with pytest.raises(ValueError, match="outside float range"):
             optimize_fixed_order(1e308 * np.eye(DIM))
 
-    def test_history_traces_every_check(self, coords):
+    def test_history_traces_every_check(self):
         # random seed 0, whose solve takes ten checks; its scale is 2**k
-        m = np.random.default_rng(0).standard_normal((6, 3, 3))
-        omega = coords.embed(m + m.mT)
+        omega, result = random_solve(0)
         scale = np.ldexp(1.0, np.frexp(3 * np.abs(omega).max())[1])
-        result = optimize_fixed_order(omega)
         rows = result.history
         assert [row["iteration"] for row in rows] == list(range(10, result.iterations + 1, 10))
         last = rows[-1]
@@ -753,9 +775,20 @@ class TestOptimization:
         assert all(row["lower"] <= row["upper"] for row in rows)
         # the checks narrow the interval to the stopping gap
         assert rows[0]["upper"] - rows[0]["lower"] > comb.GAP_TOL * scale >= last["upper"] - last["lower"]
-        # the first check always polishes; after a failed polish the next waits for a narrower ADMM
-        # gap, and the last check certifies ADMM's own gap
-        assert [row["polished"] for row in rows] == [True, False, False, False, False, True, False, True, True, False]
+        # every check polishes; a row is polished where a face pass was narrower than ADMM's own
+        # pair, and the last check certifies ADMM's own gap
+        assert [row["polished"] for row in rows] == [True] * 9 + [False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_check_is_wider_than_admm_certificate(self, coords, seed):
+        # a face pass that widens the interval never replaces ADMM's own certificate: at iteration
+        # 10 of seed 2 ADMM's own pair certifies a width of 1.46, the first face pass 145
+        omega, result = random_solve(seed)
+        k = np.frexp(3 * np.abs(omega).max())[1]
+        target = coords.reduce(np.ldexp(omega, -k)).reshape(-1)
+        for row, (z, _, _, dual) in zip(result.history, admm_iterate(coords, target, 10)):
+            _, lower, upper = comb._certificate(coords, target, z, dual)
+            assert np.ldexp(row["upper"], -k) - np.ldexp(row["lower"], -k) <= upper - lower, row["iteration"]
 
     def test_history_reports_the_polished_primal(self, optimum):
         # on Omega the polish at the first check ends the solve; its row reports the polished
