@@ -22,13 +22,13 @@ diagonal with seven exact rational entries.  The ADMM iterates, the affine
 comb map and the certificate all work on those blocks.  Each check
 certifies ADMM's pair, then narrows it by linear solves on the face of the
 iterate (a polish) and on the kernel of the dual slack each yields, about
-quadratically per pass (on Omega from 3.5e-2 at iteration 10 to 1.2e-15 in
+quadratically per pass (on Omega from 3.5e-2 at iteration 10 to 1.0e-15 in
 three passes).  The solve returns a certified interval around the optimum
 and the valid 32x32 comb that attains its lower end.
 The certificate is evaluated in floats, so it is not rigorous: on c I, where
-every comb scores 4c, ``lower`` is 1, 1 and 4 ulps below 4c at c = 1, 1/4 and
-7/30 (``upper`` 1, 1 and 3 above) and at or below 4c at 300 uniform c in
-[0.1, 1), but 1-4 ulps above 4c at 296 of 300 such -c.  An exact one would be.
+every comb scores 4c, ``lower`` is 1 ulp below 4c at c = 1, 1/4 and 7/30
+(``upper`` 1, 1 and 3 above) and at or below 4c at 300 uniform c in
+[0.1, 1), but 1-4 ulps above 4c at 295 of 300 such -c.  An exact one would be.
 """
 
 from __future__ import annotations
@@ -254,53 +254,52 @@ def _schur_vectors() -> np.ndarray:
 class _BlockCoordinates:
     """The six padded blocks M[i, j] (outcome, spin) of the symmetric real operators.
 
-    ``basis`` holds the 54 real operators E[i, j, a, b] = sum_m |j, m, a><j, m, b|
-    (x) |i><i| (32x32), zero at the padding.  They are orthogonal with <E, E> =
-    2j + 1, which ``weights`` holds for each of the 54 entries, so the Frobenius
-    product of two operators is sum weights * A * B over their blocks.
-    ``valid`` (6x3x3) marks the entries inside the true M_j, not the padding.
+    Entry M[i, j, a, b] stands for E[i, j, a, b] = G[j, a, b] (x) |i><i|, with the
+    gate-wire operators G[j, a, b] = sum_m |j, m, a><j, m, b| (16x16), zero at the
+    padding, held once for both outcomes in ``gate_wires`` (27x256).  The E are
+    orthogonal with <E, E> = 2j + 1, which ``weights`` holds for each of the 54
+    entries, so the Frobenius product of two operators is sum weights * A * B over
+    their blocks.  ``valid`` (6x3x3) marks the entries inside the true M_j.
     ``affine`` (54x54) and ``offset`` (the blocks of I * 4/32) are
-    ``project_comb_affine`` on the blocks.  Its slot terms pair with a basis
-    operator E as <E, r2(E')/2 (x) I_P5> = <r2(E), r2(E')>/2, and alike for
-    r1, so with R2 and R1 the slot residuals of the basis and r = tr E:
-    affine = (E E^T - (R2 R2^T + R1 R1^T)/2 - r r^T/32) / weights.  It is the
-    one place that normalises the Schur vectors.  The solver shares one
-    read-only instance (``_block_coordinates``), built on first use, not at
-    import.
+    ``project_comb_affine`` on the blocks.  Its slot terms pair with an E as
+    <E, r2(E')/2 (x) I_P5> = <r2(E), r2(E')>/2, and alike for r1, so with R2 and
+    R1 the slot residuals of the 54 E and r = tr E: affine = (E E^T - (R2 R2^T +
+    R1 R1^T)/2 - r r^T/32) / weights.  It is the one place that normalises the
+    Schur vectors.  The solver shares one read-only instance, built on first use.
     """
 
     def __init__(self) -> None:
         q = _schur_vectors()
         q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1.0)  # nonzero norms >= 1, padding stays 0
         # on the gate wires, entry (a, b) of M_j is the operator sum_m |j, m, a><j, m, b|
-        gate_wires = q.transpose(0, 3, 1, 2)[:, :, None] @ q.transpose(0, 3, 2, 1)[:, None]
-        # E[i, j, a, b] = (gate-wire operator of entry (a, b) of M_j) (x) |i><i|
-        basis = np.zeros((2, 27, 16, 2, 16, 2))
-        for i in (0, 1):
-            basis[i, :, :, i, :, i] = gate_wires.reshape(27, 16, 16)
-        self.basis = basis.reshape(54, DIM, DIM)
+        self.gate_wires = (q.transpose(0, 3, 1, 2)[:, :, None] @ q.transpose(0, 3, 2, 1)[:, None]).reshape(27, 256)
         self.weights = np.repeat(2.0 * np.array(SPINS * 2) + 1.0, 9)
-        size = np.array(MULTIPLICITIES * 2)[:, None, None]
-        self.valid = (np.arange(3)[:, None] < size) & (np.arange(3) < size)
+        self.valid = np.maximum.outer(np.arange(3), np.arange(3)) < np.array(MULTIPLICITIES * 2)[:, None, None]
         self.offset = self.reduce(np.eye(DIM)).reshape(-1) * (4.0 / DIM)
-        flat, traces = self.basis.reshape(54, -1), np.trace(self.basis, axis1=1, axis2=2)
-        r2, r1 = (r.reshape(54, -1) for r in _slot_residuals(self.basis))
-        gram = flat @ flat.T - (r2 @ r2.T + r1 @ r1.T) / 2.0 - np.outer(traces, traces) / DIM
-        self.affine = gram / self.weights[:, None]
-        read_only(self.basis, self.weights, self.valid, self.offset, self.affine)
+        basis = self.embed(np.eye(54).reshape(54, 6, 3, 3))  # the 54 E, for the build only
+        flat, tr = basis.reshape(54, -1), np.trace(basis, axis1=1, axis2=2)
+        # tr_P5 E[i, j, a, b] is G[j, a, b] for either outcome, so both outcomes have the same slot residuals
+        r2, r1 = (np.tile(r.reshape(27, -1), (2, 1)) for r in _slot_residuals(basis[:27]))
+        self.affine = (flat @ flat.T - (r2 @ r2.T + r1 @ r1.T) / 2.0 - np.outer(tr, tr) / DIM) / self.weights[:, None]
+        read_only(self.gate_wires, self.weights, self.valid, self.offset, self.affine)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """The blocks (..., 6, 3, 3) of the symmetric real part of a 32x32
         operator or of each operator of a stack (..., 32, 32): its orthogonal
         projection onto the symmetric real operators."""
-        # the real part first: a complex operand would convert the basis on every call
-        flat = np.real(np.reshape(x, np.shape(x)[:-2] + (-1,)))
-        m = (flat @ self.basis.reshape(54, -1).T / self.weights).reshape(flat.shape[:-1] + (6, 3, 3))
+        lead = np.shape(x)[:-2]
+        # outcome i's block x[(a, i), (b, i)], the only part that meets an E, is x[..., i::2, i::2]
+        blocks = np.stack([np.real(x)[..., i::2, i::2] for i in (0, 1)], axis=-3).reshape(lead + (2, 256))
+        m = (blocks @ self.gate_wires.T / self.weights.reshape(2, 27)).reshape(lead + (6, 3, 3))
         return (m + m.mT) / 2
 
     def embed(self, m: np.ndarray) -> np.ndarray:
         """The 32x32 operator sum M[i, j, a, b] E[i, j, a, b] of blocks (..., 6, 3, 3)."""
-        return np.tensordot(m, self.basis.reshape(6, 3, 3, DIM, DIM), 3)
+        lead = np.shape(m)[:-3]
+        blocks = (np.reshape(m, lead + (2, 27)) @ self.gate_wires).reshape(lead + (2, 16, 16))
+        x = np.zeros(lead + (DIM, DIM))
+        x[..., 0::2, 0::2], x[..., 1::2, 1::2] = blocks[..., 0, :, :], blocks[..., 1, :, :]
+        return x
 
 
 _block_coordinates = functools.cache(_BlockCoordinates)
@@ -360,10 +359,11 @@ def _face_pair(coords: _BlockCoordinates, target: np.ndarray, span: np.ndarray, 
     solve with the normal matrix (C F)^T weights C F.
     """
     a, c = np.array([[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])  # np.triu_indices(3), which costs 14 us
-    va, vc = vec.mT[:, a], vec.mT[:, c]  # (6 blocks, 6 pairs, 3)
-    spans = np.zeros((6, 6, 6, 3, 3))  # (block, pair) -> the 54 entries of v_a v_c^T + v_c v_a^T
-    spans[np.arange(6), :, np.arange(6)] = va[..., :, None] * vc[..., None, :] + vc[..., :, None] * va[..., None, :]
-    face = spans[span[:, a] & span[:, c]].reshape(-1, 54).T
+    block, pair = np.nonzero(span[:, a] & span[:, c])  # one column of F per marked (block, pair), in that order
+    outer = vec.mT[block, a[pair], :, None] * vec.mT[block, c[pair], None, :]  # v_a v_c^T of each column
+    face = np.zeros((len(block), 6, 9))
+    face[np.arange(len(block)), block] = (outer + outer.mT).reshape(-1, 9)
+    face = face.reshape(-1, 54).T
     cf = face - coords.affine @ face
     wcf = coords.weights[:, None] * cf
     rhs = np.stack([wcf.T @ coords.offset, face.T @ (coords.weights * target) - wcf.T @ dual], axis=1)
@@ -386,7 +386,7 @@ def _polish(coords: _BlockCoordinates, target: np.ndarray, primal: np.ndarray, d
     as the iterate's range has, with the padding (``valid``) shifted above
     every eigenvalue of the block so that its zeros are never taken.  The
     passes converge about quadratically (on Omega at iteration 10: gaps
-    3.5e-2, 1.0e-4, 5.9e-9, 1.2e-15); they stop at ``GAP_TOL`` or at a pass
+    3.5e-2, 1.0e-4, 5.9e-9, 1.0e-15); they stop at ``GAP_TOL`` or at a pass
     that fails to narrow the one before it tenfold.
     """
     rank, passes, gaps = span.sum(axis=1), [], [np.inf]
@@ -419,7 +419,7 @@ def optimize_fixed_order(omega: np.ndarray) -> CombResult:
     turns the iterate into an interval [lower, upper] around the optimum,
     certified up to rounding (see the module docstring): the narrowest of
     ADMM's own pair and its face passes (on Omega, at iteration 10, gap
-    1.2e-15).  ``history`` gains a row: iteration, objective and primal
+    1.0e-15).  ``history`` gains a row: iteration, objective and primal
     residual of that pass's primal guess p, lower, upper, and whether a face
     pass was the narrowest.  The objective and the primal residual, the
     distance ||p - affine p - offset|| of p from the comb subspace, are those

@@ -96,6 +96,21 @@ def build_comb_from_circuit(
     return w.reshape(DIM, DIM)
 
 
+def face_columns(span: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The face columns (54, n) of ``comb._face_pair``, read off a zeroed array.
+
+    The array holds, at (block, pair, block), the 3x3 entries of
+    v_a v_c^T + v_c v_a^T for every block and every pair a <= c of the
+    block's columns ``vec``, and zeros elsewhere.  The face's columns are its
+    (block, pair) rows whose two vectors ``span`` (6x3) marks, in that order.
+    """
+    a, c = np.triu_indices(3)
+    va, vc = vec.mT[:, a], vec.mT[:, c]  # (6 blocks, 6 pairs, 3)
+    spans = np.zeros((6, 6, 6, 3, 3))
+    spans[np.arange(6), :, np.arange(6)] = va[..., :, None] * vc[..., None, :] + vc[..., :, None] * va[..., None, :]
+    return spans[span[:, a] & span[:, c]].reshape(-1, 54).T
+
+
 def icosahedral_design() -> np.ndarray:
     """The 120 elements of the binary icosahedral group as SU(2) matrices.
 

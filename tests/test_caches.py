@@ -39,7 +39,7 @@ CACHED_ARRAYS = (
     [("comb.objective_operator", None)]
     + [("waveplates.load_random_pairs_table", "angles")]
     + [("waveplates.table_gate_pairs", k) for k in ("u1", "u2", "port")]
-    + [("comb._block_coordinates", k) for k in ("basis", "weights", "valid", "offset", "affine")]
+    + [("comb._block_coordinates", k) for k in ("gate_wires", "weights", "valid", "offset", "affine")]
     + [(f"experiment.{name}", k) for name in SETTINGS
        for k in ("pairs.u1", "pairs.u2", "pairs.port", "angles", "psi")]
 )
