@@ -105,6 +105,13 @@ class CombResult:
 # comb pairing with gate pairs
 
 
+def _outcome_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the two outcome blocks of a 32x32 operator or of each operator
+    of a stack: P5 is the lowest bit of the index, so outcome i's block
+    B_i[a, b] = x[(a, i), (b, i)] is x[..., i::2, i::2]."""
+    return x[..., 0::2, 0::2], x[..., 1::2, 1::2]
+
+
 def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
                           i: int | np.ndarray) -> np.ndarray:
     """tr(S_i W) for gates or stacks (..., 2, 2) of gates and outcomes ``i``.
@@ -123,7 +130,7 @@ def probability_from_comb(w: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     v1, v2 = choi_vector(u1), choi_vector(u2)
     y = (v1[..., :, None] * v2[..., None, :]).reshape(v1.shape[:-1] + (16,))
     # column (o, a) of the product is row a of the outcome-o block: B_o[a, b] = W[(a, o), (b, o)]
-    blocks = np.asarray(w).reshape(16, 2, 16, 2)[:, [0, 1], :, [0, 1]].transpose(2, 0, 1).reshape(16, 32)
+    blocks = np.stack(_outcome_blocks(np.asarray(w))).transpose(2, 0, 1).reshape(16, 32)
     both = np.vecdot(y[..., None, :], (y @ blocks).reshape(y.shape[:-1] + (2, 16))).real
     p = np.where(i == 0, both[..., 0], both[..., 1])
     bad = ~((p >= -1e-8) & (p <= 1.0 + 1e-8))  # NaN included
@@ -288,8 +295,8 @@ class _BlockCoordinates:
         operator or of each operator of a stack (..., 32, 32): its orthogonal
         projection onto the symmetric real operators."""
         lead = np.shape(x)[:-2]
-        # outcome i's block x[(a, i), (b, i)], the only part that meets an E, is x[..., i::2, i::2]
-        blocks = np.stack([np.real(x)[..., i::2, i::2] for i in (0, 1)], axis=-3).reshape(lead + (2, 256))
+        # the outcome blocks are the only part of x that meets an E
+        blocks = np.stack(_outcome_blocks(np.real(x)), axis=-3).reshape(lead + (2, 256))
         m = (blocks @ self.gate_wires.T / self.weights.reshape(2, 27)).reshape(lead + (6, 3, 3))
         return (m + m.mT) / 2
 
@@ -298,7 +305,8 @@ class _BlockCoordinates:
         lead = np.shape(m)[:-3]
         blocks = (np.reshape(m, lead + (2, 27)) @ self.gate_wires).reshape(lead + (2, 16, 16))
         x = np.zeros(lead + (DIM, DIM))
-        x[..., 0::2, 0::2], x[..., 1::2, 1::2] = blocks[..., 0, :, :], blocks[..., 1, :, :]
+        x0, x1 = _outcome_blocks(x)
+        x0[...], x1[...] = blocks[..., 0, :, :], blocks[..., 1, :, :]
         return x
 
 

@@ -9,8 +9,13 @@ Counting: a setting sends Poisson(lam) pairs into the interferometer, each
 leaves by port 1 with probability p1 and is then detected with probability
 eta.  By Poisson thinning that gives two independent counts,
 C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta), which is how
-``simulate_counts`` draws them: a whole suite's counts, or a whole calibration
-sweep's, come from one generator call.
+``simulate_counts`` and the suites draw them, through one helper: a whole
+suite's counts, or a whole calibration sweep's, come from one generator call.
+
+The model's noise-free half is the overlap and mean norm of the two order
+branches, its noise half their interference at a visibility and a phase.  A
+suite's settings hold the noise-free half from when they are built, so a run
+computes only the noise half and draws its counts.
 
 The rotation-induced offset is modeled as a function of the current plate
 positions: each plate contributes its signed angular offset from the zeroed
@@ -101,6 +106,26 @@ class NoiseParams:
         )
 
 
+def _branch_terms(u1: np.ndarray, u2: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free half of the model: the overlap <a|b> of the order branches
+    a = U1 U2 psi / sqrt2 and b = U2 U1 psi / sqrt2, and their mean norm
+    (|a|^2 + |b|^2) / 2, with the gates and states checked."""
+    branch_a, branch_b = (x / np.sqrt(2.0) for x in both_orders(u1, u2, require_state(psi, 2)))
+    overlap = np.sum(branch_a.conj() * branch_b, axis=-1)
+    mean_norm = (np.sum(np.abs(branch_a) ** 2, axis=-1) + np.sum(np.abs(branch_b) ** 2, axis=-1)) / 2.0
+    return overlap, mean_norm
+
+
+def _port1_probability(overlap: np.ndarray, mean_norm: np.ndarray, visibility: float,
+                       phase: float | np.ndarray) -> np.ndarray:
+    """The noise half: p1 of branches with ``_branch_terms`` ``overlap`` and
+    ``mean_norm`` that meet at ``phase`` (radians, finite) with ``visibility``."""
+    phi = np.asarray(phase)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("non-finite phase: the interferometer phase must be finite")
+    return np.clip(mean_norm + visibility * (np.exp(1j * phi) * overlap).real, 0.0, 1.0)
+
+
 def ideal_port_probabilities_with_noise(
     u1: np.ndarray,
     u2: np.ndarray,
@@ -115,14 +140,15 @@ def ideal_port_probabilities_with_noise(
     omitted; at unit visibility and phase pi this reduces exactly to the ideal
     switch.  Gates (..., 2, 2), states (..., 2) and phases broadcast as stacks.
     """
-    branch_a, branch_b = (x / np.sqrt(2.0) for x in both_orders(u1, u2, require_state(psi, 2)))
-    phi = np.asarray(noise.phase_setpoint if phase is None else phase)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("non-finite phase: the interferometer phase must be finite")
-    overlap = np.sum(branch_a.conj() * branch_b, axis=-1)
-    p1 = (np.sum(np.abs(branch_a) ** 2, axis=-1) + np.sum(np.abs(branch_b) ** 2, axis=-1)) / 2.0
-    p1 = np.clip(p1 + noise.visibility * (np.exp(1j * phi) * overlap).real, 0.0, 1.0)
+    p1 = _port1_probability(*_branch_terms(u1, u2, psi), noise.visibility,
+                            noise.phase_setpoint if phase is None else phase)
     return 1.0 - p1, p1
+
+
+def _draw_counts(p1: np.ndarray, noise: NoiseParams, rng: RandomSource, size: tuple[int, ...]) -> np.ndarray:
+    """Counts (*size, ..., 2) of C0 ~ Poisson(lam (1 - p1)) and C1 ~ Poisson(lam p1 eta), in one draw."""
+    lam = noise.pairs_per_setting * np.stack([1.0 - p1, noise.eta * p1], axis=-1)
+    return rng.generator.poisson(lam, size=size + lam.shape)
 
 
 def simulate_counts(
@@ -140,8 +166,7 @@ def simulate_counts(
     prepends axes of independent repeats.  All counts come from one draw.
     """
     _, p1 = ideal_port_probabilities_with_noise(u1, u2, psi, noise, phase)
-    lam = noise.pairs_per_setting * np.stack([1.0 - p1, noise.eta * p1], axis=-1)
-    return rng.generator.poisson(lam, size=size + lam.shape)
+    return _draw_counts(p1, noise, rng, size)
 
 
 def _require_counts(counts: np.ndarray) -> np.ndarray:
@@ -212,8 +237,12 @@ class _Settings:
     setting's plate ``angles``, and the input state ``psi``, one for all or a stack.
 
     The interferometer phase is re-zeroed at the start of every ``group``
-    consecutive settings.  A packaged suite's settings are built once per
-    process, on first use, and read-only.
+    consecutive settings.  Building the settings computes the noise-free half
+    of the model once: the order branches' ``overlap`` and ``mean_norm``
+    (``_branch_terms``, which checks the gates and states), each setting's
+    plate ``offset`` (``rotation_offset``) and its ``minutes`` since
+    re-zeroing, so a run adds only the noise.  A packaged suite's settings are
+    built once per process, on first use, and read-only.
     """
 
     ids: tuple[str, ...]
@@ -221,6 +250,23 @@ class _Settings:
     angles: np.ndarray  # (setting, 6): the plate triples of u1, then of u2
     psi: np.ndarray
     group: int
+    overlap: np.ndarray = field(init=False)
+    mean_norm: np.ndarray = field(init=False)
+    offset: np.ndarray = field(init=False)  # degrees
+    minutes: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        minutes = (np.arange(len(self.pairs)) % self.group + 1) * SECONDS_PER_SETTING / 60.0
+        terms = (*_branch_terms(self.pairs.u1, self.pairs.u2, self.psi), rotation_offset(self.angles), minutes)
+        for name, value in zip(("overlap", "mean_norm", "offset", "minutes"), terms):
+            object.__setattr__(self, name, value)
+
+    def phase(self, noise: NoiseParams) -> np.ndarray:
+        """Each setting's interferometer phase: the setpoint, plus the drift per degree
+        times its plate offset, plus the drift per minute times its minutes."""
+        with np.errstate(over="ignore", invalid="ignore"):  # _port1_probability rejects a non-finite phase
+            return (noise.phase_setpoint + noise.phase_drift_per_degree * self.offset
+                    + noise.phase_drift_per_minute * self.minutes)
 
 
 @dataclass
@@ -290,15 +336,11 @@ class SuiteReport:
 
 
 def _run_groups(suite: str, settings: _Settings, noise: NoiseParams, rng: RandomSource) -> SuiteReport:
-    """Simulate ``REPEATS`` runs over the settings, re-zeroing the phase per group:
-    it drifts with each setting's plate offset and the minutes since re-zeroing."""
+    """Simulate ``REPEATS`` runs over the settings: their branch terms interfere at
+    each setting's ``phase``, then every count comes from one draw."""
     pairs = settings.pairs
-    minutes = (np.arange(len(pairs)) % settings.group + 1) * SECONDS_PER_SETTING / 60.0
-    with np.errstate(over="ignore", invalid="ignore"):  # simulate_counts rejects a non-finite phase
-        phase = (noise.phase_setpoint + noise.phase_drift_per_degree * rotation_offset(settings.angles)
-                 + noise.phase_drift_per_minute * minutes)
-    counts = simulate_counts(pairs.u1, pairs.u2, settings.psi, noise, rng, phase,
-                             size=(REPEATS,))  # (repeat, setting, port)
+    p1 = _port1_probability(settings.overlap, settings.mean_norm, noise.visibility, settings.phase(noise))
+    counts = _draw_counts(p1, noise, rng, (REPEATS,))  # (repeat, setting, port)
     p0s = corrected_probability(counts[..., 0], counts[..., 1], noise.eta)
     p0 = p0s.mean(axis=0)
     return SuiteReport(
@@ -308,7 +350,8 @@ def _run_groups(suite: str, settings: _Settings, noise: NoiseParams, rng: Random
 
 
 def _read_only(settings: _Settings) -> _Settings:
-    read_only(settings.pairs.u1, settings.pairs.u2, settings.pairs.port, settings.angles, settings.psi)
+    read_only(settings.pairs.u1, settings.pairs.u2, settings.pairs.port, settings.angles, settings.psi,
+              settings.overlap, settings.mean_norm, settings.offset, settings.minutes)
     return settings
 
 

@@ -137,9 +137,9 @@ def sample_pairs(rng: RandomSource, n_commuting: int, n_anticommuting: int) -> P
     # R sigma_z: R's second column negated; R sigma_y: its columns swapped times (i, -i). Each
     # entry is an entry of R times 1, -1, i or -i, as in R @ SZ and R @ SY, so bit for bit equal
     rz, ry = ra * np.array([1.0, -1.0]), ra[..., ::-1] * np.array([1j, -1j])
-    # the L factors of both gates of every pair, (n, 2, 2, 2), times each pair's R^dag
-    left = np.concatenate([rc[:, None] * eigenvalues[..., None, :], np.stack([rz, ry], axis=1)])
-    gates = left @ np.concatenate([rc, ra])[:, None].mT.conj()
+    # the L factors of both gates of every pair, stacked (n, 4, 2), times each pair's R^dag in one product
+    left = np.concatenate([rc[:, None] * eigenvalues[..., None, :], np.stack([rz, ry], axis=1)]).reshape(-1, 4, 2)
+    gates = (left @ np.concatenate([rc, ra]).mT.conj()).reshape(-1, 2, 2, 2)
     port = np.repeat([0, 1], [n_commuting, n_anticommuting])
     return PairStack(gates[:, 0], gates[:, 1], port, seed=rng.seed)
 

@@ -41,7 +41,8 @@ CACHED_ARRAYS = (
     + [("waveplates.table_gate_pairs", k) for k in ("u1", "u2", "port")]
     + [("comb._block_coordinates", k) for k in ("gate_wires", "weights", "valid", "offset", "affine")]
     + [(f"experiment.{name}", k) for name in SETTINGS
-       for k in ("pairs.u1", "pairs.u2", "pairs.port", "angles", "psi")]
+       for k in ("pairs.u1", "pairs.u2", "pairs.port", "angles", "psi", "overlap", "mean_norm", "offset",
+                 "minutes")]
 )
 
 

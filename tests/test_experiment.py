@@ -343,6 +343,35 @@ class TestSuites:
         with pytest.raises(ValueError, match="setting XX: the pair neither commutes nor anti-commutes"):
             experiment._plus_pauli_settings.__wrapped__()
 
+    @pytest.mark.parametrize("noise", [
+        NoiseParams(),
+        NoiseParams(visibility=0.9, phase_setpoint=3.0, phase_drift_per_degree=0.05,
+                    phase_drift_per_minute=0.3, eta=0.6, pairs_per_setting=900.0),
+    ], ids=["default", "noisier"])
+    @pytest.mark.parametrize("suite", ["pauli", "random100", "statesweep", "explicit"])
+    def test_run_matches_the_one_shot_model(self, monkeypatch, suite, noise):
+        # a run interferes the settings' stored branch terms; its p1 must be the one-shot model's at
+        # the drift schedule's phase, bit for bit, and simulate_counts must draw the same counts
+        pairs = sample_pairs(RandomSource(20), 13, 12)
+        run = {"pauli": run_pauli_suite, "random100": run_random_suite, "statesweep": run_state_sweep,
+               "explicit": lambda n, rng: run_random_suite(n, rng, pairs=pairs)}[suite]
+        seen = {}
+        run_groups, draw_counts = experiment._run_groups, experiment._draw_counts
+        monkeypatch.setattr(experiment, "_run_groups",
+                            lambda name, settings, *args: run_groups(name, seen.setdefault("settings", settings), *args))
+        monkeypatch.setattr(experiment, "_draw_counts",
+                            lambda p1, *args: draw_counts(seen.setdefault("p1", p1), *args))
+        report = run(noise, RandomSource(21))
+        settings = seen["settings"]
+        u1, u2, n = settings.pairs.u1, settings.pairs.u2, len(settings.pairs)
+        minutes = (np.arange(n) % settings.group + 1) * experiment.SECONDS_PER_SETTING / 60.0
+        phase = (noise.phase_setpoint + noise.phase_drift_per_degree * rotation_offset(settings.angles)
+                 + noise.phase_drift_per_minute * minutes)
+        assert np.array_equal(seen["p1"], ideal_port_probabilities_with_noise(u1, u2, settings.psi, noise, phase)[1])
+        counts = simulate_counts(u1, u2, settings.psi, noise, RandomSource(21), phase, size=(experiment.REPEATS,))
+        assert np.array_equal(report.counts, counts)
+        assert (settings.pairs is pairs) == (suite == "explicit")
+
     def test_noiseless_state_sweep_perfect(self):
         report = run_state_sweep(NoiseParams.noiseless(), RandomSource(18))
         assert report.mean_success == 1.0
